@@ -185,6 +185,25 @@ class _Shard:
         with self._lock:
             self.in_flight -= 1
 
+    def submit(self, request, spilled: bool, redriven: bool = False,
+               failover: bool = False):
+        """Account the shard busy and hand ``request`` to its engine.
+
+        A rejected submission is unwound before re-raising — the future
+        is never returned, so nothing enters the accepted/resolved
+        ledger — and counted against the shard, unless it is a dead
+        transport the caller will ``failover`` from (that is the
+        shard's health, not the request's outcome).
+        """
+        self.begin(spilled=spilled, redriven=redriven)
+        try:
+            return self.engine.submit(request)
+        except BaseException as exc:
+            self.end()
+            if not (failover and isinstance(exc, TransportError)):
+                self.note_failed()
+            raise
+
     def note_completed(self) -> None:
         with self._lock:
             self.completed += 1
@@ -289,32 +308,73 @@ def _abandon_cleanup(cluster: "ClusterEngine", cell: dict) -> None:
             cluster._note_resolved(completed=False)
 
 
-class _ClusterTrainFuture(TrainFuture):
+class _Routed:
+    """The books every routed future keeps, written once.
+
+    A submitted future holds its shards' ``in_flight`` and — for the
+    kinds in the exactly-once ledger — one accepted slot. ``_accept``
+    opens those books and arms the abandonment cells; ``_disarm`` hands
+    them to the consuming code path; ``_settle`` closes them with the
+    terminal outcome, exactly once. Mixed into each kind's public
+    future type; the kinds keep their own routing behaviour.
+    """
+
+    def _accept(self, cluster: "ClusterEngine", shards, ledger: bool = True):
+        self._cluster = cluster
+        self._ledger = ledger
+        self._terminal = False
+        # abandonment safety net: a future dropped without ever being
+        # consumed must still release its shards and settle the ledger
+        self._cells = [
+            {"shard": shard, "armed": True, "ledger": ledger and i == 0}
+            for i, shard in enumerate(shards)
+        ]
+        for cell in self._cells:
+            weakref.finalize(self, _abandon_cleanup, cluster, cell)
+        if ledger:
+            cluster._note_accepted()
+
+    def _disarm(self) -> list:
+        """The consumer took over: the abandonment hook stands down.
+        Returns the shards whose ``in_flight`` the caller now owns."""
+        owned = [cell["shard"] for cell in self._cells if cell["armed"]]
+        for cell in self._cells:
+            cell["armed"] = False
+        return owned
+
+    def _settle(self, shards, completed: bool) -> None:
+        """Terminal outcome onto ``shards`` and into the ledger."""
+        # exactly-once accounting: a future must resolve exactly once
+        if self._terminal:
+            raise AssertionError(
+                f"request {self.request.request_id} resolved twice "
+                f"(exactly-once accounting violated)"
+            )
+        self._terminal = True
+        for shard in shards:
+            if completed:
+                shard.note_completed()
+            else:
+                shard.note_failed()
+        if self._ledger:
+            self._cluster._note_resolved(completed)
+
+
+class _ClusterTrainFuture(_Routed, TrainFuture):
     """A routed training job: the shard stays accounted busy until the
     job resolves, and its outcome lands in the shard's ledger.
 
     No failover — a redriven optimizer run is not idempotent — so this
     is a thin accounting wrapper over the backend's future. Train jobs
-    live outside the rollout exactly-once ledger (``ledger: False`` in
-    the abandonment cell), but abandonment still releases the shard.
+    live outside the rollout exactly-once ledger, but abandonment still
+    releases the shard.
     """
 
     def __init__(self, cluster: "ClusterEngine", shard: _Shard,
                  inner: TrainFuture):
         super().__init__(inner.request)
-        self._shard = shard
         self._inner = inner
-        self._cell = {"shard": shard, "armed": True, "ledger": False}
-        weakref.finalize(self, _abandon_cleanup, cluster, self._cell)
-
-    def _resolve(self, completed: bool) -> None:
-        if self._cell["armed"]:
-            self._cell["armed"] = False
-            self._shard.end()
-            if completed:
-                self._shard.note_completed()
-            else:
-                self._shard.note_failed()
+        self._accept(cluster, [shard], ledger=False)
 
     def result(self, timeout: float | None = None):
         try:
@@ -327,12 +387,18 @@ class _ClusterTrainFuture(TrainFuture):
         self._resolve(completed=True)
         return outcome
 
+    def _resolve(self, completed: bool) -> None:
+        shards = self._disarm()  # empty once resolved (or abandoned)
+        if shards:
+            shards[0].end()
+            self._settle(shards, completed)
+
     @property
     def done(self) -> bool:
         return self._inner.done
 
 
-class _ClusterRolloutFuture(RolloutFuture):
+class _ClusterRolloutFuture(_Routed, RolloutFuture):
     """A routed rollout with transparent redrive-on-shard-death.
 
     Submission is eager (placement + write happen in ``__init__``), so
@@ -351,15 +417,9 @@ class _ClusterRolloutFuture(RolloutFuture):
         self._attempts: list = []
         self._shard: _Shard | None = None
         self._inner: RolloutFuture | None = None
-        self._terminal = False
         self._redriving = False
         self._submit_attempt()
-        # abandonment safety net: a future dropped without ever being
-        # consumed must still release the shard and settle the ledger
-        # (the cell is disarmed once the frame generator takes over)
-        self._cell = {"shard": self._shard, "armed": True, "ledger": True}
-        weakref.finalize(self, _abandon_cleanup, cluster, self._cell)
-        cluster._note_accepted()
+        self._accept(cluster, [self._shard])
 
     def _submit_attempt(self) -> None:
         """Route and submit once; on a dead shard, exclude it and retry."""
@@ -371,22 +431,16 @@ class _ClusterRolloutFuture(RolloutFuture):
                 exclude=self._excluded,
                 attempts=self._attempts,
             )
-            shard.begin(spilled=spilled, redriven=self._redriving)
             try:
-                self._inner = shard.engine.submit(self.request)
+                self._inner = shard.submit(
+                    self.request, spilled, redriven=self._redriving,
+                    failover=True,
+                )
             except TransportError as exc:
-                shard.end()
                 self._note_shard_failure(shard, exc)
                 self._span("route", started, "failed", shard, spilled=spilled,
                            error=str(exc))
                 continue
-            except BaseException:
-                # a typed submission rejection from a healthy shard:
-                # the future is never returned, so it never enters the
-                # accepted/resolved ledger
-                shard.end()
-                shard.note_failed()
-                raise
             self._span("route", started, "ok", shard, spilled=spilled)
             self._shard = shard
             return
@@ -416,20 +470,10 @@ class _ClusterRolloutFuture(RolloutFuture):
         self._excluded.append(shard.shard_id)
         shard.mark_down()
 
-    def _record_terminal(self, completed: bool) -> None:
-        # exactly-once accounting: a future must resolve exactly once
-        if self._terminal:
-            raise AssertionError(
-                f"request {self.request.request_id} resolved twice "
-                f"(exactly-once accounting violated)"
-            )
-        self._terminal = True
-        self._cluster._note_resolved(completed)
-
     def _frames(self, timeout: float | None) -> Iterator[StepFrame]:
         # from here the generator's exception/finally paths own the
-        # shard and ledger accounting; the abandonment hook stands down
-        self._cell["armed"] = False
+        # shard and ledger accounting
+        self._disarm()
         yielded = 0
         while True:
             shard, inner = self._shard, self._inner
@@ -447,8 +491,7 @@ class _ClusterRolloutFuture(RolloutFuture):
                     self.metrics = inner.metrics
                     self._span("attempt", attempt_started, "ok", shard,
                                frames=yielded)
-                    shard.note_completed()
-                    self._record_terminal(completed=True)
+                    self._settle([shard], completed=True)
                     return
                 except TransportError as exc:
                     self._span("attempt", attempt_started, "failed", shard,
@@ -456,8 +499,7 @@ class _ClusterRolloutFuture(RolloutFuture):
                     if isinstance(exc, RemoteServeError):
                         # the shard is reachable and *reported* an
                         # internal failure: not a failover event
-                        shard.note_failed()
-                        self._record_terminal(completed=False)
+                        self._settle([shard], completed=False)
                         raise
                     self._note_shard_failure(shard, exc)
                     self._redriving = True
@@ -468,7 +510,7 @@ class _ClusterRolloutFuture(RolloutFuture):
                         # no survivor took the redrive (or the survivor
                         # rejected it): the accepted submission resolves
                         # here, exactly once, as failed
-                        self._record_terminal(completed=False)
+                        self._settle([], completed=False)
                         raise
                     continue
                 except BaseException as exc:
@@ -476,8 +518,7 @@ class _ClusterRolloutFuture(RolloutFuture):
                     # the shard is healthy, the request is over
                     self._span("attempt", attempt_started, "failed", shard,
                                frames=yielded, error=repr(exc))
-                    shard.note_failed()
-                    self._record_terminal(completed=False)
+                    self._settle([shard], completed=False)
                     raise
             finally:
                 shard.end()
@@ -487,7 +528,7 @@ class _ClusterRolloutFuture(RolloutFuture):
         return self._terminal
 
 
-class _ClusterEnsembleFuture(EnsembleFuture):
+class _ClusterEnsembleFuture(_Routed, EnsembleFuture):
     """A fanned-out ensemble: member chunks on shards, reduced at the router.
 
     Submission splits the M members into contiguous chunks — one per UP
@@ -510,8 +551,6 @@ class _ClusterEnsembleFuture(EnsembleFuture):
 
     def __init__(self, cluster: "ClusterEngine", request):
         super().__init__(request)
-        self._cluster = cluster
-        self._terminal = False
         #: (shard, inner future, absolute member indices) per chunk
         self._chunks: list = []
         members = list(request.members)
@@ -531,13 +570,7 @@ class _ClusterEnsembleFuture(EnsembleFuture):
                     request.model, request.graph,
                     salt=ci if len(bounds) > 1 else None,
                 )
-                shard.begin(spilled=spilled, redriven=False)
-                try:
-                    inner = shard.engine.submit(request.chunk(start, stop))
-                except BaseException:
-                    shard.end()
-                    shard.note_failed()
-                    raise
+                inner = shard.submit(request.chunk(start, stop), spilled)
                 if cluster.trace.enabled:
                     cluster.trace.record_span(
                         request.trace_id, "route", "router",
@@ -553,28 +586,12 @@ class _ClusterEnsembleFuture(EnsembleFuture):
                 shard.end()
                 shard.note_failed()
             raise
-        self._cells = [
-            {"shard": shard, "armed": True, "ledger": ci == 0}
-            for ci, (shard, _, _) in enumerate(self._chunks)
-        ]
-        for cell in self._cells:
-            weakref.finalize(self, _abandon_cleanup, cluster, cell)
-        cluster._note_accepted()
-
-    def _record_terminal(self, completed: bool) -> None:
-        if self._terminal:
-            raise AssertionError(
-                f"request {self.request.request_id} resolved twice "
-                f"(exactly-once accounting violated)"
-            )
-        self._terminal = True
-        self._cluster._note_resolved(completed)
+        self._accept(cluster, [shard for shard, _, _ in self._chunks])
 
     def _frames(self, timeout: float | None):
         from repro.ensemble.driver import MemberStream, SummaryStream
 
-        for cell in self._cells:
-            cell["armed"] = False
+        shards = self._disarm()
         streams = []
         for _, inner, indices in self._chunks:
             gen = inner.frames(timeout=timeout)
@@ -599,22 +616,18 @@ class _ClusterEnsembleFuture(EnsembleFuture):
                 # which chunk stream failed is not attributable here;
                 # shard death is the health monitor's job — this path
                 # only settles the books (no mid-stream redrive, v1)
-                for shard, _, _ in self._chunks:
-                    shard.note_failed()
-                self._record_terminal(completed=False)
+                self._settle(shards, completed=False)
                 raise
         finally:
-            for shard, _, _ in self._chunks:
+            for shard in shards:
                 shard.end()
         self.stability = stream.report
         self.metrics = {
             "members": len(list(self.request.members)),
             "chunks": len(self._chunks),
-            "shards": [s.shard_id for s, _, _ in self._chunks],
+            "shards": [s.shard_id for s in shards],
         }
-        for shard, _, _ in self._chunks:
-            shard.note_completed()
-        self._record_terminal(completed=True)
+        self._settle(shards, completed=True)
 
     @property
     def done(self) -> bool:
@@ -1007,14 +1020,9 @@ class ClusterEngine(Engine):
         as busy — visible to spill routing — until the job resolves.
         """
         shard, spilled = self._route(request.model, request.graph)
-        shard.begin(spilled=spilled, redriven=False)
-        try:
-            inner = shard.engine.submit(request)
-        except BaseException:
-            shard.end()
-            shard.note_failed()
-            raise
-        return _ClusterTrainFuture(self, shard, inner)
+        return _ClusterTrainFuture(
+            self, shard, shard.submit(request, spilled)
+        )
 
     # -- stats ---------------------------------------------------------------
 

@@ -36,9 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -50,7 +48,12 @@ from repro.ensemble.reduce import (
 )
 from repro.ensemble.stability import BlowUp, StabilityConfig, StabilityReport
 from repro.obs.trace import mint_trace_id
-from repro.runtime.api import BatchKey, RolloutRequest, _request_ids
+from repro.runtime.api import (
+    BatchKey,
+    RolloutRequest,
+    StreamFuture,
+    _request_ids,
+)
 
 __all__ = [
     "BlowUp",
@@ -339,50 +342,22 @@ class EnsembleResult:
         return [f.members[member] for f in self.frames]
 
 
-class EnsembleFuture(ABC):
-    """In-flight ensemble: stream summary frames, or block for the result.
+class EnsembleFuture(StreamFuture):
+    """In-flight ensemble: stream :class:`SummaryFrame`, or block for
+    the :class:`EnsembleResult`.
 
-    Mirrors :class:`~repro.runtime.api.RolloutFuture`: one shared
-    iterator, ``result()`` drains it, a failed stream stays failed.
-    ``stability`` and ``metrics`` are populated by the stream's end.
+    The stream life-cycle is :class:`~repro.runtime.api.StreamFuture`'s
+    (one shared iterator, ``result()`` drains it, a failed stream stays
+    failed). ``_frames`` implementations append every yielded frame to
+    ``self._collected`` and set ``self.stability`` before finishing.
     """
 
     def __init__(self, request: EnsembleRequest):
-        self.request = request
-        self.metrics: object | None = None
+        super().__init__(request)
         #: StabilityReport once the stream finished
         self.stability: StabilityReport | None = None
-        self._collected: list = []
-        self._iter: Iterator[SummaryFrame] | None = None
-        self._failure: BaseException | None = None
 
-    @abstractmethod
-    def _frames(self, timeout: float | None) -> Iterator[SummaryFrame]:
-        """Implementation hook: the raw one-shot frame generator.
-
-        Must append every yielded frame to ``self._collected`` and set
-        ``self.stability`` before finishing.
-        """
-
-    def _guarded(self, inner: Iterator[SummaryFrame]) -> Iterator[SummaryFrame]:
-        try:
-            yield from inner
-        except BaseException as exc:
-            self._failure = exc
-            raise
-
-    def frames(self, timeout: float | None = None) -> Iterator[SummaryFrame]:
-        """The summary stream (one shared iterator; see class doc)."""
-        if self._iter is None:
-            self._iter = self._guarded(self._frames(timeout))
-        return self._iter
-
-    def result(self, timeout: float | None = None) -> EnsembleResult:
-        """Block until done; return the full :class:`EnsembleResult`."""
-        for _ in self.frames(timeout=timeout):
-            pass
-        if self._failure is not None:
-            raise self._failure
+    def _result(self) -> EnsembleResult:
         return EnsembleResult(
             request_id=self.request.request_id,
             n_members=self.request.n_members,
@@ -390,8 +365,3 @@ class EnsembleFuture(ABC):
             stability=self.stability or StabilityReport(),
             metrics=self.metrics,
         )
-
-    @property
-    @abstractmethod
-    def done(self) -> bool:
-        """Whether the ensemble finished (successfully or not)."""

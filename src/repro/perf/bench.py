@@ -255,127 +255,6 @@ def bench_rollout_multirank(
     }
 
 
-def bench_multitenant(quick: bool = False) -> dict:
-    """Multi-tenant serving: per-key-lane scheduler vs the FIFO baseline.
-
-    ``K`` models share one graph, so the queue sees ``K`` disjoint
-    :class:`~repro.runtime.api.BatchKey` lanes; ``K * m`` requests are
-    submitted interleaved across keys onto ``W`` workers. Compute is
-    conserved under tiling (a batch of ``B`` costs ~``B`` singles), so
-    the wall-time win comes from *scheduling*: the FIFO burns a full
-    ``max_wait_s`` collection window per batch (``max_batch_size`` is
-    set above the per-key backlog, so no batch ever closes by size),
-    serializing ``ceil(K / W)`` window-waits per round, while the lane
-    scheduler closes a dry lane's window early whenever other lanes
-    wait with no idle worker. Both policies are asserted bitwise
-    identical before timing; a single-key/single-worker parity run
-    measures the scheduler's overhead where it has nothing to overlap
-    (``tools/check_scheduler.py`` holds ``speedup`` >= 1.3 and the
-    parity overhead near 1.0 in CI).
-    """
-    from repro.graph import build_full_graph
-    from repro.serve import InferenceService, ServeConfig
-
-    n_keys, n_workers = 4, 2
-    per_key = 2 if quick else 3
-    n_steps = 2 if quick else 3
-    repeats = 3 if quick else 5
-    max_wait_s = 0.04
-    mesh = BoxMesh(4, 4, 2, p=1)
-    graph = build_full_graph(mesh)
-    x0 = taylor_green_velocity(mesh.all_positions())
-    models = {
-        f"m{i}": MeshGNN(
-            GNNConfig(hidden=6, n_message_passing=2, n_mlp_hidden=1, seed=i)
-        )
-        for i in range(n_keys)
-    }
-
-    def make_service(scheduler: str, workers: int, max_batch: int):
-        svc = InferenceService(ServeConfig(
-            n_workers=workers,
-            max_batch_size=max_batch,
-            max_wait_s=max_wait_s,
-            scheduler=scheduler,
-        ))
-        for name, model in models.items():
-            svc.register_model(name, model)
-        svc.register_graph("g", [graph])
-        svc.start()
-        for name in models:  # warm tiles/plans/arenas out of the timing
-            svc.rollout(name, "g", x0, 1)
-        return svc
-
-    def burst(svc, keys: list, count: int | None = None) -> tuple[float, list]:
-        handles = [
-            (name, svc.submit(name, "g", x0, n_steps))
-            for _ in range(per_key if count is None else count)
-            for name in keys
-        ]
-        started = time.perf_counter()
-        trajs = [(name, h.result()) for name, h in handles]
-        return time.perf_counter() - started, trajs
-
-    keys = list(models)
-    # max_batch above the per-key backlog: no batch closes by size, so
-    # the FIFO pays its full collection window on every batch
-    open_batch = 2 * per_key
-    fifo = make_service("fifo", n_workers, open_batch)
-    sched = make_service("edf", n_workers, open_batch)
-    try:
-        fifo_s, ref = burst(fifo, keys)
-        sched_s, got = burst(sched, keys)
-        identical = all(
-            na == nb and all((a == b).all() and a.dtype == b.dtype
-                             for a, b in zip(ta, tb))
-            for (na, ta), (nb, tb) in zip(ref, got)
-        )
-        assert identical, "scheduler changed trajectory bits"
-        for _ in range(repeats - 1):  # interleaved: same drift profile
-            fifo_s = min(fifo_s, burst(fifo, keys)[0])
-            sched_s = min(sched_s, burst(sched, keys)[0])
-    finally:
-        fifo.stop()
-        sched.stop()
-
-    # parity: one key, one worker, batches close by size — the
-    # scheduler has nothing to overlap and must cost ~nothing
-    single = {"requests": 8}
-    n1 = single["requests"]  # == max_batch: batches close by size
-    fifo1 = make_service("fifo", 1, n1)
-    sched1 = make_service("edf", 1, n1)
-    try:
-        f1, _ = burst(fifo1, [keys[0]], n1)
-        s1, _ = burst(sched1, [keys[0]], n1)
-        # one parity burst is a single short batch, so thread-wakeup
-        # jitter dominates — best-of needs more repeats than the
-        # multi-tenant runs to converge
-        for _ in range(3 * repeats - 1):
-            f1 = min(f1, burst(fifo1, [keys[0]], n1)[0])
-            s1 = min(s1, burst(sched1, [keys[0]], n1)[0])
-    finally:
-        fifo1.stop()
-        sched1.stop()
-    single.update({
-        "fifo_s": f1,
-        "sched_s": s1,
-        "overhead": s1 / f1 if f1 else float("inf"),
-    })
-
-    return {
-        "keys": n_keys,
-        "workers": n_workers,
-        "requests_per_key": per_key,
-        "n_steps": n_steps,
-        "max_wait_s": max_wait_s,
-        "fifo_s": fifo_s,
-        "sched_s": sched_s,
-        "speedup": fifo_s / sched_s if sched_s else float("inf"),
-        "bitwise_identical": identical,
-        "single_key": single,
-    }
-
-
 def bench_ensemble(quick: bool = False) -> dict:
     """Tiled ensemble vs M serial member rollouts on a pooled engine.
 
@@ -524,7 +403,6 @@ def run_bench(
             "rollout_single_rank": bench_rollout(
                 roll_mesh, config, n_steps, repeats
             ),
-            "multi_tenant": bench_multitenant(quick=quick),
             "ensemble": bench_ensemble(quick=quick),
         }
         if not quick:
@@ -582,20 +460,6 @@ def render(doc: dict) -> str:
         f"\nplan compile: {ops['plan_compile_s'] * 1e3:.2f} ms "
         f"(amortized across every step of every request)"
     )
-    if doc.get("multi_tenant"):
-        mt = doc["multi_tenant"]
-        sk = mt["single_key"]
-        extra += (
-            f"\n\nmulti-tenant scheduler "
-            f"({mt['keys']} keys x {mt['requests_per_key']} requests, "
-            f"{mt['workers']} workers, window "
-            f"{mt['max_wait_s'] * 1e3:.0f}ms): "
-            f"fifo {mt['fifo_s'] * 1e3:.1f} ms, "
-            f"scheduler {mt['sched_s'] * 1e3:.1f} ms "
-            f"({mt['speedup']:.2f}x, bitwise identical: "
-            f"{mt['bitwise_identical']}); "
-            f"single-key parity overhead {sk['overhead']:.3f}x"
-        )
     if doc.get("ensemble"):
         en = doc["ensemble"]
         wire = en["wire"]

@@ -8,8 +8,8 @@ The unified engine API over the whole stack:
   :class:`TrainRequest`, :class:`TrainResult`), the :class:`Engine`
   interface with its futures, :class:`EngineCapabilities`, and the
   typed :class:`CapabilityError`;
-* :mod:`repro.runtime.local` — :class:`LocalEngine`, inline zero-
-  overhead execution;
+* :mod:`repro.runtime.local` — :class:`LocalEngine`, the serving
+  stack run inline on the calling thread;
 * :mod:`repro.runtime.pooled` — :class:`PooledEngine`, the batched
   in-process service plus the training-job path;
 * :mod:`repro.runtime.remote` — :class:`RemoteEngine`, the socket
@@ -40,6 +40,7 @@ from repro.runtime.api import (
     RolloutResult,
     ShardError,
     StepFrame,
+    StreamFuture,
     TrainFuture,
     TrainRequest,
     TrainResult,
@@ -61,6 +62,7 @@ __all__ = [
     "RolloutResult",
     "ShardError",
     "StepFrame",
+    "StreamFuture",
     "TrainFuture",
     "TrainRequest",
     "TrainResult",

@@ -8,9 +8,8 @@ concept: one set of typed request/response dataclasses
 :class:`TrainRequest`, :class:`TrainResult`) shared by every execution
 layer, and one :class:`Engine` interface implemented by
 
-* :class:`repro.runtime.local.LocalEngine` — inline execution, no
-  queue, no workers (a zero-overhead wrapper over the direct stepping
-  loop);
+* :class:`repro.runtime.local.LocalEngine` — the same service run
+  inline on the calling thread (no worker threads, no sockets);
 * :class:`repro.runtime.pooled.PooledEngine` — the batched in-process
   :class:`~repro.serve.service.InferenceService` (dynamic batching,
   admission control, worker pool) plus the training-job path;
@@ -110,8 +109,8 @@ class EngineCapabilities:
     ``transport`` is the URL scheme of the engine (``local`` / ``pool``
     / ``tcp`` / ``cluster``). ``training`` gates :class:`TrainRequest`
     submission; ``streaming`` is whether frames arrive while later
-    steps still compute (a local engine computes the trajectory inline,
-    so its stream is replay, not overlap); ``in_memory_assets`` is
+    steps still compute (a local engine computes the trajectory inline
+    at submission, so its stream is replay, not overlap); ``in_memory_assets`` is
     whether ``register_model`` / ``register_graph`` accept live objects
     with no serialization (same process); ``graph_upload`` is whether
     ``register_graph`` can alternatively *ship* a live partitioned
@@ -212,7 +211,7 @@ class RolloutRequest:
     optional queue-wait budget: a request still pending that many
     seconds after submission is shed with
     :class:`~repro.serve.admission.DeadlineExpired` instead of being
-    executed (engines without a queue never shed).
+    executed.
 
     ``trace_id`` is minted here — at the Engine front door — and rides
     the request through every layer (wire header, pooled queue, cluster
@@ -461,16 +460,16 @@ class TrainResult:
 # -- futures ------------------------------------------------------------------
 
 
-class RolloutFuture(ABC):
-    """In-flight rollout: stream frames, or block for the trajectory.
+class StreamFuture(ABC):
+    """A streamed operation in flight: typed frames, then a result.
 
-    Frames arrive in step order, frame 0 being ``x0`` itself. The
-    stream is consumed exactly once, through ONE shared iterator:
-    ``frames()`` returns it (creating it on first call), ``result()``
-    drains whatever it has not yielded yet and returns the complete
-    trajectory — so ``result()`` after a full or partial ``frames()``
-    pass is valid on every engine and never replays or blocks on an
-    already-drained stream.
+    What a rollout, an ensemble (and any later streamed request kind)
+    share. The stream is consumed exactly once, through ONE shared
+    iterator: ``frames()`` returns it (creating it on first call),
+    ``result()`` drains whatever it has not yielded yet and builds the
+    kind's result from everything collected — so ``result()`` after a
+    full or partial ``frames()`` pass is valid on every engine and
+    never replays or blocks on an already-drained stream.
 
     Thread safety: single-consumer — do not iterate ``frames()`` /
     ``result()`` from two threads at once; ``done`` may be polled from
@@ -478,24 +477,27 @@ class RolloutFuture(ABC):
     rejections and capability errors — is re-raised in the consumer.
     """
 
-    def __init__(self, request: RolloutRequest):
+    def __init__(self, request):
         self.request = request
         #: RequestMetrics (or dict over the wire) once the request finished
         self.metrics: object | None = None
         self._collected: list = []
-        self._iter: Iterator[StepFrame] | None = None
+        self._iter: Iterator | None = None
         self._failure: BaseException | None = None
 
     @abstractmethod
-    def _frames(self, timeout: float | None) -> Iterator[StepFrame]:
+    def _frames(self, timeout: float | None) -> Iterator:
         """Implementation hook: the raw one-shot frame generator.
 
-        Must append every yielded state to ``self._collected``.
+        Must append what :meth:`_result` needs of every yielded frame
+        to ``self._collected``.
         """
 
-    def _guarded(
-        self, inner: Iterator[StepFrame]
-    ) -> Iterator[StepFrame]:
+    @abstractmethod
+    def _result(self):
+        """Implementation hook: the kind's result over ``_collected``."""
+
+    def _guarded(self, inner: Iterator) -> Iterator:
         """Remember a terminal stream failure so it cannot be lost.
 
         A generator dies with the exception it raised; without this, a
@@ -509,42 +511,55 @@ class RolloutFuture(ABC):
             self._failure = exc
             raise
 
-    def frames(self, timeout: float | None = None) -> Iterator[StepFrame]:
-        """The frame stream (``n_steps + 1`` :class:`StepFrame`).
+    def frames(self, timeout: float | None = None) -> Iterator:
+        """The frame stream.
 
         Returns the future's single shared iterator — repeated calls
         continue the same stream rather than restarting it. ``timeout``
-        bounds each frame's arrival, not the whole trajectory, and is
-        fixed by whichever call creates the iterator.
+        bounds each frame's arrival, not the whole stream, and is fixed
+        by whichever call creates the iterator.
         """
         if self._iter is None:
             self._iter = self._guarded(self._frames(timeout))
         return self._iter
 
-    def result(self, timeout: float | None = None) -> RolloutResult:
-        """Block until done; return the full :class:`RolloutResult`.
+    def result(self, timeout: float | None = None):
+        """Block until done; return the kind's complete result.
 
         Drains any frames not yet consumed through :meth:`frames`;
-        frames already consumed are included from the collected
-        trajectory, so calling this after (or instead of) streaming
-        always returns all ``n_steps + 1`` states. A stream that
-        failed stays failed: the terminal error is re-raised here on
-        every call, never laundered into a short trajectory.
+        frames already consumed are included from what was collected,
+        so calling this after (or instead of) streaming always returns
+        everything. A stream that failed stays failed: the terminal
+        error is re-raised here on every call, never laundered into a
+        short result.
         """
         for _ in self.frames(timeout=timeout):
             pass
         if self._failure is not None:
             raise self._failure
-        return RolloutResult(
-            request_id=self.request.request_id,
-            states=list(self._collected),
-            metrics=self.metrics,
-        )
+        return self._result()
 
     @property
     @abstractmethod
     def done(self) -> bool:
         """Whether the request finished (successfully or not)."""
+
+
+class RolloutFuture(StreamFuture):
+    """In-flight rollout: stream :class:`StepFrame`, or block for the
+    :class:`RolloutResult`.
+
+    Frames arrive in step order, frame 0 being ``x0`` itself
+    (``n_steps + 1`` in all); ``_frames`` implementations append every
+    yielded *state* to ``self._collected``.
+    """
+
+    def _result(self) -> RolloutResult:
+        return RolloutResult(
+            request_id=self.request.request_id,
+            states=list(self._collected),
+            metrics=self.metrics,
+        )
 
 
 class TrainFuture(ABC):

@@ -4,7 +4,7 @@
 
     from repro.runtime import RolloutRequest, connect
 
-    with connect("local://") as engine:            # inline, zero overhead
+    with connect("local://") as engine:            # inline on this thread
         ...
     with connect("pool://", config=cfg) as engine:  # batched in-process
         ...

@@ -37,7 +37,6 @@ from repro.runtime.api import (
     TrainRequest,
     TrainResult,
 )
-from repro.serve.batching import RolloutHandle
 from repro.serve.metrics import ServeStats
 from repro.serve.service import InferenceService, ServeConfig
 
@@ -51,30 +50,27 @@ _CAPABILITIES = EngineCapabilities(
 )
 
 
-class _HandleRolloutFuture(RolloutFuture):
-    """Engine future over the service's streaming :class:`RolloutHandle`.
+class _HandleStream:
+    """Engine future over one of the service's streaming handles.
 
-    Frames are pushed by the worker pool and consumed here; a worker
-    failure — including typed admission rejections — re-raises in the
-    consumer. Single-consumer, like the handle it wraps.
+    The one adapter both in-process engines use: a handle has
+    ``frames()``, ``done`` and ``metrics``. Frames are pushed by
+    whoever executes the batch and consumed here; a failure there —
+    including typed admission rejections — re-raises in the consumer.
+    Single-consumer, like the handle it wraps. Mixed into the public
+    future type of each kind.
     """
 
-    def __init__(
-        self, request: RolloutRequest, handle: RolloutHandle, timeout_s: float
-    ):
-        super().__init__(request)
+    def __init__(self, handle, timeout_s: float):
+        super().__init__(handle.request)
         self._handle = handle
         self._timeout_s = timeout_s
-        self._step = 0
 
-    def _frames(self, timeout: float | None) -> Iterator[StepFrame]:
-        for state in self._handle.frames(
+    def _frames(self, timeout: float | None) -> Iterator:
+        for item in self._handle.frames(
             timeout=self._timeout_s if timeout is None else timeout
         ):
-            self._collected.append(state)
-            frame = StepFrame(self._step, state)
-            self._step += 1
-            yield frame
+            yield self._collect(item)
         self.metrics = self._handle.metrics
 
     @property
@@ -82,31 +78,26 @@ class _HandleRolloutFuture(RolloutFuture):
         return self._handle.done
 
 
-class _HandleEnsembleFuture(EnsembleFuture):
-    """Engine future over the service's reducing ``EnsembleHandle``.
+class _HandleRolloutFuture(_HandleStream, RolloutFuture):
+    """Over a :class:`~repro.serve.batching.RolloutHandle` (raw states)."""
 
-    The handle drives the lockstep reduction in this consumer's
-    thread; frames stream as member batches complete, so summaries
-    overlap with later steps' compute.
-    """
+    def _collect(self, state) -> StepFrame:
+        self._collected.append(state)
+        return StepFrame(len(self._collected) - 1, state)
 
-    def __init__(self, request, handle, timeout_s: float):
-        super().__init__(request)
-        self._handle = handle
-        self._timeout_s = timeout_s
+
+class _HandleEnsembleFuture(_HandleStream, EnsembleFuture):
+    """Over the reducing ``EnsembleHandle``: it drives the lockstep
+    reduction in this consumer's thread, so summaries stream as member
+    batches complete and overlap with later steps' compute."""
+
+    def _collect(self, frame: SummaryFrame) -> SummaryFrame:
+        self._collected.append(frame)
+        return frame
 
     def _frames(self, timeout: float | None) -> Iterator[SummaryFrame]:
-        for frame in self._handle.frames(
-            timeout=self._timeout_s if timeout is None else timeout
-        ):
-            self._collected.append(frame)
-            yield frame
+        yield from super()._frames(timeout)
         self.stability = self._handle.report
-        self.metrics = self._handle.metrics
-
-    @property
-    def done(self) -> bool:
-        return self._handle.done
 
 
 class _ExecutorTrainFuture(TrainFuture):
@@ -206,15 +197,15 @@ class PooledEngine(Engine):
     # -- submission ----------------------------------------------------------
 
     def _submit_rollout(self, request: RolloutRequest) -> RolloutFuture:
-        handle = self._service.submit_request(request)
         return _HandleRolloutFuture(
-            handle.request, handle, self._service.config.request_timeout_s
+            self._service.submit_request(request),
+            self._service.config.request_timeout_s,
         )
 
     def _submit_ensemble(self, request):
-        handle = self._service.submit_ensemble(request)
         return _HandleEnsembleFuture(
-            handle.request, handle, self._service.config.request_timeout_s
+            self._service.submit_ensemble(request),
+            self._service.config.request_timeout_s,
         )
 
     def _submit_train(self, request: TrainRequest) -> TrainFuture:

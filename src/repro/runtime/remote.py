@@ -213,36 +213,40 @@ class _ConnectionPool:
             )
 
 
-class _RemoteRolloutFuture(RolloutFuture):
-    """Streaming rollout over a pooled connection.
+class _WireStream:
+    """A streamed op over a pooled connection: the one class that reads
+    stream frames off a socket.
+
+    Every streamed request kind is "send one message, read typed
+    frames, end on ``done``/``error``"; a kind supplies its message
+    builder (``_message``), the wire type of its data frames
+    (``_frame_type``), their decoder (``_decode``) and what its
+    ``done`` header carries (``_finish``), and mixes this class into
+    its public future type.
 
     The request message is written at submission; frames are read off
     the socket lazily as the consumer iterates, so a slow consumer
     backpressures only its own stream. The connection returns to the
-    pool after a clean ``done``/``error``; it is discarded if the
-    stream breaks. If the connection dies before the *first* reply on a
-    reused socket, the request is re-sent once on a fresh dial (safe:
-    rollouts are pure reads — re-execution cannot corrupt state).
+    pool after a clean ``done``/``error``; in every other ending —
+    the stream broke, or the consumer closed or dropped the iterator
+    before the end — it is discarded, because unread frames may still
+    be in flight on it. If the connection dies before the *first* reply
+    on a reused socket, the request is re-sent once on a fresh dial
+    (safe: rollouts and ensembles are pure reads whose every input is
+    in the request — re-execution reproduces the same bits).
     Single-consumer; ``frames()``/``result()`` share one iterator (see
-    :class:`~repro.runtime.api.RolloutFuture`), so ``result()`` after
-    partial or full streaming completes from the collected frames.
+    :class:`~repro.runtime.api.StreamFuture`).
     """
 
-    def __init__(
-        self,
-        pool: _ConnectionPool,
-        request: RolloutRequest,
-        conn: _Conn,
-        trace: TraceBuffer | None = None,
-    ):
+    def __init__(self, engine: "RemoteEngine", request, conn: _Conn):
         super().__init__(request)
-        self._pool = pool
+        self._pool = engine._pool
+        self._trace = engine.trace
         self._conn = conn
-        self._trace = trace
         self._finished = False
 
-    def _frames(self, timeout: float | None) -> Iterator[StepFrame]:
-        if self._trace is None or not self._trace.enabled:
+    def _frames(self, timeout: float | None) -> Iterator:
+        if not self._trace.enabled:
             yield from self._stream(timeout)
             return
         started = time.perf_counter()
@@ -267,209 +271,115 @@ class _RemoteRolloutFuture(RolloutFuture):
                 frames=frames,
             )
 
-    def _stream(self, timeout: float | None) -> Iterator[StepFrame]:
-        conn = self._conn
-        conn.sock.settimeout(
+    def _stream(self, timeout: float | None) -> Iterator:
+        self._conn.sock.settimeout(
             self._pool.request_timeout_s if timeout is None else timeout
         )
-        step = 0
-        may_retry = conn.reused
+        received = 0
+        may_retry = self._conn.reused
+        at_boundary = False  # healthy and between messages: re-poolable
         try:
             while True:
                 try:
-                    message = read_message(conn.stream)
+                    message = read_message(self._conn.stream)
+                    if message is None:
+                        raise ProtocolError("server closed the stream before done")
                 except (ProtocolError, OSError) as exc:
                     # OSError covers socket timeouts and resets: to the
                     # consumer (and the cluster's failover) a hung shard
                     # and a dead shard are the same typed failure
-                    if step == 0 and may_retry:
-                        conn = self._retry(conn)
+                    if received == 0 and may_retry:
+                        self._reconnect()
                         may_retry = False
                         continue
-                    self._pool.discard(conn)
                     raise TransportError(
-                        f"stream broke mid-rollout: {exc}"
+                        f"stream broke mid-{self._kind}: {exc}"
                     ) from None
-                if message is None:
-                    if step == 0 and may_retry:
-                        conn = self._retry(conn)
-                        may_retry = False
-                        continue
-                    self._pool.discard(conn)
-                    raise TransportError("server closed the stream before done")
                 header, arrays = message
                 kind = header.get("type")
-                if kind == "frame":
-                    if not arrays:
-                        self._pool.discard(conn)
-                        raise TransportError("frame message carried no array")
-                    self._collected.append(arrays[0])
-                    yield StepFrame(step, arrays[0])
-                    step += 1
+                if kind == self._frame_type:
+                    try:
+                        frame = self._decode(received, header, arrays)
+                    except ValueError as exc:
+                        raise TransportError(str(exc)) from None
+                    yield frame
+                    received += 1
                 elif kind == "done":
-                    self.metrics = header.get("metrics")
-                    self._pool.release(conn)
+                    at_boundary = True
+                    self._finish(header)
                     return
                 elif kind == "error":
                     # typed server rejection: the connection itself is
                     # healthy and at a message boundary — keep it
-                    self._pool.release(conn)
+                    at_boundary = True
                     protocol.raise_for_code(header["code"], header["message"])
                 else:
-                    self._pool.discard(conn)
                     raise TransportError(
-                        f"unexpected message {kind!r} in stream"
+                        f"unexpected message {kind!r} in {self._kind} stream"
                     )
         finally:
             self._finished = True
+            if at_boundary:
+                self._pool.release(self._conn)
+            else:
+                self._pool.discard(self._conn)
 
-    def _retry(self, dead: _Conn) -> _Conn:
+    def _reconnect(self) -> None:
         """Reconnect-on-EOF once: re-send the request on a fresh dial."""
-        timeout = dead.sock.gettimeout()
-        self._pool.discard(dead)
-        conn = self._pool.redial()
-        conn.sock.settimeout(timeout)
+        timeout = self._conn.sock.gettimeout()
+        self._pool.discard(self._conn)
+        self._conn = self._pool.redial()
+        self._conn.sock.settimeout(timeout)
         try:
-            write_message(conn.stream, *protocol.rollout_message(self.request))
+            write_message(self._conn.stream, *self._message(self.request))
         except (OSError, ProtocolError) as exc:
-            self._pool.discard(conn)
             raise TransportError(
                 f"reconnect failed re-sending request: {exc}"
             ) from None
-        self._conn = conn
-        return conn
 
     @property
     def done(self) -> bool:
         return self._finished
 
 
-class _RemoteEnsembleFuture(EnsembleFuture):
-    """Streaming ensemble summaries over a pooled connection.
+class _RemoteRolloutFuture(_WireStream, RolloutFuture):
+    """``rollout`` op: one ``frame`` message per step, metrics on ``done``."""
 
-    The reduction runs server-side; what crosses the wire per step is
-    the bounded summary payload (independent of M unless raw members
-    were requested), then one ``done`` message carrying the stability
-    report. Reconnect-on-EOF mirrors the rollout future: safe because
-    an ensemble is a pure read and every member is deterministically
-    derived from ``(seed, member)`` — a re-sent request reproduces the
-    same bits.
-    """
+    _kind = "rollout"
+    _frame_type = "frame"
+    _message = staticmethod(protocol.rollout_message)
 
-    def __init__(
-        self,
-        pool: _ConnectionPool,
-        request,
-        conn: _Conn,
-        trace: TraceBuffer | None = None,
-    ):
-        super().__init__(request)
-        self._pool = pool
-        self._conn = conn
-        self._trace = trace
-        self._finished = False
+    def _decode(self, step: int, header: dict, arrays: list) -> StepFrame:
+        if not arrays:
+            raise ValueError("frame message carried no array")
+        self._collected.append(arrays[0])
+        return StepFrame(step, arrays[0])
 
-    def _frames(self, timeout: float | None) -> Iterator[SummaryFrame]:
-        if self._trace is None or not self._trace.enabled:
-            yield from self._stream(timeout)
-            return
-        started = time.perf_counter()
-        frames = 0
-        status = "failed"
-        try:
-            for frame in self._stream(timeout):
-                frames += 1
-                yield frame
-            status = "ok"
-        finally:
-            self._trace.record_span(
-                self.request.trace_id,
-                "network",
-                "client",
-                wall_from_perf(started),
-                time.perf_counter() - started,
-                status=status,
-                endpoint=f"{self._pool.host}:{self._pool.port}",
-                frames=frames,
-            )
+    def _finish(self, header: dict) -> None:
+        self.metrics = header.get("metrics")
 
-    def _stream(self, timeout: float | None) -> Iterator[SummaryFrame]:
-        conn = self._conn
-        conn.sock.settimeout(
-            self._pool.request_timeout_s if timeout is None else timeout
+
+class _RemoteEnsembleFuture(_WireStream, EnsembleFuture):
+    """``ensemble`` op: the reduction runs server-side, so what crosses
+    the wire per step is one bounded ``summary`` message (independent
+    of M unless raw members were requested); ``done`` carries the
+    stability report."""
+
+    _kind = "ensemble"
+    _frame_type = "summary"
+    _message = staticmethod(protocol.ensemble_message)
+
+    def _decode(self, index: int, header: dict, arrays: list) -> SummaryFrame:
+        frame = protocol.parse_summary_frame(header, arrays)
+        self._collected.append(frame)
+        return frame
+
+    def _finish(self, header: dict) -> None:
+        report = header.get("stability")
+        self.stability = (
+            None if report is None else StabilityReport.from_dict(report)
         )
-        received = 0
-        may_retry = conn.reused
-        try:
-            while True:
-                try:
-                    message = read_message(conn.stream)
-                except (ProtocolError, OSError) as exc:
-                    if received == 0 and may_retry:
-                        conn = self._retry(conn)
-                        may_retry = False
-                        continue
-                    self._pool.discard(conn)
-                    raise TransportError(
-                        f"stream broke mid-ensemble: {exc}"
-                    ) from None
-                if message is None:
-                    if received == 0 and may_retry:
-                        conn = self._retry(conn)
-                        may_retry = False
-                        continue
-                    self._pool.discard(conn)
-                    raise TransportError("server closed the stream before done")
-                header, arrays = message
-                kind = header.get("type")
-                if kind == "summary":
-                    try:
-                        frame = protocol.parse_summary_frame(header, arrays)
-                    except ValueError as exc:
-                        self._pool.discard(conn)
-                        raise TransportError(str(exc)) from None
-                    self._collected.append(frame)
-                    yield frame
-                    received += 1
-                elif kind == "done":
-                    report = header.get("stability")
-                    self.stability = (
-                        None if report is None
-                        else StabilityReport.from_dict(report)
-                    )
-                    self.metrics = header.get("metrics")
-                    self._pool.release(conn)
-                    return
-                elif kind == "error":
-                    self._pool.release(conn)
-                    protocol.raise_for_code(header["code"], header["message"])
-                else:
-                    self._pool.discard(conn)
-                    raise TransportError(
-                        f"unexpected message {kind!r} in ensemble stream"
-                    )
-        finally:
-            self._finished = True
-
-    def _retry(self, dead: _Conn) -> _Conn:
-        """Reconnect-on-EOF once: re-send the request on a fresh dial."""
-        timeout = dead.sock.gettimeout()
-        self._pool.discard(dead)
-        conn = self._pool.redial()
-        conn.sock.settimeout(timeout)
-        try:
-            write_message(conn.stream, *protocol.ensemble_message(self.request))
-        except (OSError, ProtocolError) as exc:
-            self._pool.discard(conn)
-            raise TransportError(
-                f"reconnect failed re-sending request: {exc}"
-            ) from None
-        self._conn = conn
-        return conn
-
-    @property
-    def done(self) -> bool:
-        return self._finished
+        self.metrics = header.get("metrics")
 
 
 class RemoteEngine(Engine):
@@ -666,48 +576,28 @@ class RemoteEngine(Engine):
 
     # -- submission ----------------------------------------------------------
 
-    def _submit_rollout(self, request: RolloutRequest) -> RolloutFuture:
+    def _open_stream(self, future_type, request):
+        """Write one streamed op's request on a pooled connection → its
+        future (a reused socket that died idle gets one fresh dial)."""
         conn = self._pool.acquire()
-        try:
-            write_message(conn.stream, *protocol.rollout_message(request))
-        except (OSError, ProtocolError) as exc:
-            self._pool.discard(conn)
-            if conn.reused:
-                # the idle socket died under us; one fresh dial
-                conn = self._pool.redial()
-                try:
-                    write_message(
-                        conn.stream, *protocol.rollout_message(request)
-                    )
-                except (OSError, ProtocolError) as exc2:
-                    self._pool.discard(conn)
+        while True:
+            try:
+                write_message(conn.stream, *future_type._message(request))
+            except (OSError, ProtocolError) as exc:
+                self._pool.discard(conn)
+                if not conn.reused:
                     raise TransportError(
-                        f"cannot submit rollout: {exc2}"
+                        f"cannot submit {future_type._kind}: {exc}"
                     ) from None
+                conn = self._pool.redial()  # fresh: a second failure raises
             else:
-                raise TransportError(f"cannot submit rollout: {exc}") from None
-        return _RemoteRolloutFuture(self._pool, request, conn, trace=self.trace)
+                return future_type(self, request, conn)
+
+    def _submit_rollout(self, request: RolloutRequest) -> RolloutFuture:
+        return self._open_stream(_RemoteRolloutFuture, request)
 
     def _submit_ensemble(self, request):
-        conn = self._pool.acquire()
-        try:
-            write_message(conn.stream, *protocol.ensemble_message(request))
-        except (OSError, ProtocolError) as exc:
-            self._pool.discard(conn)
-            if conn.reused:
-                conn = self._pool.redial()
-                try:
-                    write_message(
-                        conn.stream, *protocol.ensemble_message(request)
-                    )
-                except (OSError, ProtocolError) as exc2:
-                    self._pool.discard(conn)
-                    raise TransportError(
-                        f"cannot submit ensemble: {exc2}"
-                    ) from None
-            else:
-                raise TransportError(f"cannot submit ensemble: {exc}") from None
-        return _RemoteEnsembleFuture(self._pool, request, conn, trace=self.trace)
+        return self._open_stream(_RemoteEnsembleFuture, request)
 
     def _submit_train(self, request: TrainRequest):
         raise CapabilityError(

@@ -8,13 +8,14 @@ trained model into a *service*:
   with config-compatibility validation;
 * :mod:`repro.serve.cache` — LRU cache of partitioned graph assets so
   repeated requests skip partitioning/halo-plan construction;
-* :mod:`repro.serve.batching` — request queue with dynamic batching:
-  concurrent same-key requests coalesce into one batch;
+* :mod:`repro.serve.batching` — the streaming handle a queued request
+  is consumed through, and the shared deadline-shed path;
 * :mod:`repro.serve.admission` — admission control: queue caps,
   per-request deadlines, load shedding with typed rejections;
-* :mod:`repro.serve.scheduler` — the cross-key batch scheduler:
-  per-key lanes, EDF dispatch with a starvation bound, one collector
-  per key, sticky worker–key affinity with work stealing;
+* :mod:`repro.serve.scheduler` — the request queue with dynamic
+  batching: per-key lanes (concurrent same-key requests coalesce into
+  one batch), EDF dispatch with a starvation bound, one collector per
+  key, sticky worker–key affinity with work stealing;
 * :mod:`repro.serve.tiling` — block-diagonal graph replication that
   makes one batched forward bitwise-equal to per-request forwards;
 * :mod:`repro.serve.executor` — batch execution over the single and
@@ -50,12 +51,8 @@ from repro.serve.admission import (
     RequestRejected,
     WaitHistogram,
 )
-from repro.serve.batching import (
-    BatchKey,
-    InferenceRequest,
-    RequestQueue,
-    RolloutHandle,
-)
+from repro.runtime.api import BatchKey
+from repro.serve.batching import InferenceRequest, RolloutHandle
 from repro.serve.cache import CacheStats, GraphAsset, GraphCache
 from repro.serve.executor import BatchExecution, execute_batch, execute_train_job
 from repro.serve.metrics import (
@@ -101,7 +98,6 @@ __all__ = [
     "RegistryStats",
     "RemoteServeError",
     "RequestMetrics",
-    "RequestQueue",
     "RequestRejected",
     "RolloutHandle",
     "ScheduledQueue",

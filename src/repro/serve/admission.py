@@ -18,6 +18,8 @@ by :func:`repro.serve.metrics.stats_markdown`).
 
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import math
 import threading
 import time
@@ -91,6 +93,20 @@ class WaitHistogram:
     counts: list = field(default_factory=lambda: [0] * (len(WAIT_BUCKETS_S) + 1))
     total: int = 0
     sum_s: float = 0.0
+
+    def observe(self, waited_s: float) -> None:
+        """Count one wait into its bucket (the caller synchronises).
+
+        The one bucketing rule every live histogram shares: the first
+        bucket whose upper bound is ``>= waited_s``, else the overflow.
+        """
+        self.counts[bisect.bisect_left(self.bounds_s, waited_s)] += 1
+        self.total += 1
+        self.sum_s += waited_s
+
+    def _snapshot(self) -> "WaitHistogram":
+        """A copy later :meth:`observe` calls cannot reach."""
+        return dataclasses.replace(self, counts=list(self.counts))
 
     def quantile(self, q: float) -> float:
         """Upper-bound estimate of the ``q``-quantile (0 < q <= 1).
@@ -221,9 +237,7 @@ class AdmissionController:
         self._shed = 0
         self._expired = 0
         self._expired_at_close = 0
-        self._wait_counts = [0] * (len(WAIT_BUCKETS_S) + 1)
-        self._wait_total = 0
-        self._wait_sum = 0.0
+        self._wait = WaitHistogram()
 
     # -- decisions -----------------------------------------------------------
 
@@ -260,7 +274,7 @@ class AdmissionController:
         """Record one deadline-expired request shed while pending."""
         with self._lock:
             self._expired += 1
-            self._observe(waited_s)
+            self._wait.observe(waited_s)
 
     def note_expired_at_close(self, waited_s: float) -> None:
         """Record one request that expired *during* batch collection.
@@ -271,23 +285,12 @@ class AdmissionController:
         with self._lock:
             self._expired += 1
             self._expired_at_close += 1
-            self._observe(waited_s)
+            self._wait.observe(waited_s)
 
     def note_dequeued(self, waited_s: float) -> None:
         """Record the queue wait of one request handed to a batch."""
         with self._lock:
-            self._observe(waited_s)
-
-    def _observe(self, waited_s: float) -> None:
-        # caller holds the lock
-        for i, bound in enumerate(WAIT_BUCKETS_S):
-            if waited_s <= bound:
-                self._wait_counts[i] += 1
-                break
-        else:
-            self._wait_counts[-1] += 1
-        self._wait_total += 1
-        self._wait_sum += waited_s
+            self._wait.observe(waited_s)
 
     def stats(self) -> AdmissionStats:
         """Snapshot the counters (consistent under the lock)."""
@@ -297,11 +300,7 @@ class AdmissionController:
                 shed=self._shed,
                 expired=self._expired,
                 expired_at_close=self._expired_at_close,
-                queue_wait=WaitHistogram(
-                    counts=list(self._wait_counts),
-                    total=self._wait_total,
-                    sum_s=self._wait_sum,
-                ),
+                queue_wait=self._wait._snapshot(),
             )
 
 

@@ -94,12 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline-ms", type=float, default=None, metavar="MS",
                    help="admission control: default per-request queue-wait "
                    "deadline (default: none)")
-    p.add_argument("--scheduler", choices=("edf", "fifo"), default="edf",
-                   help="dispatch policy: per-key-lane EDF scheduler "
-                   "(default) or the plain FIFO baseline")
     p.add_argument("--no-affinity", action="store_true",
-                   help="disable sticky worker-key affinity (EDF "
-                   "scheduler only)")
+                   help="disable sticky worker-key affinity")
     p.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
                    help="with --listen: also serve GET /metrics (Prometheus "
                    "text), /metrics.json, and /healthz over HTTP on this "
@@ -115,7 +111,6 @@ def _serve_config(args: argparse.Namespace) -> ServeConfig:
         default_deadline_s=(
             None if args.deadline_ms is None else args.deadline_ms / 1e3
         ),
-        scheduler=args.scheduler,
         affinity=not args.no_affinity,
     )
 

@@ -1,13 +1,14 @@
-"""Cross-key batch scheduler: per-key lanes, EDF dispatch, affinity.
+"""The request queue: per-key lanes, EDF dispatch, affinity.
 
-:class:`~repro.serve.batching.RequestQueue` is a single FIFO: the
-head-of-line request dictates the next batch, so a multi-tenant mix of
+Every submitted :class:`~repro.runtime.api.RolloutRequest` waits here
+until a batch collector takes it. A single arrival-order line would let
+the head-of-line request dictate the next batch — a multi-tenant mix of
 ``(model, graph, halo_mode, residual, precision)`` keys serializes
 behind whichever key arrived first, two workers racing ``next_batch``
-can split one coalescible key into two half-full tiles, and a hot key
+split one coalescible key into two half-full tiles, and a hot key
 migrating across workers discards the warmed per-worker caches
 (:class:`~repro.serve.executor.WorkerArenas`). :class:`ScheduledQueue`
-replaces the FIFO with **per-key pending lanes** and a policy loop that
+therefore keeps **per-key pending lanes** and a policy loop that
 
 * dispatches *disjoint* keys to idle workers concurrently — one lane's
   collection window never blocks another lane's dispatch, and a
@@ -33,11 +34,10 @@ worker runs which batch when*; batch execution is unchanged
 (``tests/serve/test_scheduler_soak.py`` asserts bitwise identity vs
 ``local://`` across a mixed-tenant soak).
 
-Thread safety: one condition variable guards all lanes, exactly like
-the FIFO queue; any number of submitters and workers may run
-concurrently. Determinism: lane choice is a pure function of lane
-contents, deadlines, skip counts, affinity state and worker identity
-— never of request payloads.
+Thread safety: one condition variable guards all lanes; any number of
+submitters and workers may run concurrently. Determinism: lane choice
+is a pure function of lane contents, deadlines, skip counts, affinity
+state and worker identity — never of request payloads.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.trace import TraceBuffer
 from repro.runtime.api import BatchKey, RolloutRequest
-from repro.serve.admission import WAIT_BUCKETS_S, AdmissionController, WaitHistogram
+from repro.serve.admission import AdmissionController, WaitHistogram
 from repro.serve.batching import RolloutHandle, shed_expired
 
 
@@ -169,12 +169,11 @@ class _Lane:
 
 
 class ScheduledQueue:
-    """Per-key lanes + EDF/affinity dispatch; drop-in for ``RequestQueue``.
+    """Per-key lanes + EDF/affinity dispatch: the service's one queue.
 
-    Same interface as :class:`~repro.serve.batching.RequestQueue`
-    (``submit`` / ``next_batch`` / ``depth`` / ``close``), plus a
-    ``worker_id`` on :meth:`next_batch` so affinity knows who is
-    asking, and :meth:`scheduler_stats` for the policy counters.
+    ``submit`` / ``submit_many`` enqueue, :meth:`next_batch` hands a
+    worker its next batch (``worker_id`` tells affinity who is asking),
+    :meth:`scheduler_stats` snapshots the policy counters.
 
     Thread safety: fully thread-safe, one condition variable guards
     all lanes. Determinism: batch composition is a pure function of
@@ -209,36 +208,14 @@ class ScheduledQueue:
         self._affinity_steals = 0
         self._edf_preemptions = 0
         self._starvation_overrides = 0
-        #: label -> [bucket counts, total, sum_s] of dispatched waits
-        self._lane_waits: dict[str, list] = {}
+        #: label -> queue-wait histogram of requests dispatched via the lane
+        self._lane_waits: dict[str, WaitHistogram] = {}
 
     # -- submission ----------------------------------------------------------
 
     def submit(self, request: RolloutRequest) -> RolloutHandle:
-        """Enqueue one request into its key's lane → streaming handle.
-
-        Admission control sees the *total* pending depth across lanes
-        (the same quantity the FIFO queue caps), so swapping schedulers
-        never changes shedding behavior.
-        """
-        handle = RolloutHandle(request)
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("queue is closed")
-            if self._admission is not None:
-                self._admission.admit(self._depth)
-            lane = self._lanes.get(request.key)
-            if lane is None:
-                lane = _Lane(request.key, next(self._lane_seq))
-                self._lanes[request.key] = lane
-            lane.pending.append((request, handle))
-            self._depth += 1
-            self._depth_high_water = max(self._depth_high_water, self._depth)
-            self._lane_depth_high_water = max(
-                self._lane_depth_high_water, len(lane.pending)
-            )
-            self._cond.notify_all()
-        return handle
+        """Enqueue one request into its key's lane → streaming handle."""
+        return self.submit_many([request])[0]
 
     def submit_many(
         self, requests: "list[RolloutRequest]"
@@ -246,11 +223,13 @@ class ScheduledQueue:
         """Enqueue several requests atomically → their handles.
 
         One admission decision covers the whole group (``slots=len``)
-        against the total cross-lane depth — all-or-nothing, the
-        :meth:`~repro.serve.batching.RequestQueue.submit_many`
-        contract. The requests land in their keys' lanes in order (an
-        ensemble's members share one key, so they fill one lane and
-        tile together).
+        against the *total* pending depth across lanes — either every
+        request enters the queue under the depth cap or none does
+        (:class:`~repro.serve.admission.QueueFull`), which is how an
+        M-member ensemble counts as M queue slots without racing other
+        submitters between members. The requests land in their keys'
+        lanes in order (an ensemble's members share one key, so they
+        fill one lane and tile together).
         """
         if not requests:
             raise ValueError("submit_many needs at least one request")
@@ -285,6 +264,36 @@ class ScheduledQueue:
     ) -> list[tuple[RolloutRequest, RolloutHandle]] | None:
         """Collect the next batch for ``worker_id``, or ``None`` at drain.
 
+        Blocks while nothing is grantable (re-checking every ``poll_s``)
+        until the queue is closed and drained. See :meth:`_collect` for
+        how a batch forms.
+        """
+        with self._cond:
+            while True:
+                batch = self._collect(max_batch_size, max_wait_s, worker_id)
+                if batch is not None:
+                    return batch
+                if self._closed and self._depth == 0:
+                    return None
+                self._idle += 1
+                try:
+                    self._cond.wait(timeout=poll_s)
+                finally:
+                    self._idle -= 1
+
+    def _poll_batch(
+        self, max_batch_size: int, max_wait_s: float, worker_id: int = 0
+    ) -> list[tuple[RolloutRequest, RolloutHandle]] | None:
+        """:meth:`next_batch` without the wait: ``None`` when no lane is
+        grantable right now (how a submitting thread serves inline)."""
+        with self._cond:
+            return self._collect(max_batch_size, max_wait_s, worker_id)
+
+    def _collect(
+        self, max_batch_size: int, max_wait_s: float, worker_id: int
+    ) -> list[tuple[RolloutRequest, RolloutHandle]] | None:
+        """Grant a lane and collect its batch (caller holds the lock).
+
         The scheduler grants one lane (EDF + affinity + starvation
         bound, see the module docstring), marks it collecting so no
         other worker can split the key, then lingers up to
@@ -295,44 +304,33 @@ class ScheduledQueue:
         lane, and the whole batch is re-checked **at batch close** so a
         request that expired during the collection window is shed with
         :class:`~repro.serve.admission.DeadlineExpired` instead of
-        executing.
+        executing; if that empties the batch the lane is released and
+        another is granted. Returns ``None`` when no lane is grantable.
         """
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        with self._cond:
-            while True:
-                lane = self._grant(worker_id)
-                if lane is None:
-                    if self._closed and self._depth == 0:
-                        return None
-                    self._idle += 1
-                    try:
-                        self._cond.wait(timeout=poll_s)
-                    finally:
-                        self._idle -= 1
-                    continue
-                batch: list = []
-                deadline = time.perf_counter() + max_wait_s
-                while len(batch) < max_batch_size:
-                    self._take_from_lane(lane, batch, max_batch_size)
-                    if len(batch) >= max_batch_size or self._closed:
-                        break
-                    if batch and not lane.pending and self._idle == 0 \
-                            and self._other_lane_waiting(lane):
-                        # work-conserving early close: this worker's
-                        # time is better spent on the waiting lane than
-                        # idling for hypothetical same-key stragglers
-                        break
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=remaining)
+        while (lane := self._grant(worker_id)) is not None:
+            batch: list = []
+            deadline = time.perf_counter() + max_wait_s
+            while len(batch) < max_batch_size:
                 self._take_from_lane(lane, batch, max_batch_size)
-                live = self._close_batch(lane, batch, worker_id)
-                if live is not None:
-                    return live
-                # every collected request expired during the window;
-                # the lane is released — pick again
+                if len(batch) >= max_batch_size or self._closed:
+                    break
+                if batch and not lane.pending and self._idle == 0 \
+                        and self._other_lane_waiting(lane):
+                    # work-conserving early close: this worker's
+                    # time is better spent on the waiting lane than
+                    # idling for hypothetical same-key stragglers
+                    break
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    break
+                self._cond.wait(timeout=remaining)
+            self._take_from_lane(lane, batch, max_batch_size)
+            live = self._close_batch(lane, batch, worker_id)
+            if live is not None:
+                return live
+        return None
 
     def _grant(self, worker_id: int) -> _Lane | None:
         """Choose and lock the next lane for ``worker_id`` (or ``None``).
@@ -436,20 +434,9 @@ class ScheduledQueue:
         if self._admission is not None:
             for req, _ in live:
                 self._admission.note_dequeued(req.waited_s(now))
-        counts, _, _ = self._lane_waits.setdefault(
-            lane.label, [[0] * (len(WAIT_BUCKETS_S) + 1), 0, 0.0]
-        )
-        record = self._lane_waits[lane.label]
+        lane_wait = self._lane_waits.setdefault(lane.label, WaitHistogram())
         for req, _ in live:
-            waited = req.waited_s(now)
-            for i, bound in enumerate(WAIT_BUCKETS_S):
-                if waited <= bound:
-                    counts[i] += 1
-                    break
-            else:
-                counts[-1] += 1
-            record[1] += 1
-            record[2] += waited
+            lane_wait.observe(req.waited_s(now))
         return live
 
     def _shed_expired_pending(self, now: float) -> None:
@@ -503,12 +490,6 @@ class ScheduledQueue:
                 for lane in self._lanes.values()
                 if lane.pending
             }
-            lane_wait = {
-                label: WaitHistogram(
-                    counts=list(counts), total=total, sum_s=sum_s
-                )
-                for label, (counts, total, sum_s) in self._lane_waits.items()
-            }
             return SchedulerStats(
                 dispatches=self._dispatches,
                 affinity_hits=self._affinity_hits,
@@ -518,7 +499,10 @@ class ScheduledQueue:
                 lanes=len(lane_depth),
                 lane_depth_high_water=self._lane_depth_high_water,
                 lane_depth=lane_depth,
-                lane_wait=lane_wait,
+                lane_wait={
+                    label: hist._snapshot()
+                    for label, hist in self._lane_waits.items()
+                },
             )
 
     def close(self) -> None:

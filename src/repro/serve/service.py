@@ -31,8 +31,7 @@ from repro.graph.io import load_rank_graphs
 from repro.obs.trace import Span, TraceBuffer, wall_from_perf
 from repro.runtime.api import RolloutRequest, TrainRequest, TrainResult
 from repro.serve.admission import AdmissionConfig, AdmissionController, QueueFull
-from repro.serve.batching import RequestQueue, RolloutHandle
-from repro.serve.scheduler import ScheduledQueue, SchedulerStats
+from repro.serve.batching import RolloutHandle
 from repro.serve.cache import GraphAsset, GraphCache
 from repro.serve.executor import WorkerArenas, execute_batch, execute_train_job
 from repro.serve.metrics import (
@@ -42,6 +41,7 @@ from repro.serve.metrics import (
     stats_markdown,
 )
 from repro.serve.registry import ModelRegistry
+from repro.serve.scheduler import ScheduledQueue, SchedulerStats
 
 if TYPE_CHECKING:  # serve must not import ensemble at module load
     from repro.ensemble.driver import EnsembleHandle
@@ -73,17 +73,15 @@ class ServeConfig:
     bitwise identical to the reference op chain; ``False`` pins the
     unfused workspace loop (the obs-overhead baseline).
 
-    ``scheduler`` selects the dispatch policy: ``"edf"`` (default) is
-    the per-key-lane scheduler (:mod:`repro.serve.scheduler`) —
-    disjoint keys overlap across workers, earliest-deadline-first lane
-    choice with a starvation bound, one collector per key; ``"fifo"``
-    is the PR-7 head-of-line queue, kept as the comparison baseline.
-    ``affinity`` (EDF only) makes a lane sticky to the worker whose
-    arenas/tile/cast caches it warmed, with work-stealing when that
-    worker is busy; ``max_lane_skips`` is the starvation bound — how
-    many times a pending lane may be passed over before it must be
-    served. None of these change trajectory bits, only which worker
-    runs which batch when.
+    Dispatch is the per-key-lane scheduler
+    (:mod:`repro.serve.scheduler`): disjoint keys overlap across
+    workers, earliest-deadline-first lane choice with a starvation
+    bound, one collector per key. ``affinity`` makes a lane sticky to
+    the worker whose arenas/tile/cast caches it warmed, with
+    work-stealing when that worker is busy; ``max_lane_skips`` is the
+    starvation bound — how many times a pending lane may be passed
+    over before it must be served. Neither changes trajectory bits,
+    only which worker runs which batch when.
     """
 
     max_batch_size: int = 8
@@ -98,7 +96,6 @@ class ServeConfig:
     tracing: bool = True
     trace_capacity: int = 2048
     fast_math: bool = True
-    scheduler: str = "edf"
     affinity: bool = True
     max_lane_skips: int = 4
 
@@ -111,10 +108,6 @@ class ServeConfig:
             raise ValueError("max_wait_s must be >= 0")
         if self.trace_capacity < 1:
             raise ValueError("trace_capacity must be >= 1")
-        if self.scheduler not in ("edf", "fifo"):
-            raise ValueError(
-                f"scheduler must be 'edf' or 'fifo', got {self.scheduler!r}"
-            )
         if self.max_lane_skips < 1:
             raise ValueError("max_lane_skips must be >= 1")
         # delegate validation of the admission knobs
@@ -164,19 +157,13 @@ class InferenceService:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _make_queue(self) -> RequestQueue | ScheduledQueue:
-        if self.config.scheduler == "fifo":
-            return RequestQueue(self._admission, trace=self.trace)
+    def _make_queue(self) -> ScheduledQueue:
         return ScheduledQueue(
             self._admission,
             trace=self.trace,
             affinity=self.config.affinity,
             max_lane_skips=self.config.max_lane_skips,
         )
-
-    def _queue_scheduler_stats(self) -> SchedulerStats:
-        stats_fn = getattr(self._queue, "scheduler_stats", None)
-        return stats_fn() if stats_fn is not None else SchedulerStats()
 
     def start(self) -> "InferenceService":
         with self._lock:
@@ -190,7 +177,7 @@ class InferenceService:
                     self._queue_high_water_prev, self._queue.depth_high_water
                 )
                 self._sched_prev = self._sched_prev.merge(
-                    self._queue_scheduler_stats()
+                    self._queue.scheduler_stats()
                 )
                 self._queue = self._make_queue()
             self._started = True
@@ -276,9 +263,6 @@ class InferenceService:
             f"no graph registered under {key!r}; known: {self.graph_keys()}"
         )
 
-    # kept for older call sites; asset() is the public name
-    _asset = asset
-
     # -- request API ---------------------------------------------------------
 
     def submit_request(self, request: RolloutRequest) -> RolloutHandle:
@@ -294,37 +278,7 @@ class InferenceService:
         """
         if not self._started:
             raise RuntimeError("service is not started (use start() or `with`)")
-        self.registry.get(request.model)  # fail fast on unknown names
-        if (
-            request.graph not in self._pinned_graphs
-            and request.graph not in self._graph_dirs
-        ):
-            raise KeyError(
-                f"no graph registered under {request.graph!r}; "
-                f"known: {self.graph_keys()}"
-            )
-        request = request.resolved(
-            self.config.default_halo_mode,
-            self._admission.effective_deadline_s(request.deadline_s),
-        )
-        admitted_at = time.perf_counter()
-        try:
-            handle = self._queue.submit(request)
-        except QueueFull:
-            self.trace.record_span(
-                request.trace_id, "admission", "server",
-                wall_from_perf(admitted_at),
-                time.perf_counter() - admitted_at,
-                status="failed", model=request.model, graph=request.graph,
-                reason="queue_full",
-            )
-            raise
-        self.trace.record_span(
-            request.trace_id, "admission", "server",
-            wall_from_perf(admitted_at), time.perf_counter() - admitted_at,
-            model=request.model, graph=request.graph,
-        )
-        return handle
+        return self._submit(request)
 
     def submit_ensemble(self, request) -> "EnsembleHandle":
         """Enqueue an :class:`~repro.ensemble.api.EnsembleRequest` →
@@ -339,11 +293,18 @@ class InferenceService:
         consumer's thread, streaming bounded
         :class:`~repro.ensemble.api.SummaryFrame`\\ s.
         """
-        from repro.ensemble.driver import EnsembleHandle
-
         if not self._started:
             raise RuntimeError("service is not started (use start() or `with`)")
-        self.registry.get(request.model)  # fail fast on unknown names
+        return self._submit(request)
+
+    def _submit(self, request) -> "RolloutHandle | EnsembleHandle":
+        """Every request kind's way into the queue (no liveness check).
+
+        Fails fast on unknown asset names, fills engine defaults, then
+        enqueues the rollouts the request decomposes into — itself, or
+        an ensemble's perturbed members — under one admission decision.
+        """
+        self.registry.get(request.model)
         if (
             request.graph not in self._pinned_graphs
             and request.graph not in self._graph_dirs
@@ -356,6 +317,10 @@ class InferenceService:
             self.config.default_halo_mode,
             self._admission.effective_deadline_s(request.deadline_s),
         )
+        if isinstance(request, RolloutRequest):
+            return self._admit(request, [request])[0]
+        from repro.ensemble.driver import EnsembleHandle
+
         perturb_at = time.perf_counter()
         members = request.member_requests()
         self.trace.record_span(
@@ -363,23 +328,7 @@ class InferenceService:
             wall_from_perf(perturb_at), time.perf_counter() - perturb_at,
             members=len(members), seed=request.perturbation.seed,
         )
-        admitted_at = time.perf_counter()
-        try:
-            handles = self._queue.submit_many(members)
-        except QueueFull:
-            self.trace.record_span(
-                request.trace_id, "admission", "server",
-                wall_from_perf(admitted_at),
-                time.perf_counter() - admitted_at,
-                status="failed", model=request.model, graph=request.graph,
-                reason="queue_full", members=len(members),
-            )
-            raise
-        self.trace.record_span(
-            request.trace_id, "admission", "server",
-            wall_from_perf(admitted_at), time.perf_counter() - admitted_at,
-            model=request.model, graph=request.graph, members=len(members),
-        )
+        handles = self._admit(request, members, members=len(members))
         chunks = -(-len(members) // self.config.max_batch_size)
         self._metrics.record_ensemble(members=len(members), chunks=chunks)
         return EnsembleHandle(
@@ -388,6 +337,49 @@ class InferenceService:
             trace=self.trace,
             on_outcome=self._metrics.record_ensemble_outcome,
         )
+
+    def _admit(self, request, rollouts: list, **attrs) -> list[RolloutHandle]:
+        """Enqueue ``rollouts`` under ONE admission decision → handles.
+
+        The ``admission`` span says how it went (``status="failed"``
+        when the depth cap shed them).
+        """
+        admitted_at = time.perf_counter()
+
+        def span(**outcome) -> None:
+            self.trace.record_span(
+                request.trace_id, "admission", "server",
+                wall_from_perf(admitted_at),
+                time.perf_counter() - admitted_at,
+                model=request.model, graph=request.graph, **attrs, **outcome,
+            )
+
+        try:
+            handles = self._queue.submit_many(rollouts)
+        except QueueFull:
+            span(status="failed", reason="queue_full")
+            raise
+        span()
+        return handles
+
+    def _serve_inline(self, request) -> "RolloutHandle | EnsembleHandle":
+        """Serve one rollout or ensemble on the *calling* thread.
+
+        What ``local://`` is: the request is enqueued like any other,
+        then this thread runs the worker loop's own step — collect a
+        batch, :meth:`_execute` it — until the request is served or no
+        lane is grantable, so an inline request is batched, executed,
+        measured and traced by the code a pooled one is. Needs no
+        started workers. Safe from several threads at once: a caller
+        may execute another caller's request (same-key submissions
+        coalesce); that one's handle then finishes when the batch does.
+        """
+        handle = self._submit(request)
+        while not handle.done and (batch := self._queue._poll_batch(
+            self.config.max_batch_size, self.config.max_wait_s
+        )) is not None:
+            self._execute(batch)
+        return handle
 
     def submit(
         self,
@@ -446,18 +438,15 @@ class InferenceService:
         # one persistent warmed arena set per worker: batches re-use
         # the pooled buffers instead of re-warming a fresh arena each
         arenas = WorkerArenas()
-        while True:
-            batch = self._queue.next_batch(
-                self.config.max_batch_size, self.config.max_wait_s,
-                worker_id=worker_id,
-            )
-            if batch is None:
-                return
+        while (batch := self._queue.next_batch(
+            self.config.max_batch_size, self.config.max_wait_s,
+            worker_id=worker_id,
+        )) is not None:
             self._execute(batch, arenas)
 
     def _execute(
         self,
-        batch: list[tuple[InferenceRequest, RolloutHandle]],
+        batch: list[tuple[RolloutRequest, RolloutHandle]],
         arenas: WorkerArenas | None = None,
     ) -> None:
         requests = [req for req, _ in batch]
@@ -465,7 +454,7 @@ class InferenceService:
         dequeued = time.perf_counter()
         try:
             model = self.registry.get(requests[0].model)
-            asset = self._asset(requests[0].graph)
+            asset = self.asset(requests[0].graph)
 
             def dispatch(i: int, step: int, state: np.ndarray) -> None:
                 handles[i]._push_frame(state)
@@ -584,7 +573,7 @@ class InferenceService:
                 self._queue_high_water_prev, self._queue.depth_high_water
             ),
             admission=self._admission.stats(),
-            scheduler=self._sched_prev.merge(self._queue_scheduler_stats()),
+            scheduler=self._sched_prev.merge(self._queue.scheduler_stats()),
         )
 
     def stats_markdown(self) -> str:

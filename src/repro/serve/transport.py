@@ -150,10 +150,8 @@ class _Handler(socketserver.StreamRequestHandler):
                         "capabilities": WIRE_CAPABILITIES.to_dict(),
                     }
                 )
-            elif op == "rollout":
-                self._rollout(service, header, arrays)
-            elif op == "ensemble":
-                self._ensemble(service, header, arrays)
+            elif op in _STREAM_OPS:
+                self._stream(service, op, header, arrays)
             elif op == "stats":
                 stats = service.stats()
                 self._reply(
@@ -211,78 +209,41 @@ class _Handler(socketserver.StreamRequestHandler):
             self._reply_error(_error_code(exc), str(exc) or repr(exc))
         return True
 
-    def _rollout(
-        self, service: InferenceService, header: dict, arrays: list[np.ndarray]
+    def _stream(
+        self, service: InferenceService, op: str, header: dict,
+        arrays: list[np.ndarray],
     ) -> None:
+        """Serve one streamed op: frames as they complete, then ``done``.
+
+        The one routine that writes stream frames; :data:`_STREAM_OPS`
+        says how each kind parses, submits, encodes a frame and fills
+        its ``done`` header.
+        """
+        parse, submit, encode, done_fields = _STREAM_OPS[op]
         try:
-            request = protocol.parse_rollout_message(header, arrays)
+            request = parse(header, arrays)
         except ValueError as exc:
             self._reply_error(protocol.ERR_BAD_REQUEST, str(exc))
             return
         # enforce what we announce: a peer that skipped (or predates)
         # capability negotiation still gets the typed rejection
-        if request.precision != "float64" and not WIRE_CAPABILITIES.float32:
-            self._reply_error(
-                protocol.ERR_CAPABILITY,
+        refusal = None
+        if op == "ensemble" and not WIRE_CAPABILITIES.ensemble:
+            refusal = "this server does not serve ensemble requests"
+        elif request.precision != "float64" and not WIRE_CAPABILITIES.float32:
+            refusal = (
                 f"this server does not serve the {request.precision!r} "
-                f"inference tier",
+                f"inference tier"
             )
+        if refusal is not None:
+            self._reply_error(protocol.ERR_CAPABILITY, refusal)
             return
-        handle = service.submit_request(request)
-        step = 0
-        started = time.perf_counter()
-        try:
-            for frame in handle.frames(timeout=service.config.request_timeout_s):
-                self._reply({"type": "frame", "step": step}, [frame])
-                step += 1
-        except BaseException as exc:  # noqa: BLE001 - forwarded as typed error
-            self._serialize_span(service, request, started, step, failed=True)
-            if isinstance(exc, (BrokenPipeError, ConnectionError)):
-                raise
-            self._reply_error(_error_code(exc), str(exc) or repr(exc))
-            return
-        self._serialize_span(service, request, started, step, failed=False)
-        metrics = (
-            dataclasses.asdict(handle.metrics) if handle.metrics is not None else None
-        )
-        self._reply({"type": "done", "n_frames": step, "metrics": metrics})
-
-    def _ensemble(
-        self, service: InferenceService, header: dict, arrays: list[np.ndarray]
-    ) -> None:
-        """Serve one ensemble: stream bounded summary frames, then ``done``.
-
-        Per-frame wire bytes are independent of M unless the client
-        asked for raw members — the summaries/energy/divergence payload
-        depends only on the mesh and the summary selection.
-        """
-        try:
-            request = protocol.parse_ensemble_message(header, arrays)
-        except ValueError as exc:
-            self._reply_error(protocol.ERR_BAD_REQUEST, str(exc))
-            return
-        # enforce what we announce (a peer that skipped capability
-        # negotiation still gets typed rejections, not garbage)
-        if not WIRE_CAPABILITIES.ensemble:
-            self._reply_error(
-                protocol.ERR_CAPABILITY,
-                "this server does not serve ensemble requests",
-            )
-            return
-        if request.precision != "float64" and not WIRE_CAPABILITIES.float32:
-            self._reply_error(
-                protocol.ERR_CAPABILITY,
-                f"this server does not serve the {request.precision!r} "
-                f"inference tier",
-            )
-            return
-        handle = service.submit_ensemble(request)
+        handle = submit(service, request)
         n = 0
         started = time.perf_counter()
         try:
             for frame in handle.frames(timeout=service.config.request_timeout_s):
-                fh, fa = protocol.summary_frame_message(frame)
-                self._reply(fh, fa)
+                self._reply(*encode(n, frame))
                 n += 1
         except BaseException as exc:  # noqa: BLE001 - forwarded as typed error
             self._serialize_span(service, request, started, n, failed=True)
@@ -291,15 +252,7 @@ class _Handler(socketserver.StreamRequestHandler):
             self._reply_error(_error_code(exc), str(exc) or repr(exc))
             return
         self._serialize_span(service, request, started, n, failed=False)
-        report = handle.report
-        self._reply(
-            {
-                "type": "done",
-                "n_frames": n,
-                "stability": None if report is None else report.to_dict(),
-                "metrics": handle.metrics,
-            }
-        )
+        self._reply({"type": "done", "n_frames": n, **done_fields(handle)})
 
     @staticmethod
     def _serialize_span(
@@ -330,6 +283,37 @@ class _Handler(socketserver.StreamRequestHandler):
             self._reply({"type": "error", "code": code, "message": message})
         except (BrokenPipeError, ConnectionError, OSError):
             pass
+
+
+#: streamed op -> (parse message, submit to service, encode one frame,
+#: extra ``done`` header fields). Per-frame wire bytes of an ensemble
+#: are independent of M unless the client asked for raw members — the
+#: summaries/energy/divergence payload depends only on the mesh and the
+#: summary selection.
+_STREAM_OPS = {
+    "rollout": (
+        protocol.parse_rollout_message,
+        InferenceService.submit_request,
+        lambda step, state: ({"type": "frame", "step": step}, [state]),
+        lambda handle: {
+            "metrics": (
+                None if handle.metrics is None
+                else dataclasses.asdict(handle.metrics)
+            ),
+        },
+    ),
+    "ensemble": (
+        protocol.parse_ensemble_message,
+        InferenceService.submit_ensemble,
+        lambda n, frame: protocol.summary_frame_message(frame),
+        lambda handle: {
+            "stability": (
+                None if handle.report is None else handle.report.to_dict()
+            ),
+            "metrics": handle.metrics,
+        },
+    ),
+}
 
 
 class _ServeTCPServer(socketserver.ThreadingTCPServer):

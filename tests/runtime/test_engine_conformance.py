@@ -16,7 +16,10 @@ The redesign's contract, asserted over ``LocalEngine`` /
   engine teardown is idempotent and leak-free.
 """
 
+import gc
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -325,6 +328,28 @@ class TestConnectionPooling:
             assert stats.dials == 2, stats
 
 
+    def test_abandoned_stream_discards_its_connection(self, asset_paths, x0):
+        """A stream closed before ``done`` must not keep its socket:
+        unread frames may still be in flight on it, so it is closed —
+        never re-pooled, never left for the garbage collector — and the
+        next request costs exactly one dial."""
+        with make_engine("tcp", asset_paths) as engine:
+            request = RolloutRequest(model="m", graph="g1", x0=x0, n_steps=3)
+            future = engine.submit(request)
+            frames = future.frames()
+            next(frames)
+            conn = future._conn
+            frames.close()
+            assert future.done
+            assert conn.sock.fileno() == -1, "abandoned stream kept its socket"
+            before = engine.pool_stats()
+            assert before.idle == 0
+            assert len(engine.rollout(request).states) == 4
+            after = engine.pool_stats()
+            assert after.dials == before.dials + 1
+            assert after.idle == 1
+
+
 class TestGraphUpload:
     """Graph registration over the wire: arrays ship as .npy frames."""
 
@@ -455,6 +480,92 @@ class TestCluster:
                 )
 
 
+class TestLocalIsTheServiceInline:
+    """``local://`` runs the serving stack's own request path on the
+    calling thread: no threads of its own, the same spans, the same
+    stats rows."""
+
+    def test_local_spawns_no_threads(self, asset_paths, x0, engine_model,
+                                     full_graph):
+        from repro.ensemble import EnsembleRequest
+        from repro.runtime import connect
+
+        def rank_threads_gone():
+            # a 4-rank asset's rank world is joined before the call returns
+            return threading.active_count() == baseline
+
+        baseline = threading.active_count()
+        with connect("local://") as engine:
+            engine.register_model("m", engine_model)
+            engine.register_graph("g", [full_graph])
+            assert rank_threads_gone()
+            engine.rollout(RolloutRequest("m", "g", x0, 2))
+            assert rank_threads_gone()
+            engine.ensemble(EnsembleRequest("m", "g", x0, 2, n_members=3))
+            assert rank_threads_gone()
+            engine.train(TrainRequest("m", "g", x=x0, target=x0))
+            assert rank_threads_gone()
+        assert rank_threads_gone()
+
+    def test_local_reports_the_same_spans_and_stats_rows_as_pool(
+        self, asset_paths, x0
+    ):
+        seen = {}
+        for kind in ("local", "pool"):
+            request = RolloutRequest(model="m", graph="g4", x0=x0, n_steps=2)
+            with make_engine(kind, asset_paths) as engine:
+                engine.rollout(request)
+                spans = engine.get_trace(request.trace_id)
+                rows = [
+                    line.split("|")[1].strip()
+                    for line in engine.stats_markdown().splitlines()
+                ]
+            seen[kind] = ({(s.component, s.name) for s in spans}, rows)
+        assert seen["local"][0] == {
+            ("server", name)
+            for name in ("admission", "queue", "tile", "execute")
+        }
+        assert seen["local"] == seen["pool"]
+
+    def test_concurrent_local_submissions_are_safe_and_bitwise(
+        self, asset_paths, x0, full_graph
+    ):
+        """Submitting threads may execute each other's requests (same-key
+        submissions coalesce into one caller's batch); every caller
+        still gets its own complete, bit-exact trajectory."""
+        reference = rollout(
+            load_checkpoint(asset_paths[0]), full_graph, x0, n_steps=4
+        )
+        with make_engine("local", asset_paths) as engine:
+            outcomes = _concurrent_rollouts(engine, x0, n=8, n_steps=4)
+            served = engine.stats().requests
+        for outcome in outcomes:
+            assert isinstance(outcome, RolloutResult), outcome
+            assert_bitwise_equal(outcome.states, reference)
+        assert served == 8
+
+
+class TestNothingOutlivesClose:
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_no_thread_or_socket_outlives_the_engine(self, kind, asset_paths,
+                                                     x0):
+        """After a served rollout and an abandoned stream, closing the
+        engine (and its fixture's servers) leaves no thread and no
+        socket behind."""
+        threads, sockets = threading.active_count(), _open_sockets()
+        with make_engine(kind, asset_paths) as engine:
+            request = RolloutRequest(model="m", graph="g1", x0=x0, n_steps=3)
+            engine.rollout(request)
+            next(engine.submit(request).frames())  # abandoned mid-stream
+        deadline = time.perf_counter() + 10.0
+        while time.perf_counter() < deadline and (
+            _open_sockets() > sockets or threading.active_count() > threads
+        ):
+            time.sleep(0.02)  # handler threads exit on their peer's EOF
+        assert threading.active_count() <= threads
+        assert _open_sockets() <= sockets
+
+
 class TestShimsRemoved:
     def test_pre_engine_client_shims_are_gone(self):
         """The deprecated ServeClient/NetworkClient shims no longer exist."""
@@ -487,6 +598,18 @@ class TestShimsRemoved:
         engine.close()  # idempotent: second close is a no-op
         engine.close()
         assert not _serve_worker_threads()
+
+
+def _open_sockets():
+    """Open socket descriptors of this process (Linux ``/proc``)."""
+    gc.collect()  # sockets of dropped futures close with their objects
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+        except OSError:  # the listing's own descriptor, already closed
+            pass
+    return count
 
 
 def _serve_worker_threads():

@@ -216,3 +216,30 @@ class TestObservability:
             names = {s.name for s in engine.get_trace(req.trace_id)}
         assert "route" in names
         assert "reduce" in names
+
+    def test_early_stopped_cluster_ensemble_leaves_no_open_sockets(
+        self, asset_paths, x0
+    ):
+        """Early-stop aborts the chunk streams mid-flight; each chunk's
+        connection must be closed then (unread frames are still in
+        flight on it), not parked on the dead future."""
+        sweep = (1.0,) * (N_MEMBERS - 1) + (1e8,)  # last member blows up
+        req = request(
+            x0, n_steps=6,
+            perturbation=PerturbationSpec(seed=13, sweep=sweep),
+            stability=StabilityConfig(max_value=1e6),
+        )
+        with make_engine("cluster", asset_paths) as engine:
+            future = engine.submit(req)
+            result = future.result()
+            assert result.stability.early_stopped
+            assert result.n_frames < 7
+            chunks = [inner for _, inner, _ in future._chunks]
+            assert len(chunks) == 2
+            for inner in chunks:
+                assert inner.done
+                assert inner._conn.sock.fileno() == -1, (
+                    "an aborted chunk stream kept its socket open"
+                )
+            # the shards' pools are intact: the next request just dials
+            assert engine.ensemble(request(x0)).n_frames == 4

@@ -16,7 +16,7 @@ from repro.serve.admission import (
     RequestRejected,
     WaitHistogram,
 )
-from repro.serve.batching import InferenceRequest, RequestQueue
+from repro.serve import InferenceRequest, ScheduledQueue
 
 X0 = np.zeros((5, 3))
 
@@ -122,7 +122,7 @@ class TestWaitHistogram:
 
 class TestQueueIntegration:
     def test_submit_sheds_beyond_cap(self):
-        q = RequestQueue(AdmissionController(AdmissionConfig(max_queue_depth=2)))
+        q = ScheduledQueue(AdmissionController(AdmissionConfig(max_queue_depth=2)))
         q.submit(make_request())
         q.submit(make_request())
         with pytest.raises(QueueFull):
@@ -131,7 +131,7 @@ class TestQueueIntegration:
 
     def test_rejected_request_never_queued(self):
         ctl = AdmissionController(AdmissionConfig(max_queue_depth=1))
-        q = RequestQueue(ctl)
+        q = ScheduledQueue(ctl)
         q.submit(make_request())
         with pytest.raises(QueueFull):
             q.submit(make_request())
@@ -141,7 +141,7 @@ class TestQueueIntegration:
 
     def test_expired_request_shed_at_dequeue(self):
         ctl = AdmissionController()
-        q = RequestQueue(ctl)
+        q = ScheduledQueue(ctl)
         handle = q.submit(make_request(deadline_s=0.01))
         live = q.submit(make_request())
         time.sleep(0.05)
@@ -153,7 +153,7 @@ class TestQueueIntegration:
 
     def test_expired_matching_request_shed_during_collection(self):
         ctl = AdmissionController()
-        q = RequestQueue(ctl)
+        q = ScheduledQueue(ctl)
         fresh = q.submit(make_request())
         stale = q.submit(make_request(deadline_s=0.01))
         time.sleep(0.05)
@@ -163,12 +163,12 @@ class TestQueueIntegration:
             stale.result(timeout=1.0)
 
     def test_unexpired_deadline_survives(self):
-        q = RequestQueue(AdmissionController())
+        q = ScheduledQueue(AdmissionController())
         q.submit(make_request(deadline_s=60.0))
         assert len(q.next_batch(8, 0.0)) == 1
 
     def test_queue_without_controller_still_sheds_expired(self):
-        q = RequestQueue()
+        q = ScheduledQueue()
         handle = q.submit(make_request(deadline_s=0.01))
         time.sleep(0.05)
         q.submit(make_request())
@@ -177,7 +177,7 @@ class TestQueueIntegration:
             handle.result(timeout=1.0)
 
     def test_all_expired_then_closed_returns_none(self):
-        q = RequestQueue(AdmissionController())
+        q = ScheduledQueue(AdmissionController())
         q.submit(make_request(deadline_s=0.01))
         time.sleep(0.05)
         q.close()
@@ -185,7 +185,7 @@ class TestQueueIntegration:
 
     def test_dequeued_waits_recorded(self):
         ctl = AdmissionController()
-        q = RequestQueue(ctl)
+        q = ScheduledQueue(ctl)
         q.submit(make_request())
         q.submit(make_request())
         q.next_batch(8, 0.0)

@@ -1,4 +1,4 @@
-"""RequestQueue dynamic batching: coalescing, keys, ordering, handles."""
+"""The request queue's dynamic batching: coalescing, keys, ordering, handles."""
 
 import threading
 import time
@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import InferenceRequest, RequestQueue
+from repro.serve import InferenceRequest, ScheduledQueue
 
 X0 = np.zeros((5, 3))
 
@@ -25,7 +25,7 @@ def test_request_validation():
 
 
 def test_same_key_requests_coalesce():
-    q = RequestQueue()
+    q = ScheduledQueue()
     for _ in range(3):
         q.submit(make_request())
     batch = q.next_batch(max_batch_size=8, max_wait_s=0.0)
@@ -34,7 +34,7 @@ def test_same_key_requests_coalesce():
 
 
 def test_different_keys_split_batches_in_arrival_order():
-    q = RequestQueue()
+    q = ScheduledQueue()
     q.submit(make_request(model="a"))
     q.submit(make_request(model="b"))
     q.submit(make_request(model="a"))
@@ -45,7 +45,7 @@ def test_different_keys_split_batches_in_arrival_order():
 
 
 def test_key_includes_halo_mode_and_residual():
-    q = RequestQueue()
+    q = ScheduledQueue()
     q.submit(make_request(residual=False))
     q.submit(make_request(residual=True))
     q.submit(make_request(halo_mode="a2a"))
@@ -55,7 +55,7 @@ def test_key_includes_halo_mode_and_residual():
 
 
 def test_max_batch_size_caps_collection():
-    q = RequestQueue()
+    q = ScheduledQueue()
     for _ in range(5):
         q.submit(make_request())
     assert len(q.next_batch(max_batch_size=2, max_wait_s=0.0)) == 2
@@ -63,7 +63,7 @@ def test_max_batch_size_caps_collection():
 
 
 def test_wait_window_picks_up_late_arrivals():
-    q = RequestQueue()
+    q = ScheduledQueue()
     q.submit(make_request())
 
     def late_submit():
@@ -78,7 +78,7 @@ def test_wait_window_picks_up_late_arrivals():
 
 
 def test_zero_wait_executes_singleton_immediately():
-    q = RequestQueue()
+    q = ScheduledQueue()
     q.submit(make_request())
     start = time.perf_counter()
     batch = q.next_batch(max_batch_size=8, max_wait_s=0.0)
@@ -87,7 +87,7 @@ def test_zero_wait_executes_singleton_immediately():
 
 
 def test_close_drains_then_returns_none():
-    q = RequestQueue()
+    q = ScheduledQueue()
     q.submit(make_request())
     q.close()
     with pytest.raises(RuntimeError, match="closed"):
@@ -97,7 +97,7 @@ def test_close_drains_then_returns_none():
 
 
 def test_handle_streams_frames_and_result():
-    q = RequestQueue()
+    q = ScheduledQueue()
     handle = q.submit(make_request(n_steps=2))
     (req, h), = q.next_batch(8, 0.0)
     assert h is handle
@@ -110,7 +110,7 @@ def test_handle_streams_frames_and_result():
 
 
 def test_handle_propagates_worker_failure():
-    q = RequestQueue()
+    q = ScheduledQueue()
     handle = q.submit(make_request())
     handle._finish(RuntimeError("boom"))
     with pytest.raises(RuntimeError, match="boom"):
@@ -118,7 +118,7 @@ def test_handle_propagates_worker_failure():
 
 
 def test_depth_high_water_tracks_peak():
-    q = RequestQueue()
+    q = ScheduledQueue()
     for _ in range(4):
         q.submit(make_request())
     q.next_batch(8, 0.0)

@@ -11,7 +11,6 @@ from repro.serve import (
     AdmissionController,
     DeadlineExpired,
     InferenceRequest,
-    RequestQueue,
     ScheduledQueue,
     SchedulerStats,
     lane_label,
@@ -107,7 +106,7 @@ def test_collecting_lane_does_not_block_other_keys():
 
 def test_single_collector_per_key_two_worker_race():
     """Two workers racing one key must produce ONE full batch, not two
-    half-full tiles (the FIFO's same-key splitting bug)."""
+    half-full tiles."""
     q = ScheduledQueue()
     q.submit(make_request())
     q.submit(make_request())
@@ -215,12 +214,11 @@ def test_affinity_off_counts_nothing():
 # -- deadlines ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("queue_cls", [RequestQueue, ScheduledQueue])
-def test_expiry_during_collection_window_sheds_at_close(queue_cls):
+def test_expiry_during_collection_window_sheds_at_close():
     """A request that expires *during* max_wait_s must be shed with
-    DeadlineExpired at batch close, not executed (old FIFO bug)."""
+    DeadlineExpired at batch close, not executed."""
     admission = AdmissionController()
-    q = queue_cls(admission)
+    q = ScheduledQueue(admission)
     handle = q.submit(make_request(deadline_s=0.05))
 
     def close_later():

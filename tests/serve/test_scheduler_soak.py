@@ -1,12 +1,11 @@
 """Mixed-tenant soak: the scheduler never changes trajectory bits.
 
 Four disjoint batch keys (2 models x 2 precisions) interleaved onto a
-2-worker EDF-scheduled pool engine, every trajectory compared bitwise
+2-worker pool engine, every trajectory compared bitwise
 against a plain ``local://`` rollout of the same request.
 """
 
 import numpy as np
-import pytest
 
 from repro.gnn import GNNConfig, MeshGNN
 from repro.runtime import RolloutRequest, connect
@@ -29,8 +28,7 @@ def _register(engine, full_graph):
     engine.register_graph("g", [full_graph])
 
 
-@pytest.mark.parametrize("scheduler", ["edf", "fifo"])
-def test_mixed_tenant_soak_bitwise_vs_local(scheduler, full_graph, x0):
+def test_mixed_tenant_soak_bitwise_vs_local(full_graph, x0):
     def request(model, precision):
         return RolloutRequest(model=model, graph="g", x0=x0,
                               n_steps=N_STEPS, precision=precision)
@@ -42,8 +40,7 @@ def test_mixed_tenant_soak_bitwise_vs_local(scheduler, full_graph, x0):
             for model in MODELS for precision in PRECISIONS
         }
 
-    config = ServeConfig(n_workers=2, max_batch_size=4, max_wait_s=0.02,
-                         scheduler=scheduler)
+    config = ServeConfig(n_workers=2, max_batch_size=4, max_wait_s=0.02)
     with connect("pool://", config=config) as pool:
         _register(pool, full_graph)
         futures = [
@@ -59,8 +56,7 @@ def test_mixed_tenant_soak_bitwise_vs_local(scheduler, full_graph, x0):
             for got, want in zip(result.states, expected.states):
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
-        if scheduler == "edf":
-            sched = pool.stats().scheduler
-            assert sched.dispatches >= 4, (
-                "4 disjoint keys must produce at least one dispatch each"
-            )
+        sched = pool.stats().scheduler
+        assert sched.dispatches >= 4, (
+            "4 disjoint keys must produce at least one dispatch each"
+        )

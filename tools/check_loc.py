@@ -1,0 +1,96 @@
+#!/usr/bin/env python
+"""Code-size ratchet for the serving stack.
+
+Counts *code lines* — lines holding at least one token that is neither
+a comment nor layout, with docstring lines excluded — over
+``src/repro/{serve,runtime,cluster}`` and fails when the total exceeds
+the committed ceiling. The count is taken with ``tokenize`` + ``ast``
+rather than by looking at text, so deleting comments, docstrings or
+blank lines cannot lower it: only removing code does.
+
+The ceiling only ever moves down. A PR that shrinks the stack lowers
+``CEILING`` to the new count in the same change; a PR that must grow it
+says why in its description and raises the number deliberately.
+
+Run:  python tools/check_loc.py            (exit 1 above the ceiling)
+      python tools/check_loc.py --per-file (the breakdown)
+``tests/test_loc_ceiling.py`` runs the same count in the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: the packages under the ratchet (the request path, end to end)
+PACKAGES = ("src/repro/serve", "src/repro/runtime", "src/repro/cluster")
+
+#: committed ceiling, in code lines by this file's rule
+CEILING = 4954
+
+_LAYOUT = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
+}
+
+
+def code_lines(source: str) -> int:
+    """Number of code lines in one module's source text."""
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(
+            node,
+            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+        ):
+            continue
+        first = node.body[0] if node.body else None
+        if (
+            isinstance(first, ast.Expr)
+            and isinstance(first.value, ast.Constant)
+            and isinstance(first.value.value, str)
+        ):
+            lines.difference_update(range(first.lineno, first.end_lineno + 1))
+    return len(lines)
+
+
+def count(root: Path = REPO_ROOT) -> dict[str, int]:
+    """``{repo-relative path: code lines}`` over :data:`PACKAGES`."""
+    return {
+        str(path.relative_to(root)): code_lines(path.read_text())
+        for package in PACKAGES
+        for path in sorted((root / package).rglob("*.py"))
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--per-file", action="store_true",
+                        help="print the per-file breakdown")
+    args = parser.parse_args(argv)
+    per_file = count()
+    total = sum(per_file.values())
+    if args.per_file:
+        for path, n in per_file.items():
+            print(f"{n:6d}  {path}")
+    print(f"code lines in {', '.join(PACKAGES)}: {total} (ceiling {CEILING})")
+    if total > CEILING:
+        print(
+            f"FAIL: {total - CEILING} code lines above the ceiling; remove "
+            f"code or raise CEILING deliberately (say why in the PR)",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
