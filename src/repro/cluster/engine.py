@@ -29,10 +29,11 @@ typed request to a backend shard:
 * **Capabilities** are negotiated as the intersection of the backends'
   (:meth:`~repro.runtime.api.EngineCapabilities.intersection`): the
   cluster only claims what every shard it may route to can serve.
-* **Stats** merge: :meth:`stats` folds per-shard
-  :class:`~repro.serve.metrics.ServeStats` into one snapshot
-  (:func:`repro.serve.metrics.merge_stats`); :meth:`stats_markdown`
-  renders it plus the per-shard routing/health table.
+* **Stats** merge: :meth:`stats` is the
+  :class:`~repro.serve.metrics.ServeStats` view of the shards' merged
+  metrics registries (:meth:`metrics_registry` — the one shard
+  fan-out); :meth:`stats_markdown` renders it plus the per-shard
+  routing/health table.
 * **Observability**: every routing decision and every per-shard stream
   attempt records a span (components ``router``; names ``route`` /
   ``attempt``) in the cluster's trace ring under the request's
@@ -85,7 +86,6 @@ from repro.runtime.api import (
 )
 from repro.cluster.health import HealthMonitor, ShardState
 from repro.cluster.placement import HashRing, placement_key
-from repro.serve.metrics import ServeStats, merge_stats, stats_markdown
 from repro.serve.transport import RemoteServeError, TransportError
 
 
@@ -1045,29 +1045,10 @@ class ClusterEngine(Engine):
             spills=spills,
         )
 
-    def stats(self) -> ServeStats:
-        """Per-shard serve metrics merged into one snapshot.
-
-        DOWN shards are skipped (they cannot answer); a shard that dies
-        during the query is marked DOWN and skipped likewise, so the
-        merged snapshot always reflects the reachable cluster.
-        """
-        snapshots = []
-        for shard in self._shards.values():
-            if shard.state is ShardState.DOWN:
-                continue
-            try:
-                snapshots.append(shard.engine.stats())
-            except TransportError:
-                shard.mark_down()
-        return merge_stats(snapshots)
-
     def stats_markdown(self) -> str:
         """The merged serve-stats table plus the per-shard table."""
         return (
-            stats_markdown(self.stats())
-            + "\n\n"
-            + self.cluster_stats().markdown()
+            super().stats_markdown() + "\n\n" + self.cluster_stats().markdown()
         )
 
     # -- observability -------------------------------------------------------
@@ -1104,8 +1085,10 @@ class ClusterEngine(Engine):
         before merging, so per-shard series stay distinguishable in the
         combined Prometheus export; the cluster's own
         ``repro_cluster_*`` counters carry no shard label (they are
-        router-side). DOWN and newly unreachable shards are skipped,
-        mirroring :meth:`stats`.
+        router-side). DOWN shards are skipped (they cannot answer); a
+        shard that dies during the query is marked DOWN and skipped
+        likewise, so the merge always reflects the reachable cluster —
+        and so does :meth:`stats`, the label-blind view of it.
         """
         merged = MetricsRegistry.from_snapshot(self._metrics.snapshot())
         for sid, shard in self._shards.items():

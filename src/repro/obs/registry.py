@@ -1,18 +1,16 @@
 """Unified metrics registry: counters, gauges, histograms, labels.
 
-The registry the serving stack's ad-hoc :class:`~repro.serve.metrics.
-ServeStats` fields are rebased onto (the dataclass remains the
-*storage* — locked, mergeable, wire-serializable; the registry is the
-*exposition*, built from a stats snapshot by
-:func:`repro.serve.metrics.stats_to_registry` and merged across
-cluster shards). Three metric kinds:
+The serving stack's one metrics *storage*: every recorder (admission,
+scheduler, caches, the service's batch accounting) updates series in
+its service's registry directly, and :class:`~repro.serve.metrics.
+ServeStats` is a read-only view computed from one
+(:meth:`~repro.serve.metrics.ServeStats.from_registry`). Merging shard
+registries therefore *is* merging stats. Three metric kinds:
 
 * :class:`Counter` — monotone totals; merge by summing.
 * :class:`Gauge` — point-in-time levels; each gauge declares its merge
   policy (``sum`` for extensive quantities like queue depth and
-  resident bytes, ``max`` for high-water marks), mirroring exactly what
-  :func:`repro.serve.metrics.merge_stats` does field-by-field so the
-  Prometheus view and the merged-stats view never disagree.
+  resident bytes, ``max`` for high-water marks).
 * :class:`Histogram` — bucketed distributions (queue-wait); merge by
   summing per-bucket counts.
 
@@ -24,11 +22,19 @@ the standard text exposition format (served by the ``metrics`` wire op
 and the ``--metrics-port`` HTTP endpoint); :meth:`snapshot` /
 :meth:`from_snapshot` round-trip through JSON for the wire.
 
-Stdlib-only; thread-safe via one registry-wide lock.
+Stdlib-only; thread-safe via one registry-wide re-entrant lock:
+:meth:`MetricsRegistry.atomic` holds it across several updates so no
+reader sees half of them, and :meth:`snapshot`, :meth:`relabel`,
+:meth:`merge` and :meth:`prometheus_text` read every series under one
+hold of it. The registry never calls out while holding
+it, so an owner may update series under its own lock (owner lock →
+registry lock, never the reverse).
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import threading
 from typing import Iterable, Sequence
 
@@ -46,6 +52,10 @@ def _escape(value: str) -> str:
 
 
 def _format_value(value: float) -> str:
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    if math.isnan(value):
+        return "NaN"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
@@ -123,6 +133,12 @@ class Gauge(_Metric):
         with self._lock:
             self._samples[_label_key(labels)] = float(value)
 
+    def set_max(self, value: float, **labels) -> None:
+        """Raise the level to ``value`` if it is higher (high-water marks)."""
+        key = _label_key(labels)
+        with self._lock:
+            self._samples[key] = max(self._samples.get(key, 0.0), float(value))
+
     def value(self, **labels) -> float:
         with self._lock:
             return self._samples.get(_label_key(labels), 0.0)
@@ -133,8 +149,7 @@ class Histogram(_Metric):
 
     ``bounds`` are finite upper bucket edges; an implicit ``+Inf``
     bucket catches the overflow, so ``counts`` has ``len(bounds) + 1``
-    entries. Merging sums counts and sums, exactly like
-    :meth:`repro.serve.admission.WaitHistogram.merge`.
+    entries. Merging sums counts and sums.
     """
 
     kind = "histogram"
@@ -152,22 +167,19 @@ class Histogram(_Metric):
             raise ValueError("histogram bounds must be ascending")
 
     def observe(self, value: float, **labels) -> None:
+        """Count ``value`` into the first bucket whose bound is ``>=`` it."""
         key = _label_key(labels)
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
+        idx = bisect.bisect_left(self.bounds, value)
         with self._lock:
+            # readers only ever see copies (_copy_value), so in place
             counts, total = self._samples.get(
                 key, ([0] * (len(self.bounds) + 1), 0.0)
             )
-            counts = list(counts)
             counts[idx] += 1
             self._samples[key] = (counts, total + float(value))
 
     def load(self, counts: Sequence[int], sum_s: float, **labels) -> None:
-        """Accumulate pre-bucketed counts (bridging an existing histogram)."""
+        """Accumulate pre-bucketed counts (merging, or loading a snapshot)."""
         if len(counts) != len(self.bounds) + 1:
             raise ValueError(
                 f"expected {len(self.bounds) + 1} counts "
@@ -190,15 +202,23 @@ class Histogram(_Metric):
 class MetricsRegistry:
     """Named metrics with get-or-create accessors and mergeable state.
 
-    One lock guards the whole registry: exposition is read-rarely,
-    hot-path increments happen on already-snapshotted stats (the bridge
-    builds a fresh registry per exposition), so contention is not a
-    concern and the simple locking keeps merge/snapshot atomic.
+    One re-entrant lock guards the whole registry: an update costs one
+    uncontended acquire (~1 µs), and a reader holding it sees every
+    series at the same instant.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._metrics: dict = {}
+
+    def atomic(self):
+        """Context manager: the updates made inside land as one step.
+
+        No snapshot, copy or exposition observes some of them without
+        the rest (one batch's counters; a shed count with its
+        at-close share).
+        """
+        return self._lock
 
     # -- get-or-create ---------------------------------------------------------
 
@@ -247,6 +267,11 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
+    def _frozen(self) -> list:
+        """``(metric, samples copy)`` per metric, all of one instant."""
+        with self._lock:
+            return [(metric, metric.samples()) for metric in self.metrics()]
+
     # -- merge / relabel -------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
@@ -255,8 +280,7 @@ class MetricsRegistry:
         Counters and histograms sum; gauges follow their declared
         policy (``sum`` or ``max``). Returns ``self`` for chaining.
         """
-        for metric in other.metrics():
-            samples = metric.samples()
+        for metric, samples in other._frozen():
             if isinstance(metric, Counter):
                 mine = self.counter(metric.name, metric.help)
                 with self._lock:
@@ -287,12 +311,12 @@ class MetricsRegistry:
 
         Used by the cluster engine to tag each shard's registry with
         ``shard=host:port`` before merging, so per-shard series stay
-        distinguishable in the combined exposition.
+        distinguishable in the combined exposition. With no labels it
+        is a point-in-time copy the caller may merge into freely.
         """
         out = MetricsRegistry()
         stamp = _label_key(labels)
-        for metric in self.metrics():
-            samples = metric.samples()
+        for metric, samples in self._frozen():
             if isinstance(metric, Counter):
                 mine = out.counter(metric.name, metric.help)
             elif isinstance(metric, Gauge):
@@ -309,9 +333,10 @@ class MetricsRegistry:
     # -- snapshots (wire) ------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """JSON-able document; :meth:`from_snapshot` round-trips it."""
+        """JSON-able document of one instant; :meth:`from_snapshot`
+        round-trips it."""
         doc: dict = {}
-        for metric in self.metrics():
+        for metric, samples in self._frozen():
             entry: dict = {"kind": metric.kind, "help": metric.help}
             if isinstance(metric, Gauge):
                 entry["merge"] = metric.merge
@@ -319,12 +344,12 @@ class MetricsRegistry:
                 entry["bounds"] = list(metric.bounds)
                 entry["samples"] = [
                     {"labels": dict(key), "counts": counts, "sum": sum_s}
-                    for key, (counts, sum_s) in sorted(metric.samples().items())
+                    for key, (counts, sum_s) in sorted(samples.items())
                 ]
             else:
                 entry["samples"] = [
                     {"labels": dict(key), "value": value}
-                    for key, value in sorted(metric.samples().items())
+                    for key, value in sorted(samples.items())
                 ]
             doc[metric.name] = entry
         return doc
@@ -363,11 +388,11 @@ class MetricsRegistry:
     def prometheus_text(self) -> str:
         """Standard Prometheus text exposition format (version 0.0.4)."""
         lines: list = []
-        for metric in self.metrics():
+        for metric, samples in self._frozen():
             if metric.help:
-                lines.append(f"# HELP {metric.name} {metric.help}")
+                help_text = metric.help.replace("\\", "\\\\").replace("\n", "\\n")
+                lines.append(f"# HELP {metric.name} {help_text}")
             lines.append(f"# TYPE {metric.name} {metric.kind}")
-            samples = metric.samples()
             if isinstance(metric, Histogram):
                 for key in sorted(samples):
                     counts, sum_s = samples[key]

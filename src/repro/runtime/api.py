@@ -764,12 +764,26 @@ class Engine(ABC):
     # -- introspection -------------------------------------------------------
 
     @abstractmethod
-    def stats(self) -> "ServeStats":
-        """Aggregate engine statistics snapshot."""
+    def metrics_registry(self) -> MetricsRegistry:
+        """The engine's metrics as a :class:`~repro.obs.registry.
+        MetricsRegistry` the caller may relabel and merge — the one
+        introspection source; stats, table and text are views of it."""
 
-    @abstractmethod
+    def stats(self) -> ServeStats:
+        """Aggregate engine statistics (a view of :meth:`metrics_registry`)."""
+        from repro.serve.metrics import ServeStats
+
+        return ServeStats.from_registry(self.metrics_registry())
+
     def stats_markdown(self) -> str:
         """The stats snapshot rendered as a markdown table."""
+        from repro.serve.metrics import stats_markdown
+
+        return stats_markdown(self.stats())
+
+    def metrics_text(self) -> str:
+        """Prometheus text exposition of :meth:`metrics_registry`."""
+        return self.metrics_registry().prometheus_text()
 
     # -- observability -------------------------------------------------------
 
@@ -783,17 +797,3 @@ class Engine(ABC):
         """
         return []
 
-    def metrics_registry(self) -> "MetricsRegistry":
-        """The engine's stats as a :class:`~repro.obs.registry.MetricsRegistry`.
-
-        The base implementation bridges :meth:`stats` through
-        :func:`repro.serve.metrics.stats_to_registry`; engines with
-        richer sources (remote exposition, per-shard merges) override.
-        """
-        from repro.serve.metrics import stats_to_registry
-
-        return stats_to_registry(self.stats())
-
-    def metrics_text(self) -> str:
-        """Prometheus text exposition of :meth:`metrics_registry`."""
-        return self.metrics_registry().prometheus_text()

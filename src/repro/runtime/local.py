@@ -26,6 +26,7 @@ from typing import Sequence
 from repro.gnn.architecture import MeshGNN
 from repro.gnn.config import GNNConfig
 from repro.graph.distributed import LocalGraph
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Span
 from repro.runtime.api import (
     Engine,
@@ -40,7 +41,7 @@ from repro.runtime.pooled import (
     _HandleEnsembleFuture,
     _HandleRolloutFuture,
 )
-from repro.serve import InferenceService, ServeConfig, ServeStats
+from repro.serve import InferenceService, ServeConfig
 
 _CAPABILITIES = EngineCapabilities(
     transport="local",
@@ -138,12 +139,8 @@ class LocalEngine(Engine):
 
     # -- stats / observability ------------------------------------------------
 
-    def stats(self) -> ServeStats:
-        """Snapshot in the shape every serving engine reports."""
-        return self._service.stats()
-
-    def stats_markdown(self) -> str:
-        return self._service.stats_markdown()
+    def metrics_registry(self) -> MetricsRegistry:
+        return self._service.metrics_registry()
 
     def get_trace(self, trace_id: str) -> list[Span]:
         return self._service.get_trace(trace_id)

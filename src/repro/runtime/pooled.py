@@ -27,6 +27,7 @@ from repro.ensemble.api import EnsembleFuture, SummaryFrame
 from repro.gnn.architecture import MeshGNN
 from repro.gnn.config import GNNConfig
 from repro.graph.distributed import LocalGraph
+from repro.obs.registry import MetricsRegistry
 from repro.runtime.api import (
     Engine,
     EngineCapabilities,
@@ -37,7 +38,6 @@ from repro.runtime.api import (
     TrainRequest,
     TrainResult,
 )
-from repro.serve.metrics import ServeStats
 from repro.serve.service import InferenceService, ServeConfig
 
 _CAPABILITIES = EngineCapabilities(
@@ -228,16 +228,9 @@ class PooledEngine(Engine):
 
     # -- stats / observability ------------------------------------------------
 
-    def stats(self) -> ServeStats:
-        return self._service.stats()
-
-    def stats_markdown(self) -> str:
-        return self._service.stats_markdown()
-
     def get_trace(self, trace_id: str) -> list:
         """Spans from the service's trace ring (admission/queue/tile/execute)."""
         return self._service.get_trace(trace_id)
 
-    def metrics_registry(self):
-        """The service's unified registry (includes per-model labels)."""
+    def metrics_registry(self) -> MetricsRegistry:
         return self._service.metrics_registry()

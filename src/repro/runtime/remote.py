@@ -26,9 +26,9 @@ Observability: the request's client-minted ``trace_id`` crosses the
 wire in the rollout header, so the server's spans for it correlate
 with the ``network`` span this engine records around each stream.
 :meth:`get_trace` stitches both sides together (local client spans
-plus the peer's ``get_trace`` op), and :meth:`metrics_registry`
-fetches the server's mergeable metrics snapshot; both degrade
-gracefully against peers that predate the ops.
+plus the peer's ``get_trace`` op, degrading to the local spans
+against a peer that predates it), and :meth:`metrics_registry` fetches
+the server's mergeable metrics snapshot — the source of ``stats()``.
 
 **Trust model** unchanged from the transport: unauthenticated and
 unencrypted — localhost and trusted networks only (see
@@ -64,7 +64,6 @@ from repro.runtime.api import (
     TrainRequest,
 )
 from repro.serve import protocol
-from repro.serve.metrics import ServeStats
 from repro.serve.protocol import ProtocolError, read_message, write_message
 from repro.serve.transport import TransportError, parse_endpoint
 
@@ -607,14 +606,6 @@ class RemoteEngine(Engine):
 
     # -- stats / observability ------------------------------------------------
 
-    def stats(self) -> ServeStats:
-        """The server's aggregate stats snapshot (reconstructed)."""
-        return ServeStats.from_dict(self._call({"op": "stats"})[0]["stats"])
-
-    def stats_markdown(self) -> str:
-        """The server-rendered markdown stats table."""
-        return self._call({"op": "stats"})[0]["markdown"]
-
     def get_trace(self, trace_id: str) -> list[Span]:
         """Client ``network`` spans merged with the server's spans.
 
@@ -633,20 +624,6 @@ class RemoteEngine(Engine):
         return spans
 
     def metrics_registry(self) -> MetricsRegistry:
-        """The server's unified metrics registry (mergeable snapshot).
-
-        Falls back to bridging :meth:`stats` locally when the peer
-        predates the ``metrics`` op.
-        """
-        try:
-            reply, _ = self._call({"op": "metrics"})
-            return MetricsRegistry.from_snapshot(reply["snapshot"])
-        except (TransportError, ValueError, KeyError):
-            return super().metrics_registry()
-
-    def metrics_text(self) -> str:
-        """Prometheus text, preferring the server's own rendering."""
-        try:
-            return str(self._call({"op": "metrics"})[0]["text"])
-        except (TransportError, ValueError, KeyError):
-            return super().metrics_text()
+        """The server's metrics registry, rebuilt from its snapshot."""
+        reply, _ = self._call({"op": "metrics"})
+        return MetricsRegistry.from_snapshot(reply["snapshot"])

@@ -20,8 +20,9 @@ trained model into a *service*:
   makes one batched forward bitwise-equal to per-request forwards;
 * :mod:`repro.serve.executor` — batch execution over the single and
   threaded comm backends, streaming frames per step;
-* :mod:`repro.serve.metrics` — per-request latency/queue/traffic
-  metrics, admission counters, and the stats table;
+* :mod:`repro.serve.metrics` — the one table of exported series,
+  :class:`ServeStats` as a view over a metrics registry, the
+  per-request record, and the stats table;
 * :mod:`repro.serve.service` — the in-process serving engine
   (fronted by :class:`repro.runtime.pooled.PooledEngine`);
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.transport` — the
@@ -45,30 +46,27 @@ to end.
 from repro.serve.admission import (
     AdmissionConfig,
     AdmissionController,
-    AdmissionStats,
     DeadlineExpired,
     QueueFull,
     RequestRejected,
-    WaitHistogram,
 )
 from repro.runtime.api import BatchKey
 from repro.serve.batching import InferenceRequest, RolloutHandle
-from repro.serve.cache import CacheStats, GraphAsset, GraphCache
+from repro.serve.cache import GraphAsset, GraphCache
 from repro.serve.executor import BatchExecution, execute_batch, execute_train_job
 from repro.serve.metrics import (
+    AdmissionStats,
+    CacheStats,
+    RegistryStats,
     RequestMetrics,
+    SchedulerStats,
     ServeStats,
-    merge_stats,
+    WaitHistogram,
     stats_markdown,
 )
 from repro.serve.protocol import ProtocolError
-from repro.serve.registry import (
-    IncompatibleModel,
-    ModelNotFound,
-    ModelRegistry,
-    RegistryStats,
-)
-from repro.serve.scheduler import ScheduledQueue, SchedulerStats, lane_label
+from repro.serve.registry import IncompatibleModel, ModelNotFound, ModelRegistry
+from repro.serve.scheduler import ScheduledQueue, lane_label
 from repro.serve.service import InferenceService, ServeConfig
 from repro.serve.tiling import split_states, stack_states, tile_local_graph
 from repro.serve.transport import (
@@ -110,7 +108,6 @@ __all__ = [
     "execute_batch",
     "execute_train_job",
     "lane_label",
-    "merge_stats",
     "parse_endpoint",
     "split_states",
     "stack_states",

@@ -24,6 +24,8 @@ from typing import Callable, Sequence
 
 from repro.graph.distributed import LocalGraph
 from repro.graph.io import load_rank_graphs
+from repro.obs.registry import MetricsRegistry
+from repro.serve.metrics import CacheStats, ServeStats, declare
 
 _log = logging.getLogger("repro.serve.cache")
 
@@ -156,46 +158,6 @@ class GraphAsset:
         return total
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction accounting (snapshot).
-
-    Plain data taken under the cache lock; safe to share once returned.
-    ``plan_build_s`` totals the aggregation-plan compile seconds spent
-    by admissions over the cache lifetime; ``evicted_reload_s`` totals
-    the reload cost (loader + plan build wall seconds) of every asset
-    evicted so far — the price a churning cache has put back on future
-    requests, surfaced in the stats table to explain churn.
-    """
-
-    entries: int = 0
-    resident_bytes: int = 0
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    plan_build_s: float = 0.0
-    evicted_reload_s: float = 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 when the cache was never consulted)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Combine two snapshots (cluster-wide aggregation): counters
-        and byte totals sum; ``hit_rate`` re-derives from the sums."""
-        return CacheStats(
-            entries=self.entries + other.entries,
-            resident_bytes=self.resident_bytes + other.resident_bytes,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            plan_build_s=self.plan_build_s + other.plan_build_s,
-            evicted_reload_s=self.evicted_reload_s + other.evicted_reload_s,
-        )
-
-
 class GraphCache:
     """Size-bounded LRU of :class:`GraphAsset` keyed by string.
 
@@ -207,13 +169,21 @@ class GraphCache:
 
     Thread safety: all methods may be called from any thread; one lock
     guards the LRU table, and :meth:`get_or_load` serializes loader
-    runs so concurrent misses on one key load once. Determinism: the
+    runs so concurrent misses on one key load once. The hit / miss /
+    eviction accounting is series in ``metrics`` (the service's
+    registry; a cache built on its own gets a private one), updated
+    under that lock. Determinism: the
     cache only stores and returns what loaders produce — eviction and
     reload change *when* work happens, never the served bits (directory
     loaders re-read the same ``.npz`` payloads exactly).
     """
 
-    def __init__(self, max_entries: int = 8, max_bytes: int | None = None):
+    def __init__(
+        self,
+        max_entries: int = 8,
+        max_bytes: int | None = None,
+        metrics: MetricsRegistry | None = None,
+    ):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self._max_entries = max_entries
@@ -221,11 +191,7 @@ class GraphCache:
         self._assets: OrderedDict[str, GraphAsset] = OrderedDict()
         self._lock = threading.Lock()
         self._load_lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._plan_build_s = 0.0
-        self._evicted_reload_s = 0.0
+        self._metrics, self._m = declare(metrics)
 
     # -- core ----------------------------------------------------------------
 
@@ -234,10 +200,10 @@ class GraphCache:
         with self._lock:
             asset = self._assets.get(key)
             if asset is None:
-                self._misses += 1
+                self._m["cache.misses"].inc()
                 return None
             self._assets.move_to_end(key)
-            self._hits += 1
+            self._m["cache.hits"].inc()
             return asset
 
     def put(
@@ -265,7 +231,7 @@ class GraphCache:
         with self._lock:
             self._assets[key] = asset
             self._assets.move_to_end(key)
-            self._plan_build_s += build_s
+            self._m["cache.plan_build_s"].inc(build_s)
             self._enforce_bounds(keep=key)
         return asset
 
@@ -287,7 +253,7 @@ class GraphCache:
                 raced = self._assets.get(key)
                 if raced is not None:
                     self._assets.move_to_end(key)
-                    self._hits += 1
+                    self._m["cache.hits"].inc()
                     return raced
             started = time.perf_counter()
             graphs = loader()
@@ -335,8 +301,9 @@ class GraphCache:
         # eviction, accumulates the asset's reload cost, and logs it so
         # cache churn is explainable from the logs and the stats table
         asset = self._assets.pop(key)
-        self._evictions += 1
-        self._evicted_reload_s += asset.reload_cost_s
+        with self._metrics.atomic():
+            self._m["cache.evictions"].inc()
+            self._m["cache.evicted_reload_s"].inc(asset.reload_cost_s)
         _log.info(
             "evicted graph asset %r: %d resident bytes freed, reload cost "
             "%.2f ms (load %.2f ms + plan build %.2f ms)",
@@ -383,15 +350,20 @@ class GraphCache:
         with self._lock:
             return list(self._assets)
 
-    def stats(self) -> CacheStats:
-        """Snapshot the counters (consistent under the lock)."""
-        with self._lock:
-            return CacheStats(
-                entries=len(self._assets),
-                resident_bytes=sum(a.nbytes for a in self._assets.values()),
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                plan_build_s=self._plan_build_s,
-                evicted_reload_s=self._evicted_reload_s,
+    def _publish_levels(self) -> None:
+        """Write the point-in-time gauges (entries, resident bytes).
+
+        Levels are written by their owner when the registry is
+        collected, under the owner's lock — resident bytes in
+        particular grow outside the cache's sight, as assets tile.
+        """
+        with self._lock, self._metrics.atomic():
+            self._m["cache.entries"].set(len(self._assets))
+            self._m["cache.resident_bytes"].set(
+                sum(a.nbytes for a in self._assets.values())
             )
+
+    def stats(self) -> CacheStats:
+        """The cache view of the registry recorded into."""
+        self._publish_levels()
+        return ServeStats.from_registry(self._metrics).cache

@@ -1,44 +1,47 @@
-"""Per-request and aggregate serving metrics.
+"""The serving stack's one metrics model: a table of series and a view.
 
-Every completed request carries a :class:`RequestMetrics`; the service
-aggregates them into :class:`ServeStats` together with cache, registry
-and queue counters. Rendering reuses the markdown-table idiom of
-:mod:`repro.perf.report` so serving reports read like the paper's
-performance tables.
+Every number the stack reports lives in a
+:class:`~repro.obs.registry.MetricsRegistry` owned by its
+:class:`~repro.serve.service.InferenceService`. The recorders — the
+admission controller, the scheduler queue, the graph cache, the model
+registry and the service's own batch / train / ensemble accounting —
+increment series in it directly. :data:`SERIES` is the single place a
+series is named: one row per series giving the :class:`ServeStats`
+field it fills, its exported name, its kind (and with it the sum / max
+rule by which it merges across shards) and its help text.
+:func:`declare` creates a registry's series from the table and hands a
+recorder its handles; :meth:`ServeStats.from_registry` reads any
+registry back through the same table.
 
-Snapshots are **mergeable**: :func:`merge_stats` combines any number of
-:class:`ServeStats` into one (counters sum, means re-weight by request
-count, histograms merge bucket-wise), which is how the cluster layer
-(:mod:`repro.cluster`) renders per-shard metrics as one table.
+:class:`ServeStats` and the nested :class:`CacheStats` /
+:class:`RegistryStats` / :class:`AdmissionStats` /
+:class:`SchedulerStats` are therefore plain read-only *views*: a
+single service's stats are the view of its registry, and cluster-wide
+stats are the view of the shards' merged registries
+(:meth:`MetricsRegistry.merge` applies each series' declared rule;
+:meth:`MetricsRegistry.snapshot` is the one wire form). Means are
+stored as what they are — a sum over a count — and divided at view
+time, so they re-weight correctly under any merge.
 
-:func:`stats_to_registry` rebases a snapshot onto the unified
-:class:`repro.obs.registry.MetricsRegistry` — every ``ServeStats``
-field becomes a named counter/gauge/histogram chosen so that *merging
-registries commutes with merging stats*: counters carry the raw sums
-(mean latency is exported as ``repro_latency_seconds_total``, i.e.
-``mean * requests``, exactly the quantity ``merge_stats`` re-weights
-by), gauges declare the same sum-vs-max policy ``merge_stats`` applies
-field-by-field, and the queue-wait histogram maps bucket-for-bucket.
-The Prometheus view and the merged-stats view therefore never disagree
-(asserted by ``tests/obs/test_registry_bridge.py``).
+:class:`RequestMetrics` is the per-request record attached to a
+finished handle and carried by the wire ``done`` frame; the service
+keeps running sums, never the records themselves. Rendering reuses
+the markdown-table idiom of :mod:`repro.perf.report` so serving
+reports read like the paper's performance tables.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import threading
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, field
 
+from repro.obs.registry import MetricsRegistry
 from repro.perf.report import markdown_table
-from repro.serve.admission import WAIT_BUCKETS_S, AdmissionStats
-from repro.serve.cache import CacheStats
-from repro.serve.registry import RegistryStats
-from repro.serve.scheduler import SchedulerStats
 
-if TYPE_CHECKING:
-    from repro.obs.registry import MetricsRegistry
+#: Upper bucket bounds (seconds) of the queue-wait histograms; the
+#: implicit final bucket is +inf. Log-spaced 1 ms .. 30 s.
+WAIT_BUCKETS_S = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,8 @@ class RequestMetrics:
 
     ``batch_comm_*`` describe the whole batch this request rode in
     (the tiled pass is shared, so per-request attribution would be
-    arbitrary); aggregate traffic totals are summed per *batch* in
-    :class:`MetricsAggregator`, not per request.
+    arbitrary); aggregate traffic totals are summed per *batch* by the
+    service, not per request.
     """
 
     request_id: int
@@ -64,9 +67,136 @@ class RequestMetrics:
     batch_comm_messages: int
 
 
+# -- the view types ------------------------------------------------------------
+
+
+@dataclass
+class WaitHistogram:
+    """Bucketed histogram of queue-wait seconds (view of one series).
+
+    Counts are *per bucket*, not cumulative: ``counts[i]`` is the
+    number of observations in ``(bounds_s[i-1], bounds_s[i]]``, with
+    ``counts[-1]`` the overflow bucket above ``bounds_s[-1]``.
+    """
+
+    bounds_s: tuple = WAIT_BUCKETS_S
+    counts: list = field(default_factory=lambda: [0] * (len(WAIT_BUCKETS_S) + 1))
+    total: int = 0
+    sum_s: float = 0.0
+
+    def quantile(self, q: float) -> float:
+        """Upper-bound estimate of the ``q``-quantile (0 < q <= 1).
+
+        Returns the upper bound of the first bucket whose cumulative
+        count reaches ``q * total`` (``inf`` when it falls in the
+        overflow bucket, ``0.0`` when the histogram is empty).
+        """
+        if not 0.0 < q <= 1.0:
+            raise ValueError(f"quantile must be in (0, 1], got {q}")
+        if self.total == 0:
+            return 0.0
+        target = q * self.total
+        seen = 0
+        for bound, count in zip(self.bounds_s, self.counts):
+            seen += count
+            if seen >= target:
+                return bound
+        return math.inf
+
+
+@dataclass
+class AdmissionStats:
+    """Admission counters + queue-wait histogram (view).
+
+    ``accepted`` counts submissions that entered the queue, ``shed``
+    counts :class:`~repro.serve.admission.QueueFull` rejections,
+    ``expired`` counts requests dropped because their deadline had
+    passed — whether while still pending or during a batch's collection
+    window; the latter are also counted in ``expired_at_close`` (a
+    subset of ``expired``). The histogram observes the queue wait of
+    every request *leaving* the queue — both those handed to a batch
+    and those shed as expired (whose wait is by definition at least
+    their deadline), so under deadline pressure the upper buckets
+    reflect shed traffic, not served latency.
+    """
+
+    accepted: int = 0
+    shed: int = 0
+    expired: int = 0
+    expired_at_close: int = 0
+    queue_wait: WaitHistogram = field(default_factory=WaitHistogram)
+
+
+@dataclass
+class CacheStats:
+    """Graph-cache hit/miss/eviction accounting (view).
+
+    ``plan_build_s`` totals the aggregation-plan compile seconds spent
+    by admissions over the cache lifetime; ``evicted_reload_s`` totals
+    the reload cost (loader + plan build wall seconds) of every asset
+    evicted so far — the price a churning cache has put back on future
+    requests, surfaced in the stats table to explain churn.
+    """
+
+    entries: int = 0
+    resident_bytes: int = 0
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    plan_build_s: float = 0.0
+    evicted_reload_s: float = 0.0
+
+    @property
+    def hit_rate(self) -> float:
+        """Hits over lookups (0.0 when the cache was never consulted)."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+
+@dataclass
+class RegistryStats:
+    """Model-registry accounting (view).
+
+    ``loads`` is the total of ``per_model_loads`` (model name → times
+    its weights became resident). Across shards everything sums: each
+    shard owns a distinct server-side registry, so a model registered
+    on every shard counts once per shard.
+    """
+
+    registered: int = 0
+    resident: int = 0
+    loads: int = 0
+    evictions: int = 0
+    per_model_loads: dict = field(default_factory=dict)
+
+
+@dataclass
+class SchedulerStats:
+    """Scheduler counters + per-lane gauges/histograms (view).
+
+    ``lane_depth`` (lane label → pending now) and ``lane_wait`` (lane
+    label → queue-wait histogram of requests dispatched through that
+    lane) are keyed by the series' ``lane`` label.
+    ``warm_key_batches`` counts executed batches whose worker had
+    served the same key before — the affinity payoff measured at the
+    arenas by the service, not at dispatch by the queue.
+    """
+
+    dispatches: int = 0
+    affinity_hits: int = 0
+    affinity_steals: int = 0
+    edf_preemptions: int = 0
+    starvation_overrides: int = 0
+    warm_key_batches: int = 0
+    lanes: int = 0
+    lane_depth_high_water: int = 0
+    lane_depth: dict = field(default_factory=dict)
+    lane_wait: dict = field(default_factory=dict)
+
+
 @dataclass
 class ServeStats:
-    """Aggregate snapshot returned by ``InferenceService.stats()``."""
+    """Aggregate stats of one engine: a view of its metrics registry."""
 
     requests: int = 0
     batches: int = 0
@@ -103,393 +233,249 @@ class ServeStats:
         """Mean requests served per executed batch (1.0 = no batching)."""
         return self.requests / self.batches if self.batches else 0.0
 
-    def to_dict(self) -> dict:
-        """JSON-able form (the ``stats`` wire message payload)."""
-        return asdict(self)
-
     @classmethod
-    def from_dict(cls, d: dict) -> "ServeStats":
-        """Invert :meth:`to_dict` (reconstructing the nested stats)."""
-        d = dict(d)
-        d["cache"] = CacheStats(**d["cache"])
-        d["registry"] = RegistryStats(**d["registry"])
-        d["admission"] = AdmissionStats.from_dict(d["admission"])
-        # absent in snapshots from pre-scheduler peers
-        d["scheduler"] = SchedulerStats.from_dict(d.get("scheduler", {}))
-        return cls(**d)
+    def from_registry(cls, registry: MetricsRegistry) -> ServeStats:
+        """The stats a registry holds, read through :data:`SERIES`.
+
+        Label-blind: a counter or ``sum`` gauge totals over its
+        labelsets, a ``max`` gauge takes their max, a histogram adds
+        them bucket-wise — so the view of shard registries merged
+        under ``shard=…`` labels is the cluster-wide snapshot. Series
+        the registry lacks read as zero.
+        """
+        with registry.atomic():
+            v = {row.field: row.read(registry) for row in SERIES}
+        n = v["requests"]
+        for mean in ("mean_batch_size", "mean_queue_wait_s", "mean_latency_s"):
+            total = v.pop(mean + "*requests")
+            v[mean] = total / n if n else 0.0
+        v["registry.loads"] = sum(v["registry.per_model_loads"].values())
+        nested = {
+            name: view(**_view_kwargs(view, v, name + "."))
+            for name, view in _NESTED_VIEWS.items()
+        }
+        return ServeStats(**_view_kwargs(cls, v, ""), **nested)
 
 
-def merge_stats(snapshots: "Sequence[ServeStats]") -> ServeStats:
-    """Merge per-engine snapshots into one cluster-wide :class:`ServeStats`.
+_NESTED_VIEWS = {
+    "cache": CacheStats,
+    "registry": RegistryStats,
+    "admission": AdmissionStats,
+    "scheduler": SchedulerStats,
+}
 
-    Pure function over plain data. Counters, byte totals, and wall-time
-    totals sum; per-request means re-weight by each snapshot's request
-    count; maxima take the max. ``queue_depth`` sums (total pending work
-    across shards) while ``queue_depth_high_water`` takes the max — the
-    per-shard peaks never coincided, so summing them would overstate the
-    cluster's worst moment. An empty sequence merges to a zero snapshot.
+
+def _view_kwargs(view: type, values: dict, prefix: str) -> dict:
+    """``view``'s constructor arguments out of path-keyed ``values``."""
+    return {
+        f.name: int(values[prefix + f.name]) if f.type == "int"
+        else values[prefix + f.name]
+        for f in dataclasses.fields(view)
+        if prefix + f.name in values
+    }
+
+
+# -- the declaration table -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Series:
+    """One exported series and the :class:`ServeStats` field it fills.
+
+    ``field`` is the dotted path of the view field (``mean_x*requests``
+    for the sum a mean is derived from). ``kind`` is ``counter``,
+    ``histogram``, or a gauge's cross-shard merge policy: ``sum`` for
+    levels and resident sizes, ``max`` for high-water marks whose
+    per-shard peaks never coincided. ``key`` names the label whose
+    values key a dict-valued view field; ``labels`` lists the labels a
+    label-blind series always carries. A series with neither is
+    created at zero, so a fresh service exports every one of them.
     """
-    snapshots = list(snapshots)
-    if not snapshots:
-        return ServeStats()
-    total_requests = sum(s.requests for s in snapshots)
 
-    def weighted_mean(attr: str) -> float:
-        if total_requests == 0:
-            return 0.0
-        return (
-            sum(getattr(s, attr) * s.requests for s in snapshots) / total_requests
-        )
+    field: str
+    name: str
+    kind: str
+    help: str
+    key: str | None = None
+    labels: tuple = ()
 
-    cache = snapshots[0].cache
-    registry = snapshots[0].registry
-    admission = snapshots[0].admission
-    scheduler = snapshots[0].scheduler
-    for s in snapshots[1:]:
-        cache = cache.merge(s.cache)
-        registry = registry.merge(s.registry)
-        admission = admission.merge(s.admission)
-        scheduler = scheduler.merge(s.scheduler)
-    return ServeStats(
-        requests=total_requests,
-        batches=sum(s.batches for s in snapshots),
-        steps=sum(s.steps for s in snapshots),
-        mean_batch_size=weighted_mean("mean_batch_size"),
-        max_batch_size=max(s.max_batch_size for s in snapshots),
-        mean_queue_wait_s=weighted_mean("mean_queue_wait_s"),
-        mean_latency_s=weighted_mean("mean_latency_s"),
-        max_latency_s=max(s.max_latency_s for s in snapshots),
-        comm_bytes=sum(s.comm_bytes for s in snapshots),
-        comm_messages=sum(s.comm_messages for s in snapshots),
-        queue_depth=sum(s.queue_depth for s in snapshots),
-        queue_depth_high_water=max(s.queue_depth_high_water for s in snapshots),
-        tile_hits=sum(s.tile_hits for s in snapshots),
-        tile_misses=sum(s.tile_misses for s in snapshots),
-        train_jobs=sum(s.train_jobs for s in snapshots),
-        train_s=sum(s.train_s for s in snapshots),
-        arena_reallocations=sum(s.arena_reallocations for s in snapshots),
-        # summed, unlike queue_depth_high_water: arenas are persistent
-        # pools that only grow (to a bound) and then stay resident, so
-        # every shard sits at its high water simultaneously — the sum
-        # IS the cluster's steady resident arena cost
-        arena_bytes_high_water=sum(
-            s.arena_bytes_high_water for s in snapshots
-        ),
-        fused_batches=sum(s.fused_batches for s in snapshots),
-        f32_batches=sum(s.f32_batches for s in snapshots),
-        ensemble_requests=sum(s.ensemble_requests for s in snapshots),
-        ensemble_members=sum(s.ensemble_members for s in snapshots),
-        ensemble_chunks=sum(s.ensemble_chunks for s in snapshots),
-        ensemble_blow_ups=sum(s.ensemble_blow_ups for s in snapshots),
-        ensemble_early_stops=sum(s.ensemble_early_stops for s in snapshots),
-        cache=cache,
-        registry=registry,
-        admission=admission,
-        scheduler=scheduler,
-    )
+    def create(self, registry: MetricsRegistry):
+        """Get or create this series in ``registry`` → its handle."""
+        if self.kind == "counter":
+            metric = registry.counter(self.name, self.help)
+            zero = (0.0,)
+            touch = metric.inc
+        elif self.kind == "histogram":
+            metric = registry.histogram(self.name, self.help, WAIT_BUCKETS_S)
+            zero = ([0] * (len(WAIT_BUCKETS_S) + 1), 0.0)
+            touch = metric.load
+        else:
+            metric = registry.gauge(self.name, self.help, merge=self.kind)
+            zero = (0.0,)
+            touch = metric.set_max
+        if self.key is None and not self.labels:
+            touch(*zero)  # adds nothing to a series that already has samples
+        return metric
 
+    def read(self, registry: MetricsRegistry):
+        """This series' view value: folded label-blind, or per ``key``."""
+        metric = registry.get(self.name)
+        samples = metric.samples() if metric is not None else {}
+        if self.key is None:
+            return self._fold(metric, list(samples.values()))
+        groups: dict = {}
+        for labels, value in samples.items():
+            groups.setdefault(dict(labels).get(self.key, ""), []).append(value)
+        return {
+            label: self._fold(metric, values)
+            for label, values in sorted(groups.items())
+        }
 
-class MetricsAggregator:
-    """Thread-safe accumulator the worker pool reports into."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._completed: list[RequestMetrics] = []
-        self._batches = 0
-        self._steps = 0
-        self._comm_bytes = 0
-        self._comm_messages = 0
-        self._tile_hits = 0
-        self._tile_misses = 0
-        self._train_jobs = 0
-        self._train_s = 0.0
-        self._arena_reallocations = 0
-        self._arena_bytes_high_water = 0
-        self._fused_batches = 0
-        self._f32_batches = 0
-        self._warm_key_batches = 0
-        self._ensemble_requests = 0
-        self._ensemble_members = 0
-        self._ensemble_chunks = 0
-        self._ensemble_blow_ups = 0
-        self._ensemble_early_stops = 0
-
-    def record_batch(
-        self,
-        per_request: list[RequestMetrics],
-        n_steps: int,
-        comm_bytes: int = 0,
-        comm_messages: int = 0,
-        tile_hits: int = 0,
-        tile_misses: int = 0,
-        arena_reallocations: int = 0,
-        arena_nbytes: int = 0,
-        fused: bool = False,
-        f32: bool = False,
-        warm_key: bool = False,
-    ) -> None:
-        with self._lock:
-            self._completed.extend(per_request)
-            self._batches += 1
-            self._steps += n_steps
-            self._comm_bytes += comm_bytes
-            self._comm_messages += comm_messages
-            self._tile_hits += tile_hits
-            self._tile_misses += tile_misses
-            self._arena_reallocations += arena_reallocations
-            self._arena_bytes_high_water = max(
-                self._arena_bytes_high_water, arena_nbytes
+    def _fold(self, metric, values: list):
+        if self.kind == "histogram":
+            bounds = metric.bounds if metric is not None else WAIT_BUCKETS_S
+            counts = [sum(bucket) for bucket in zip(*(c for c, _ in values))]
+            counts = counts or [0] * (len(bounds) + 1)
+            return WaitHistogram(
+                bounds, counts, sum(counts), sum(s for _, s in values)
             )
-            self._fused_batches += int(fused)
-            self._f32_batches += int(f32)
-            self._warm_key_batches += int(warm_key)
-
-    def record_train(self, train_s: float) -> None:
-        """Account one completed training job (wall seconds)."""
-        with self._lock:
-            self._train_jobs += 1
-            self._train_s += train_s
-
-    def record_ensemble(self, members: int, chunks: int = 1) -> None:
-        """Account one admitted ensemble (its member and chunk counts)."""
-        with self._lock:
-            self._ensemble_requests += 1
-            self._ensemble_members += members
-            self._ensemble_chunks += chunks
-
-    def record_ensemble_outcome(self, blew_up: bool, early_stopped: bool) -> None:
-        """Account one finished ensemble's stability outcome."""
-        with self._lock:
-            self._ensemble_blow_ups += int(blew_up)
-            self._ensemble_early_stops += int(early_stopped)
-
-    def completed(self) -> list[RequestMetrics]:
-        with self._lock:
-            return list(self._completed)
-
-    def snapshot(
-        self,
-        cache: CacheStats,
-        registry: RegistryStats,
-        queue_depth: int,
-        queue_depth_high_water: int,
-        admission: AdmissionStats | None = None,
-        scheduler: SchedulerStats | None = None,
-    ) -> ServeStats:
-        with self._lock:
-            reqs = list(self._completed)
-            batches = self._batches
-            steps = self._steps
-            comm_bytes = self._comm_bytes
-            comm_messages = self._comm_messages
-            tile_hits = self._tile_hits
-            tile_misses = self._tile_misses
-            train_jobs = self._train_jobs
-            train_s = self._train_s
-            arena_reallocations = self._arena_reallocations
-            arena_bytes_high_water = self._arena_bytes_high_water
-            fused_batches = self._fused_batches
-            f32_batches = self._f32_batches
-            warm_key_batches = self._warm_key_batches
-            ensemble_requests = self._ensemble_requests
-            ensemble_members = self._ensemble_members
-            ensemble_chunks = self._ensemble_chunks
-            ensemble_blow_ups = self._ensemble_blow_ups
-            ensemble_early_stops = self._ensemble_early_stops
-        # warm-key execution is observed here (at the arenas), while
-        # the rest of the scheduler snapshot comes from the queue — the
-        # two halves meet in the one ServeStats field
-        sched = dataclasses.replace(
-            scheduler or SchedulerStats(), warm_key_batches=warm_key_batches
-        )
-        n = len(reqs)
-        mean = lambda vals: sum(vals) / n if n else 0.0  # noqa: E731
-        return ServeStats(
-            requests=n,
-            batches=batches,
-            steps=steps,
-            mean_batch_size=mean([m.batch_size for m in reqs]),
-            max_batch_size=max((m.batch_size for m in reqs), default=0),
-            mean_queue_wait_s=mean([m.queue_wait_s for m in reqs]),
-            mean_latency_s=mean([m.latency_s for m in reqs]),
-            max_latency_s=max((m.latency_s for m in reqs), default=0.0),
-            comm_bytes=comm_bytes,
-            comm_messages=comm_messages,
-            queue_depth=queue_depth,
-            queue_depth_high_water=queue_depth_high_water,
-            tile_hits=tile_hits,
-            tile_misses=tile_misses,
-            train_jobs=train_jobs,
-            train_s=train_s,
-            arena_reallocations=arena_reallocations,
-            arena_bytes_high_water=arena_bytes_high_water,
-            fused_batches=fused_batches,
-            f32_batches=f32_batches,
-            ensemble_requests=ensemble_requests,
-            ensemble_members=ensemble_members,
-            ensemble_chunks=ensemble_chunks,
-            ensemble_blow_ups=ensemble_blow_ups,
-            ensemble_early_stops=ensemble_early_stops,
-            cache=cache,
-            registry=registry,
-            admission=admission or AdmissionStats(),
-            scheduler=sched,
-        )
+        folded = max(values, default=0.0) if self.kind == "max" else sum(values)
+        # both keyed scalar fields (lane depth, per-model loads) are counts
+        return folded if self.key is None else int(folded)
 
 
-def stats_to_registry(
-    stats: ServeStats,
-    per_request: Sequence[RequestMetrics] = (),
-    registry: "MetricsRegistry | None" = None,
-) -> "MetricsRegistry":
-    """Rebase a :class:`ServeStats` snapshot onto the unified registry.
+def _rows(kind: str, *rows: tuple) -> list:
+    return [Series(row[0], row[1], kind, *row[2:]) for row in rows]
 
-    Pure function over plain data (the snapshot is already consistent,
-    so no locking happens here). ``per_request`` — when the caller has
-    the completed :class:`RequestMetrics` list — labels the request
-    counter by ``model``/``graph``; without it the counter is a single
-    unlabeled series of the same total. Means are exported as their
-    underlying *sums* (``repro_latency_seconds_total`` =
-    ``mean_latency_s * requests``) so registry merges reproduce exactly
-    what :func:`merge_stats` computes; gauges declare the matching
-    sum/max merge policy. Pass ``registry`` to accumulate into an
-    existing one (counters add, gauges overwrite by policy).
+
+#: Every series the serving stack exports — the one place they are named.
+SERIES: tuple = (
+    *_rows(
+        "counter",
+        ("requests", "repro_requests_total", "completed rollout requests",
+         None, ("model", "graph")),
+        ("batches", "repro_batches_total", "executed batches"),
+        ("steps", "repro_steps_total", "rollout steps computed"),
+        ("mean_latency_s*requests", "repro_latency_seconds_total",
+         "summed request latency (mean_latency_s * requests)"),
+        ("mean_batch_size*requests", "repro_request_batch_size_total",
+         "summed per-request batch sizes (mean_batch_size * requests)"),
+        ("mean_queue_wait_s*requests", "repro_queue_wait_served_seconds_total",
+         "summed queue wait of served requests (mean_queue_wait_s * requests)"),
+        ("comm_bytes", "repro_comm_bytes_total", "halo-exchange bytes"),
+        ("comm_messages", "repro_comm_messages_total", "halo-exchange messages"),
+        ("tile_hits", "repro_tile_cache_hits_total", "tiled-graph cache hits"),
+        ("tile_misses", "repro_tile_cache_misses_total",
+         "tiled-graph cache misses"),
+        ("train_jobs", "repro_train_jobs_total", "completed training jobs"),
+        ("train_s", "repro_train_seconds_total", "training wall seconds"),
+        ("arena_reallocations", "repro_arena_reallocations_total",
+         "worker-arena reallocations"),
+        ("fused_batches", "repro_fused_batches_total",
+         "batches run through fused kernels"),
+        ("f32_batches", "repro_f32_batches_total",
+         "batches served on the float32 tier"),
+        ("ensemble_requests", "repro_ensemble_requests_total",
+         "admitted ensemble requests"),
+        ("ensemble_members", "repro_ensemble_members_total",
+         "ensemble members executed"),
+        ("ensemble_chunks", "repro_ensemble_chunks_total",
+         "ensemble chunks dispatched"),
+        ("ensemble_blow_ups", "repro_ensemble_blow_ups_total",
+         "ensembles that tripped blow-up"),
+        ("ensemble_early_stops", "repro_ensemble_early_stops_total",
+         "ensembles early-stopped at the blow-up step"),
+        ("admission.accepted", "repro_admission_accepted_total",
+         "requests admitted to the queue"),
+        ("admission.shed", "repro_admission_shed_total",
+         "requests shed at admission"),
+        ("admission.expired", "repro_admission_expired_total",
+         "requests expired in the queue"),
+        ("admission.expired_at_close", "repro_admission_expired_at_close_total",
+         "requests expired during batch collection (subset of expired)"),
+        ("scheduler.dispatches", "repro_sched_dispatches_total",
+         "batches dispatched by the scheduler"),
+        ("scheduler.affinity_hits", "repro_sched_affinity_hits_total",
+         "lane grants landing on the lane's warm worker"),
+        ("scheduler.affinity_steals", "repro_sched_affinity_steals_total",
+         "lane grants stealing a lane pinned to a busy worker"),
+        ("scheduler.edf_preemptions", "repro_sched_edf_preemptions_total",
+         "grants where an earlier deadline beat arrival order"),
+        ("scheduler.starvation_overrides",
+         "repro_sched_starvation_overrides_total",
+         "grants forced by the per-lane skip bound"),
+        ("scheduler.warm_key_batches", "repro_sched_warm_key_batches_total",
+         "batches executed by a worker that had served the key before"),
+        ("cache.hits", "repro_graph_cache_hits_total", "graph-cache hits"),
+        ("cache.misses", "repro_graph_cache_misses_total", "graph-cache misses"),
+        ("cache.evictions", "repro_graph_cache_evictions_total",
+         "graph-cache evictions"),
+        ("cache.evicted_reload_s",
+         "repro_graph_cache_evicted_reload_seconds_total",
+         "reload cost of evicted graph assets"),
+        ("cache.plan_build_s", "repro_graph_cache_plan_build_seconds_total",
+         "aggregation-plan compile seconds"),
+        ("registry.per_model_loads", "repro_model_loads_total",
+         "model checkpoint loads", "model"),
+        ("registry.evictions", "repro_model_evictions_total", "model evictions"),
+    ),
+    *_rows(
+        "sum",
+        ("queue_depth", "repro_queue_depth", "requests pending now"),
+        # summed, unlike the other high-water marks: arenas are
+        # persistent pools that only grow (to a bound) and then stay
+        # resident, so every shard sits at its high water at once — the
+        # sum IS the cluster's steady resident arena cost
+        ("arena_bytes_high_water", "repro_arena_pooled_bytes_high_water",
+         "resident worker-arena bytes at high water"),
+        ("cache.entries", "repro_graph_cache_entries",
+         "resident graph-cache entries"),
+        ("cache.resident_bytes", "repro_graph_cache_resident_bytes",
+         "resident graph-cache bytes"),
+        ("registry.registered", "repro_models_registered",
+         "registered model names"),
+        ("registry.resident", "repro_models_resident",
+         "models resident in memory"),
+        ("scheduler.lanes", "repro_sched_lanes",
+         "lanes with pending requests now"),
+        ("scheduler.lane_depth", "repro_sched_lane_depth",
+         "requests pending per lane now", "lane"),
+    ),
+    *_rows(
+        "max",
+        ("queue_depth_high_water", "repro_queue_depth_high_water",
+         "peak queue depth"),
+        ("max_batch_size", "repro_max_batch_size", "largest executed batch"),
+        ("max_latency_s", "repro_max_latency_seconds", "worst request latency"),
+        ("scheduler.lane_depth_high_water", "repro_sched_lane_depth_high_water",
+         "peak single-lane depth"),
+    ),
+    *_rows(
+        "histogram",
+        ("admission.queue_wait", "repro_queue_wait_seconds",
+         "queue wait of admitted requests (served and expired)"),
+        ("scheduler.lane_wait", "repro_lane_wait_seconds",
+         "queue wait of dispatched requests, labeled per lane", "lane"),
+    ),
+)
+
+
+def declare(registry: MetricsRegistry | None = None) -> tuple:
+    """Create :data:`SERIES` in ``registry`` → ``(registry, handles)``.
+
+    What a recorder keeps to update its series: the registry (a private
+    one when none is given, as for a recorder built on its own) and
+    ``{field path: handle}``. Idempotent: declaring into a registry
+    that already has the series returns the same handles and resets
+    nothing, so recorders sharing one registry (and a queue rebuilt
+    after ``stop()``) keep accumulating.
     """
-    from repro.obs.registry import MetricsRegistry
+    if registry is None:
+        registry = MetricsRegistry()
+    return registry, {row.field: row.create(registry) for row in SERIES}
 
-    reg = registry if registry is not None else MetricsRegistry()
-    c = reg.counter
-    requests = c("repro_requests_total", "completed rollout requests")
-    if per_request:
-        for m in per_request:
-            requests.inc(1.0, model=m.model, graph=m.graph)
-    else:
-        requests.inc(float(stats.requests))
-    for name, help_text, value in (
-        ("repro_batches_total", "executed batches", stats.batches),
-        ("repro_steps_total", "rollout steps computed", stats.steps),
-        ("repro_latency_seconds_total",
-         "summed request latency (mean_latency_s * requests)",
-         stats.mean_latency_s * stats.requests),
-        ("repro_request_batch_size_total",
-         "summed per-request batch sizes (mean_batch_size * requests)",
-         stats.mean_batch_size * stats.requests),
-        ("repro_comm_bytes_total", "halo-exchange bytes", stats.comm_bytes),
-        ("repro_comm_messages_total", "halo-exchange messages",
-         stats.comm_messages),
-        ("repro_tile_cache_hits_total", "tiled-graph cache hits",
-         stats.tile_hits),
-        ("repro_tile_cache_misses_total", "tiled-graph cache misses",
-         stats.tile_misses),
-        ("repro_train_jobs_total", "completed training jobs",
-         stats.train_jobs),
-        ("repro_train_seconds_total", "training wall seconds",
-         stats.train_s),
-        ("repro_arena_reallocations_total", "worker-arena reallocations",
-         stats.arena_reallocations),
-        ("repro_fused_batches_total", "batches run through fused kernels",
-         stats.fused_batches),
-        ("repro_f32_batches_total", "batches served on the float32 tier",
-         stats.f32_batches),
-        ("repro_ensemble_requests_total", "admitted ensemble requests",
-         stats.ensemble_requests),
-        ("repro_ensemble_members_total", "ensemble members executed",
-         stats.ensemble_members),
-        ("repro_ensemble_chunks_total", "ensemble chunks dispatched",
-         stats.ensemble_chunks),
-        ("repro_ensemble_blow_ups_total", "ensembles that tripped blow-up",
-         stats.ensemble_blow_ups),
-        ("repro_ensemble_early_stops_total",
-         "ensembles early-stopped at the blow-up step",
-         stats.ensemble_early_stops),
-        ("repro_admission_accepted_total", "requests admitted to the queue",
-         stats.admission.accepted),
-        ("repro_admission_shed_total", "requests shed at admission",
-         stats.admission.shed),
-        ("repro_admission_expired_total", "requests expired in the queue",
-         stats.admission.expired),
-        ("repro_admission_expired_at_close_total",
-         "requests expired during batch collection (subset of expired)",
-         stats.admission.expired_at_close),
-        ("repro_sched_dispatches_total", "batches dispatched by the scheduler",
-         stats.scheduler.dispatches),
-        ("repro_sched_affinity_hits_total",
-         "lane grants landing on the lane's warm worker",
-         stats.scheduler.affinity_hits),
-        ("repro_sched_affinity_steals_total",
-         "lane grants stealing a lane pinned to a busy worker",
-         stats.scheduler.affinity_steals),
-        ("repro_sched_edf_preemptions_total",
-         "grants where an earlier deadline beat arrival order",
-         stats.scheduler.edf_preemptions),
-        ("repro_sched_starvation_overrides_total",
-         "grants forced by the per-lane skip bound",
-         stats.scheduler.starvation_overrides),
-        ("repro_sched_warm_key_batches_total",
-         "batches executed by a worker that had served the key before",
-         stats.scheduler.warm_key_batches),
-        ("repro_graph_cache_hits_total", "graph-cache hits",
-         stats.cache.hits),
-        ("repro_graph_cache_misses_total", "graph-cache misses",
-         stats.cache.misses),
-        ("repro_graph_cache_evictions_total", "graph-cache evictions",
-         stats.cache.evictions),
-        ("repro_graph_cache_evicted_reload_seconds_total",
-         "reload cost of evicted graph assets", stats.cache.evicted_reload_s),
-        ("repro_graph_cache_plan_build_seconds_total",
-         "aggregation-plan compile seconds", stats.cache.plan_build_s),
-        ("repro_model_loads_total", "model checkpoint loads",
-         stats.registry.loads),
-        ("repro_model_evictions_total", "model evictions",
-         stats.registry.evictions),
-    ):
-        c(name, help_text).inc(float(value))
-    for name, help_text, merge, value in (
-        ("repro_queue_depth", "requests pending now", "sum",
-         stats.queue_depth),
-        ("repro_queue_depth_high_water", "peak queue depth", "max",
-         stats.queue_depth_high_water),
-        ("repro_max_batch_size", "largest executed batch", "max",
-         stats.max_batch_size),
-        ("repro_max_latency_seconds", "worst request latency", "max",
-         stats.max_latency_s),
-        ("repro_arena_pooled_bytes_high_water",
-         "resident worker-arena bytes at high water", "sum",
-         stats.arena_bytes_high_water),
-        ("repro_graph_cache_entries", "resident graph-cache entries", "sum",
-         stats.cache.entries),
-        ("repro_graph_cache_resident_bytes", "resident graph-cache bytes",
-         "sum", stats.cache.resident_bytes),
-        ("repro_models_registered", "registered model names", "sum",
-         stats.registry.registered),
-        ("repro_models_resident", "models resident in memory", "sum",
-         stats.registry.resident),
-        ("repro_sched_lanes", "lanes with pending requests now", "sum",
-         stats.scheduler.lanes),
-        ("repro_sched_lane_depth_high_water", "peak single-lane depth",
-         "max", stats.scheduler.lane_depth_high_water),
-    ):
-        reg.gauge(name, help_text, merge=merge).set(float(value))
-    lane_depth = reg.gauge(
-        "repro_sched_lane_depth", "requests pending per lane now",
-        merge="sum",
-    )
-    for label, depth in stats.scheduler.lane_depth.items():
-        lane_depth.set(float(depth), lane=label)
-    wait = stats.admission.queue_wait
-    reg.histogram(
-        "repro_queue_wait_seconds",
-        "queue wait of admitted requests (served and expired)",
-        bounds=wait.bounds_s,
-    ).load(wait.counts, wait.sum_s)
-    lane_wait = reg.histogram(
-        "repro_lane_wait_seconds",
-        "queue wait of dispatched requests, labeled per lane",
-        bounds=WAIT_BUCKETS_S,
-    )
-    for label, hist in stats.scheduler.lane_wait.items():
-        lane_wait.load(hist.counts, hist.sum_s, lane=label)
-    return reg
+
+# -- rendering -----------------------------------------------------------------
 
 
 def _wait_quantiles(admission: AdmissionStats) -> str:

@@ -11,12 +11,14 @@ widths disagree with what the caller expects.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.gnn.architecture import MeshGNN
 from repro.gnn.checkpoint import load_checkpoint
 from repro.gnn.config import GNNConfig
+from repro.obs.registry import MetricsRegistry
+from repro.serve.metrics import RegistryStats, ServeStats, declare
 
 
 class ModelNotFound(KeyError):
@@ -41,41 +43,10 @@ class _Entry:
     path: Path | None = None
     model: MeshGNN | None = None
     expect_config: GNNConfig | None = None
-    loads: int = 0
 
     @property
     def resident(self) -> bool:
         return self.model is not None
-
-
-@dataclass
-class RegistryStats:
-    """Counters exposed through the service stats API.
-
-    A snapshot: plain data taken under the registry lock, safe to share
-    across threads after it is returned.
-    """
-
-    registered: int = 0
-    resident: int = 0
-    loads: int = 0
-    evictions: int = 0
-    per_model_loads: dict = field(default_factory=dict)
-
-    def merge(self, other: "RegistryStats") -> "RegistryStats":
-        """Combine two snapshots (cluster-wide aggregation): counters
-        sum — each shard owns a distinct server-side registry, so a
-        model registered on every shard counts once per shard."""
-        per_model = dict(self.per_model_loads)
-        for name, loads in other.per_model_loads.items():
-            per_model[name] = per_model.get(name, 0) + loads
-        return RegistryStats(
-            registered=self.registered + other.registered,
-            resident=self.resident + other.resident,
-            loads=self.loads + other.loads,
-            evictions=self.evictions + other.evictions,
-            per_model_loads=per_model,
-        )
 
 
 class ModelRegistry:
@@ -83,7 +54,9 @@ class ModelRegistry:
 
     Thread safety: every method may be called from any thread; one lock
     guards the entry table, and checkpoint loads happen under it so
-    concurrent ``get`` calls observe a consistent resident set.
+    concurrent ``get`` calls observe a consistent resident set. Load
+    and eviction counts are series in ``metrics`` (the service's
+    registry; a model registry built on its own gets a private one).
     Determinism: ``get`` returns the *same* model object every call
     until eviction, and checkpoint loading is exact (``.npz`` weights),
     so which thread triggers the lazy load never affects served bits.
@@ -96,10 +69,10 @@ class ModelRegistry:
     4
     """
 
-    def __init__(self) -> None:
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self._entries: dict[str, _Entry] = {}
         self._lock = threading.Lock()
-        self._evictions = 0
+        self._metrics, self._m = declare(metrics)
 
     # -- registration --------------------------------------------------------
 
@@ -112,7 +85,8 @@ class ModelRegistry:
         """
         with self._lock:
             self._check_name_free(name)
-            self._entries[name] = _Entry(name=name, model=model, loads=1)
+            self._entries[name] = _Entry(name=name, model=model)
+            self._m["registry.per_model_loads"].inc(model=name)
 
     def register_checkpoint(
         self,
@@ -173,7 +147,7 @@ class ModelRegistry:
                         f"registration expected {expect}"
                     )
                 entry.model = model
-                entry.loads += 1
+                self._m["registry.per_model_loads"].inc(model=name)
             return entry.model
 
     def config(self, name: str) -> GNNConfig:
@@ -208,7 +182,7 @@ class ModelRegistry:
                 del self._entries[name]
             else:
                 entry.model = None
-            self._evictions += 1
+            self._m["registry.evictions"].inc()
 
     def unregister(self, name: str) -> None:
         """Remove an entry entirely (thread-safe)."""
@@ -235,14 +209,19 @@ class ModelRegistry:
 
     # -- stats ---------------------------------------------------------------
 
-    def stats(self) -> RegistryStats:
-        """Snapshot the counters (consistent under the lock)."""
-        with self._lock:
-            per_model = {n: e.loads for n, e in self._entries.items()}
-            return RegistryStats(
-                registered=len(self._entries),
-                resident=sum(1 for e in self._entries.values() if e.resident),
-                loads=sum(per_model.values()),
-                evictions=self._evictions,
-                per_model_loads=per_model,
+    def _publish_levels(self) -> None:
+        """Write the point-in-time gauges (registered, resident).
+
+        Levels are written by their owner when the registry is
+        collected, under the owner's lock.
+        """
+        with self._lock, self._metrics.atomic():
+            self._m["registry.registered"].set(len(self._entries))
+            self._m["registry.resident"].set(
+                sum(1 for e in self._entries.values() if e.resident)
             )
+
+    def stats(self) -> RegistryStats:
+        """The model-registry view of the registry recorded into."""
+        self._publish_levels()
+        return ServeStats.from_registry(self._metrics).registry

@@ -46,110 +46,19 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import dataclass, field
 
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TraceBuffer
 from repro.runtime.api import BatchKey, RolloutRequest
-from repro.serve.admission import AdmissionController, WaitHistogram
+from repro.serve.admission import AdmissionController
 from repro.serve.batching import RolloutHandle, shed_expired
+from repro.serve.metrics import SchedulerStats, ServeStats, declare
 
 
 def lane_label(key: BatchKey) -> str:
     """Canonical human-readable label of one lane (metrics label value)."""
     kind = "residual" if key.residual else "direct"
     return f"{key.model}/{key.graph}/{key.halo_mode}/{kind}/{key.precision}"
-
-
-@dataclass
-class SchedulerStats:
-    """Scheduler counters + per-lane gauges/histograms (snapshot).
-
-    Plain mergeable data, the pattern of
-    :class:`~repro.serve.admission.AdmissionStats`: counters sum,
-    ``lane_depth`` (label → pending now) sums key-wise, ``lane_wait``
-    (label → queue-wait histogram of requests dispatched through that
-    lane) merges bucket-wise, ``lane_depth_high_water`` takes the max.
-    ``warm_key_batches`` counts executed batches whose worker had
-    served the same key before (the affinity payoff measured at the
-    arenas, not at dispatch); it is recorded by the metrics aggregator
-    and folded into the snapshot by the service.
-    """
-
-    dispatches: int = 0
-    affinity_hits: int = 0
-    affinity_steals: int = 0
-    edf_preemptions: int = 0
-    starvation_overrides: int = 0
-    warm_key_batches: int = 0
-    lanes: int = 0
-    lane_depth_high_water: int = 0
-    lane_depth: dict = field(default_factory=dict)
-    lane_wait: dict = field(default_factory=dict)
-
-    def merge(self, other: "SchedulerStats") -> "SchedulerStats":
-        """Combine two snapshots (cluster-wide aggregation)."""
-        depth = dict(self.lane_depth)
-        for label, d in other.lane_depth.items():
-            depth[label] = depth.get(label, 0) + d
-        wait = dict(self.lane_wait)
-        for label, h in other.lane_wait.items():
-            wait[label] = wait[label].merge(h) if label in wait else h
-        return SchedulerStats(
-            dispatches=self.dispatches + other.dispatches,
-            affinity_hits=self.affinity_hits + other.affinity_hits,
-            affinity_steals=self.affinity_steals + other.affinity_steals,
-            edf_preemptions=self.edf_preemptions + other.edf_preemptions,
-            starvation_overrides=(
-                self.starvation_overrides + other.starvation_overrides
-            ),
-            warm_key_batches=self.warm_key_batches + other.warm_key_batches,
-            lanes=self.lanes + other.lanes,
-            lane_depth_high_water=max(
-                self.lane_depth_high_water, other.lane_depth_high_water
-            ),
-            lane_depth=depth,
-            lane_wait=wait,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "dispatches": self.dispatches,
-            "affinity_hits": self.affinity_hits,
-            "affinity_steals": self.affinity_steals,
-            "edf_preemptions": self.edf_preemptions,
-            "starvation_overrides": self.starvation_overrides,
-            "warm_key_batches": self.warm_key_batches,
-            "lanes": self.lanes,
-            "lane_depth_high_water": self.lane_depth_high_water,
-            "lane_depth": dict(sorted(self.lane_depth.items())),
-            "lane_wait": {
-                label: h.to_dict()
-                for label, h in sorted(self.lane_wait.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SchedulerStats":
-        return cls(
-            dispatches=int(d.get("dispatches", 0)),
-            affinity_hits=int(d.get("affinity_hits", 0)),
-            affinity_steals=int(d.get("affinity_steals", 0)),
-            edf_preemptions=int(d.get("edf_preemptions", 0)),
-            starvation_overrides=int(d.get("starvation_overrides", 0)),
-            warm_key_batches=int(d.get("warm_key_batches", 0)),
-            lanes=int(d.get("lanes", 0)),
-            lane_depth_high_water=int(d.get("lane_depth_high_water", 0)),
-            lane_depth={
-                str(k): int(v) for k, v in d.get("lane_depth", {}).items()
-            },
-            lane_wait={
-                str(k): (
-                    v if isinstance(v, WaitHistogram)
-                    else WaitHistogram.from_dict(v)
-                )
-                for k, v in d.get("lane_wait", {}).items()
-            },
-        )
 
 
 class _Lane:
@@ -172,8 +81,11 @@ class ScheduledQueue:
     """Per-key lanes + EDF/affinity dispatch: the service's one queue.
 
     ``submit`` / ``submit_many`` enqueue, :meth:`next_batch` hands a
-    worker its next batch (``worker_id`` tells affinity who is asking),
-    :meth:`scheduler_stats` snapshots the policy counters.
+    worker its next batch (``worker_id`` tells affinity who is asking).
+    The policy counters and high-water marks are series in ``metrics``
+    (the service's registry, so they outlive a queue rebuilt after
+    ``stop()``; a queue built on its own gets a private one);
+    :meth:`scheduler_stats` is their view.
 
     Thread safety: fully thread-safe, one condition variable guards
     all lanes. Determinism: batch composition is a pure function of
@@ -188,6 +100,7 @@ class ScheduledQueue:
         trace: TraceBuffer | None = None,
         affinity: bool = True,
         max_lane_skips: int = 4,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_lane_skips < 1:
             raise ValueError("max_lane_skips must be >= 1")
@@ -195,21 +108,13 @@ class ScheduledQueue:
         self._cond = threading.Condition()
         self._closed = False
         self._depth = 0
-        self._depth_high_water = 0
-        self._lane_depth_high_water = 0
         self._idle = 0  # workers blocked in next_batch waiting for a lane
         self._admission = admission
         self._trace = trace
         self._affinity_on = affinity
         self._max_lane_skips = max_lane_skips
         self._lane_seq = itertools.count()
-        self._dispatches = 0
-        self._affinity_hits = 0
-        self._affinity_steals = 0
-        self._edf_preemptions = 0
-        self._starvation_overrides = 0
-        #: label -> queue-wait histogram of requests dispatched via the lane
-        self._lane_waits: dict[str, WaitHistogram] = {}
+        self._metrics, self._m = declare(metrics)
 
     # -- submission ----------------------------------------------------------
 
@@ -239,6 +144,7 @@ class ScheduledQueue:
                 raise RuntimeError("queue is closed")
             if self._admission is not None:
                 self._admission.admit(self._depth, slots=len(requests))
+            lane_peak = 0
             for request, handle in zip(requests, handles):
                 lane = self._lanes.get(request.key)
                 if lane is None:
@@ -246,10 +152,10 @@ class ScheduledQueue:
                     self._lanes[request.key] = lane
                 lane.pending.append((request, handle))
                 self._depth += 1
-                self._lane_depth_high_water = max(
-                    self._lane_depth_high_water, len(lane.pending)
-                )
-            self._depth_high_water = max(self._depth_high_water, self._depth)
+                lane_peak = max(lane_peak, len(lane.pending))
+            with self._metrics.atomic():
+                self._m["queue_depth_high_water"].set_max(self._depth)
+                self._m["scheduler.lane_depth_high_water"].set_max(lane_peak)
             self._cond.notify_all()
         return handles
 
@@ -367,7 +273,7 @@ class ScheduledQueue:
         if overdue:
             chosen = min(overdue, key=edf_key)
             if chosen is not min(eligible, key=edf_key):
-                self._starvation_overrides += 1
+                self._m["scheduler.starvation_overrides"].inc()
         else:
             pool = eligible
             on_affinity = False
@@ -380,11 +286,11 @@ class ScheduledQueue:
             chosen = min(pool, key=edf_key)
             if self._affinity_on:
                 if on_affinity:
-                    self._affinity_hits += 1
+                    self._m["scheduler.affinity_hits"].inc()
                 elif chosen.affinity is not None:
-                    self._affinity_steals += 1
+                    self._m["scheduler.affinity_steals"].inc()
         if chosen is not arrival_first and edf_key(chosen) < edf_key(arrival_first):
-            self._edf_preemptions += 1
+            self._m["scheduler.edf_preemptions"].inc()
         for lane in eligible:
             lane.skips = 0 if lane is chosen else lane.skips + 1
         chosen.collector = worker_id
@@ -430,13 +336,13 @@ class ScheduledQueue:
         self._cond.notify_all()
         if not live:
             return None
-        self._dispatches += 1
-        if self._admission is not None:
+        with self._metrics.atomic():  # a dispatch lands with its waits
+            self._m["scheduler.dispatches"].inc()
             for req, _ in live:
-                self._admission.note_dequeued(req.waited_s(now))
-        lane_wait = self._lane_waits.setdefault(lane.label, WaitHistogram())
-        for req, _ in live:
-            lane_wait.observe(req.waited_s(now))
+                waited_s = req.waited_s(now)
+                if self._admission is not None:
+                    self._admission.note_dequeued(waited_s)
+                self._m["scheduler.lane_wait"].observe(waited_s, lane=lane.label)
         return live
 
     def _shed_expired_pending(self, now: float) -> None:
@@ -478,32 +384,29 @@ class ScheduledQueue:
 
     @property
     def depth_high_water(self) -> int:
-        """Peak total pending depth observed over the queue's lifetime."""
-        with self._cond:
-            return self._depth_high_water
+        """Peak total pending depth ever recorded into the registry."""
+        return int(self._m["queue_depth_high_water"].value())
+
+    def _publish_levels(self) -> None:
+        """Write the point-in-time gauges (depth, lanes, per-lane depth).
+
+        Levels are written by their owner when the registry is
+        collected, under the owner's lock; a drained lane reads 0.
+        """
+        with self._cond, self._metrics.atomic():
+            self._m["queue_depth"].set(self._depth)
+            self._m["scheduler.lanes"].set(
+                sum(1 for lane in self._lanes.values() if lane.pending)
+            )
+            for lane in self._lanes.values():
+                self._m["scheduler.lane_depth"].set(
+                    len(lane.pending), lane=lane.label
+                )
 
     def scheduler_stats(self) -> SchedulerStats:
-        """Snapshot of the policy counters and per-lane gauges."""
-        with self._cond:
-            lane_depth = {
-                lane.label: len(lane.pending)
-                for lane in self._lanes.values()
-                if lane.pending
-            }
-            return SchedulerStats(
-                dispatches=self._dispatches,
-                affinity_hits=self._affinity_hits,
-                affinity_steals=self._affinity_steals,
-                edf_preemptions=self._edf_preemptions,
-                starvation_overrides=self._starvation_overrides,
-                lanes=len(lane_depth),
-                lane_depth_high_water=self._lane_depth_high_water,
-                lane_depth=lane_depth,
-                lane_wait={
-                    label: hist._snapshot()
-                    for label, hist in self._lane_waits.items()
-                },
-            )
+        """The scheduler view of the registry recorded into."""
+        self._publish_levels()
+        return ServeStats.from_registry(self._metrics).scheduler
 
     def close(self) -> None:
         """Stop accepting requests; pending ones are still served."""

@@ -28,6 +28,7 @@ from repro.gnn.architecture import MeshGNN
 from repro.gnn.config import GNNConfig
 from repro.graph.distributed import LocalGraph
 from repro.graph.io import load_rank_graphs
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Span, TraceBuffer, wall_from_perf
 from repro.runtime.api import RolloutRequest, TrainRequest, TrainResult
 from repro.serve.admission import AdmissionConfig, AdmissionController, QueueFull
@@ -35,13 +36,13 @@ from repro.serve.batching import RolloutHandle
 from repro.serve.cache import GraphAsset, GraphCache
 from repro.serve.executor import WorkerArenas, execute_batch, execute_train_job
 from repro.serve.metrics import (
-    MetricsAggregator,
     RequestMetrics,
     ServeStats,
+    declare,
     stats_markdown,
 )
 from repro.serve.registry import ModelRegistry
-from repro.serve.scheduler import ScheduledQueue, SchedulerStats
+from repro.serve.scheduler import ScheduledQueue
 
 if TYPE_CHECKING:  # serve must not import ensemble at module load
     from repro.ensemble.driver import EnsembleHandle
@@ -129,26 +130,24 @@ class InferenceService:
     >>> #     states = svc.rollout("m", "g", x0, n_steps=5)
     """
 
-    def __init__(
-        self,
-        config: ServeConfig | None = None,
-        registry: ModelRegistry | None = None,
-        cache: GraphCache | None = None,
-    ):
+    def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
-        self.registry = registry or ModelRegistry()
-        self.cache = cache or GraphCache(
+        # the one storage of every number the service reports: each
+        # recorder below updates its series in it, stats() is its view
+        self._metrics, self._m = declare()
+        self.registry = ModelRegistry(metrics=self._metrics)
+        self.cache = GraphCache(
             max_entries=self.config.cache_entries,
             max_bytes=self.config.cache_bytes,
+            metrics=self._metrics,
         )
-        self._admission = AdmissionController(self.config.admission)
+        self._admission = AdmissionController(
+            self.config.admission, metrics=self._metrics
+        )
         self.trace = TraceBuffer(
             self.config.trace_capacity, enabled=self.config.tracing
         )
         self._queue = self._make_queue()
-        self._queue_high_water_prev = 0
-        self._sched_prev = SchedulerStats()
-        self._metrics = MetricsAggregator()
         self._graph_dirs: dict[str, Path] = {}
         self._pinned_graphs: dict[str, tuple[LocalGraph, ...]] = {}
         self._workers: list[threading.Thread] = []
@@ -163,6 +162,7 @@ class InferenceService:
             trace=self.trace,
             affinity=self.config.affinity,
             max_lane_skips=self.config.max_lane_skips,
+            metrics=self._metrics,
         )
 
     def start(self) -> "InferenceService":
@@ -170,15 +170,10 @@ class InferenceService:
             if self._started:
                 return self
             if self._queue.closed:
-                # restart after stop(): workers need a live queue; keep
-                # the old peak depth and scheduler counters so stats
-                # span the service lifetime
-                self._queue_high_water_prev = max(
-                    self._queue_high_water_prev, self._queue.depth_high_water
-                )
-                self._sched_prev = self._sched_prev.merge(
-                    self._queue.scheduler_stats()
-                )
+                # restart after stop(): workers need a live queue. Its
+                # counters live in the registry, so stats span the
+                # service lifetime; the drained queue's lanes read 0
+                self._queue._publish_levels()
                 self._queue = self._make_queue()
             self._started = True
             for i in range(self.config.n_workers):
@@ -329,14 +324,23 @@ class InferenceService:
             members=len(members), seed=request.perturbation.seed,
         )
         handles = self._admit(request, members, members=len(members))
-        chunks = -(-len(members) // self.config.max_batch_size)
-        self._metrics.record_ensemble(members=len(members), chunks=chunks)
+        with self._metrics.atomic():
+            self._m["ensemble_requests"].inc()
+            self._m["ensemble_members"].inc(len(members))
+            self._m["ensemble_chunks"].inc(
+                -(-len(members) // self.config.max_batch_size)
+            )
         return EnsembleHandle(
             request, handles,
             timeout_s=self.config.request_timeout_s,
             trace=self.trace,
-            on_outcome=self._metrics.record_ensemble_outcome,
+            on_outcome=self._record_ensemble_outcome,
         )
+
+    def _record_ensemble_outcome(self, blew_up: bool, early_stopped: bool) -> None:
+        with self._metrics.atomic():
+            self._m["ensemble_blow_ups"].inc(int(blew_up))
+            self._m["ensemble_early_stops"].inc(int(early_stopped))
 
     def _admit(self, request, rollouts: list, **attrs) -> list[RolloutHandle]:
         """Enqueue ``rollouts`` under ONE admission decision → handles.
@@ -504,37 +508,45 @@ class InferenceService:
                     world_size=execution.world_size,
                     n_steps=req.n_steps,
                 )
-        per_request = []
-        for req, handle in batch:
-            metrics = RequestMetrics(
+        n = execution.batch_size
+        waits = [dequeued - req.submitted_at for req in requests]
+        latencies = [finished - req.submitted_at for req in requests]
+        m = self._m
+        with self._metrics.atomic():  # one batch's counters land together
+            m["requests"].inc(n, model=requests[0].model, graph=requests[0].graph)
+            m["batches"].inc()
+            m["steps"].inc(execution.n_steps)
+            m["mean_batch_size*requests"].inc(n * n)
+            m["max_batch_size"].set_max(n)
+            m["mean_queue_wait_s*requests"].inc(sum(waits))
+            m["mean_latency_s*requests"].inc(sum(latencies))
+            m["max_latency_s"].set_max(max(latencies))
+            m["comm_bytes"].inc(execution.comm.bytes_sent)
+            m["comm_messages"].inc(execution.comm.messages)
+            m["tile_hits"].inc(execution.tile_hits)
+            m["tile_misses"].inc(execution.tile_misses)
+            m["arena_reallocations"].inc(execution.arena_reallocations)
+            m["arena_bytes_high_water"].set_max(execution.arena_nbytes)
+            m["fused_batches"].inc(int(execution.fused))
+            m["f32_batches"].inc(int(execution.f32))
+            m["scheduler.warm_key_batches"].inc(int(execution.warm_key))
+        # recorded before the handles finish: a client holding its
+        # result already finds its request in stats()
+        for (req, handle), wait_s, latency_s in zip(batch, waits, latencies):
+            handle.metrics = RequestMetrics(
                 request_id=req.request_id,
                 model=req.model,
                 graph=req.graph,
                 world_size=execution.world_size,
-                batch_size=execution.batch_size,
+                batch_size=n,
                 n_steps=req.n_steps,
-                queue_wait_s=dequeued - req.submitted_at,
+                queue_wait_s=wait_s,
                 exec_s=execution.exec_s,
-                latency_s=finished - req.submitted_at,
+                latency_s=latency_s,
                 batch_comm_bytes=execution.comm.bytes_sent,
                 batch_comm_messages=execution.comm.messages,
             )
-            handle.metrics = metrics
-            per_request.append(metrics)
             handle._finish()
-        self._metrics.record_batch(
-            per_request,
-            execution.n_steps,
-            comm_bytes=execution.comm.bytes_sent,
-            comm_messages=execution.comm.messages,
-            tile_hits=execution.tile_hits,
-            tile_misses=execution.tile_misses,
-            arena_reallocations=execution.arena_reallocations,
-            arena_nbytes=execution.arena_nbytes,
-            fused=execution.fused,
-            f32=execution.f32,
-            warm_key=execution.warm_key,
-        )
         # a tile miss grew the asset's resident bytes after admission;
         # keep the configured cache byte budget honest
         if execution.tile_misses:
@@ -558,23 +570,22 @@ class InferenceService:
         result = execute_train_job(
             model, asset, request, timeout=self.config.request_timeout_s
         )
-        self._metrics.record_train(result.train_s)
+        with self._metrics.atomic():
+            self._m["train_jobs"].inc()
+            self._m["train_s"].inc(result.train_s)
         self.cache.enforce_bounds()  # the job may have tiled the asset
         return result
 
     # -- stats ---------------------------------------------------------------
 
+    def _collect(self) -> MetricsRegistry:
+        """The live registry, its level gauges freshly written."""
+        for owner in (self._queue, self.cache, self.registry):
+            owner._publish_levels()
+        return self._metrics
+
     def stats(self) -> ServeStats:
-        return self._metrics.snapshot(
-            cache=self.cache.stats(),
-            registry=self.registry.stats(),
-            queue_depth=self._queue.depth(),
-            queue_depth_high_water=max(
-                self._queue_high_water_prev, self._queue.depth_high_water
-            ),
-            admission=self._admission.stats(),
-            scheduler=self._sched_prev.merge(self._queue.scheduler_stats()),
-        )
+        return ServeStats.from_registry(self._collect())
 
     def stats_markdown(self) -> str:
         return stats_markdown(self.stats())
@@ -585,15 +596,11 @@ class InferenceService:
         """All spans recorded for one trace, sorted by start time."""
         return self.trace.trace(trace_id)
 
-    def metrics_registry(self):
-        """The service's stats as a unified metrics registry.
+    def metrics_registry(self) -> MetricsRegistry:
+        """A point-in-time copy of the service's metrics registry.
 
-        Labeled per model/graph from the completed request log; served
-        over the wire by the ``metrics`` op and over HTTP by
-        ``--metrics-port`` (:mod:`repro.obs.http`).
+        The caller's to relabel and merge; served over the wire by the
+        ``metrics`` op and over HTTP by ``--metrics-port``
+        (:mod:`repro.obs.http`).
         """
-        from repro.serve.metrics import stats_to_registry
-
-        return stats_to_registry(
-            self.stats(), per_request=self._metrics.completed()
-        )
+        return self._collect().relabel()

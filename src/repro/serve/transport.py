@@ -4,8 +4,8 @@ This is the piece that turns the in-process batched executor into a
 *service*: :class:`ServeServer` listens on a TCP socket and speaks the
 :mod:`repro.serve.protocol` framing, so a client in another process (or
 on another machine) can submit rollout requests, stream frames as steps
-complete, read the stats table, fetch traces and metrics, and register
-path-backed assets. The client side is
+complete, fetch metrics (of which the stats table is a view) and
+traces, and register path-backed assets. The client side is
 :class:`~repro.runtime.remote.RemoteEngine`
 (``repro.runtime.connect("tcp://HOST:PORT")``), and the transport
 consistency tests assert that a trajectory fetched through the socket
@@ -20,8 +20,9 @@ the message header; the server's spans for that request (admission,
 queue, tile, execute, and the ``serialize`` span this module records
 around frame streaming) land in the service's trace ring and are
 queryable over the wire with the ``get_trace`` op. The ``metrics`` op
-returns the service's unified metrics registry as a mergeable snapshot
-plus rendered Prometheus text.
+returns the service's metrics registry as a mergeable snapshot — the
+one stats document on the wire; the client renders text or the stats
+table from it.
 
 **Trust model**: the transport is unauthenticated and unencrypted —
 it is meant for localhost and trusted networks (a lab cluster behind a
@@ -152,25 +153,14 @@ class _Handler(socketserver.StreamRequestHandler):
                 )
             elif op in _STREAM_OPS:
                 self._stream(service, op, header, arrays)
-            elif op == "stats":
-                stats = service.stats()
-                self._reply(
-                    {
-                        "type": "stats",
-                        "stats": stats.to_dict(),
-                        "markdown": service.stats_markdown(),
-                    }
-                )
             elif op == "get_trace":
                 spans = service.get_trace(str(_require(header, "trace_id")))
                 self._reply({"type": "trace", "spans": spans_to_dicts(spans)})
             elif op == "metrics":
-                registry = service.metrics_registry()
                 self._reply(
                     {
                         "type": "metrics",
-                        "snapshot": registry.snapshot(),
-                        "text": registry.prometheus_text(),
+                        "snapshot": service.metrics_registry().snapshot(),
                     }
                 )
             elif op == "graph_keys":

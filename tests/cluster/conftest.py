@@ -22,7 +22,7 @@ from repro.runtime.api import (
     TrainRequest,
     TrainResult,
 )
-from repro.serve.metrics import ServeStats, stats_markdown
+from repro.obs.registry import MetricsRegistry
 from repro.serve.transport import TransportError
 
 
@@ -170,11 +170,10 @@ class ScriptedEngine(Engine):
                         batch_size=request.n_samples, train_s=0.001),
         )
 
-    def stats(self) -> ServeStats:
-        return ServeStats(requests=len(self.submitted))
-
-    def stats_markdown(self) -> str:
-        return stats_markdown(self.stats())
+    def metrics_registry(self) -> MetricsRegistry:
+        registry = MetricsRegistry()
+        registry.counter("repro_requests_total").inc(len(self.submitted))
+        return registry
 
 
 @pytest.fixture()

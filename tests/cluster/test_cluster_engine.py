@@ -406,7 +406,7 @@ class TestObservability:
         primary, _ = primary_and_survivor(cluster)
         reg = cluster.metrics_registry()
         req_counter = reg.counter("repro_requests_total")
-        # ScriptedEngine.stats() reports its submission count; the
+        # ScriptedEngine's registry reports its submission count; the
         # cluster merge stamps each shard's series with its id
         assert req_counter.value(shard=primary) == 1.0
         assert req_counter.total() == 1.0

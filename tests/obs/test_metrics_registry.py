@@ -140,3 +140,81 @@ class TestPrometheusText:
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().prometheus_text() == ""
+
+    def test_non_finite_samples_render_as_the_format_specifies(self):
+        """A non-finite sample must not kill the exposition (it can
+        arrive from outside the process: a peer's snapshot is JSON,
+        where ``Infinity`` / ``NaN`` parse)."""
+        reg = MetricsRegistry()
+        reg.gauge("up").set(float("inf"))
+        reg.gauge("down").set(float("-inf"))
+        reg.gauge("lost").set(float("nan"))
+        reg.histogram("wait", bounds=(0.5,)).observe(float("inf"))
+        text = reg.prometheus_text()
+        assert "up +Inf\n" in text
+        assert "down -Inf\n" in text
+        assert "lost NaN\n" in text
+        assert "wait_sum +Inf\n" in text
+
+    def test_non_finite_gauge_survives_the_wire_snapshot(self):
+        reg = MetricsRegistry()
+        reg.gauge("level", merge="max").set(float("inf"))
+        reg.gauge("ratio").set(float("nan"))
+        wire = json.loads(json.dumps(reg.snapshot()))
+        text = MetricsRegistry.from_snapshot(wire).prometheus_text()
+        assert "level +Inf\n" in text
+        assert "ratio NaN\n" in text
+
+    def test_help_text_is_escaped(self):
+        reg = MetricsRegistry()
+        reg.counter("c", "a path C:\\tmp\nsecond line").inc()
+        lines = reg.prometheus_text().splitlines()
+        assert lines[0] == "# HELP c a path C:\\\\tmp\\nsecond line"
+        assert lines[1] == "# TYPE c counter"
+
+
+class TestGroupedUpdates:
+    def test_set_max_only_raises_the_level(self):
+        gauge = MetricsRegistry().gauge("peak", merge="max")
+        gauge.set_max(3.0)
+        gauge.set_max(1.0)
+        assert gauge.value() == 3.0
+        gauge.set_max(5.0, lane="x")
+        assert gauge.value(lane="x") == 5.0 and gauge.value() == 3.0
+
+    def test_no_snapshot_sees_half_an_atomic_group(self):
+        """Two counters bumped together inside atomic() are equal in
+        every snapshot and every relabelled copy a reader takes."""
+        import sys
+        import threading
+
+        reg = MetricsRegistry()
+        a, b = reg.counter("a"), reg.counter("b")
+        stop = threading.Event()
+
+        def writer():
+            while not stop.is_set():
+                with reg.atomic():
+                    a.inc()
+                    b.inc()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        try:
+            for t in threads:
+                t.start()
+            for _ in range(300):
+                doc = reg.snapshot()
+                assert (doc["a"]["samples"][0]["value"]
+                        == doc["b"]["samples"][0]["value"])
+                copy = reg.relabel(shard="s")
+                assert (copy.counter("a").value(shard="s")
+                        == copy.counter("b").value(shard="s"))
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert a.value() == b.value() > 0

@@ -480,6 +480,79 @@ class TestCluster:
                 )
 
 
+class TestStatsAreAViewOfTheRegistry:
+    """One introspection source per engine: ``metrics_registry()``.
+    ``stats()`` is its view, on every substrate."""
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_stats_equal_the_view_of_the_registry(self, kind, asset_paths,
+                                                  x0):
+        from repro.serve import ServeStats
+
+        with make_engine(kind, asset_paths) as engine:
+            for graph in ("g1", "g4", "g1"):
+                engine.rollout(
+                    RolloutRequest(model="m", graph=graph, x0=x0, n_steps=2)
+                )
+            view = ServeStats.from_registry(engine.metrics_registry())
+            stats = engine.stats()
+        assert view == stats
+        assert stats.requests == 3 and stats.steps == 6
+        assert stats.admission.queue_wait.total == 3
+        assert stats.registry.per_model_loads["m"] >= 1
+
+    def test_cluster_stats_are_the_view_of_the_merged_shards(
+        self, asset_paths, x0
+    ):
+        from repro.obs.registry import MetricsRegistry
+        from repro.runtime import connect
+        from repro.serve import ServeStats
+
+        with make_engine("cluster", asset_paths) as engine:
+            for graph in ("g1", "g4", "g1", "g4"):
+                engine.rollout(
+                    RolloutRequest(model="m", graph=graph, x0=x0, n_steps=1)
+                )
+            merged = MetricsRegistry()
+            for sid in engine.shard_ids:
+                with connect(f"tcp://{sid}") as shard:
+                    merged.merge(shard.metrics_registry().relabel(shard=sid))
+            stats = engine.stats()
+            assert stats == ServeStats.from_registry(merged)
+            assert stats.requests == 4
+            # the cluster's own exposition is that merge plus its
+            # router-side counters
+            exported = engine.metrics_registry().snapshot()
+            assert {
+                name: entry for name, entry in exported.items()
+                if not name.startswith("repro_cluster_")
+            } == merged.snapshot()
+
+    def test_the_stats_op_is_gone_from_the_wire(self, asset_paths):
+        """``metrics`` is the one stats document on the wire: a raw
+        ``stats`` message gets the typed reply every unknown op gets —
+        no hang, no untyped failure — and the server keeps serving."""
+        import socket
+
+        from repro.serve.protocol import read_message, write_message
+
+        with make_engine("tcp", asset_paths) as engine:
+            sock = socket.create_connection((engine.host, engine.port),
+                                            timeout=10.0)
+            try:
+                with sock.makefile("rwb") as stream:
+                    write_message(stream, {"op": "stats"})
+                    stream.flush()
+                    reply, _ = read_message(stream)
+            finally:
+                sock.close()
+            assert reply["type"] == "error"
+            assert reply["code"] == "bad_request"
+            assert "unknown op 'stats'" in reply["message"]
+            engine.ping()
+            assert engine.stats().requests == 0
+
+
 class TestLocalIsTheServiceInline:
     """``local://`` runs the serving stack's own request path on the
     calling thread: no threads of its own, the same spans, the same

@@ -1,20 +1,26 @@
 """Admission control: queue caps, deadlines, shedding, wait histogram."""
 
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from repro.serve import InferenceService, ServeConfig
+from repro.obs.registry import MetricsRegistry
+from repro.serve import (
+    AdmissionStats,
+    InferenceService,
+    ServeConfig,
+    ServeStats,
+    WaitHistogram,
+)
 from repro.serve.admission import (
     AdmissionConfig,
     AdmissionController,
-    AdmissionStats,
     DeadlineExpired,
     QueueFull,
     RequestRejected,
-    WaitHistogram,
 )
 from repro.serve import InferenceRequest, ScheduledQueue
 
@@ -109,15 +115,21 @@ class TestWaitHistogram:
         with pytest.raises(ValueError):
             WaitHistogram().quantile(0.0)
 
-    def test_dict_roundtrip(self):
-        ctl = AdmissionController(AdmissionConfig(max_queue_depth=1))
+    def test_snapshot_roundtrip(self):
+        """What crosses the wire is the registry snapshot; the view of
+        the rebuilt registry is the view of the original."""
+        metrics = MetricsRegistry()
+        ctl = AdmissionController(AdmissionConfig(max_queue_depth=1), metrics)
         ctl.admit(0)
         with pytest.raises(QueueFull):
             ctl.admit(1)
         ctl.note_dequeued(0.01)
         stats = ctl.stats()
-        again = AdmissionStats.from_dict(stats.to_dict())
-        assert again == stats
+        assert isinstance(stats, AdmissionStats)
+        assert (stats.accepted, stats.shed, stats.queue_wait.total) == (1, 1, 1)
+        wire = json.loads(json.dumps(metrics.snapshot()))
+        again = ServeStats.from_registry(MetricsRegistry.from_snapshot(wire))
+        assert again.admission == stats
 
 
 class TestQueueIntegration:

@@ -195,14 +195,14 @@ class TestByteAccurateSizingAndReloadCost:
         assert any("reload cost" in r.message for r in caplog.records)
 
     def test_reload_cost_reaches_the_stats_table(self, full_graph):
-        from repro.serve.metrics import MetricsAggregator, stats_markdown
-        from repro.serve.registry import RegistryStats
+        from repro.obs.registry import MetricsRegistry
+        from repro.serve.metrics import ServeStats, stats_markdown
 
-        cache = GraphCache()
+        metrics = MetricsRegistry()
+        cache = GraphCache(metrics=metrics)
         cache.get_or_load("k", lambda: [full_graph])
         cache.evict("k")
-        stats = MetricsAggregator().snapshot(
-            cache=cache.stats(), registry=RegistryStats(),
-            queue_depth=0, queue_depth_high_water=0,
-        )
+        stats = ServeStats.from_registry(metrics)
+        assert stats.cache == cache.stats()
+        assert stats.cache.evictions == 1
         assert "evicted reload cost (ms)" in stats_markdown(stats)

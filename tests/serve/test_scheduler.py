@@ -1,21 +1,24 @@
 """ScheduledQueue policy: lanes, EDF, starvation bound, affinity,
 single-collector invariant, deadline re-check at batch close."""
 
+import json
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.obs.registry import MetricsRegistry
 from repro.serve import (
     AdmissionController,
     DeadlineExpired,
     InferenceRequest,
     ScheduledQueue,
     SchedulerStats,
+    ServeStats,
+    WaitHistogram,
     lane_label,
 )
-from repro.serve.admission import WaitHistogram
 
 X0 = np.zeros((5, 3))
 
@@ -275,21 +278,31 @@ def test_lane_wait_histogram_per_lane():
     assert lane_label(key) == "a/g/None/direct/float64"
 
 
-def test_scheduler_stats_merge_and_roundtrip():
-    a = SchedulerStats(
-        dispatches=3, affinity_hits=2, affinity_steals=1,
-        edf_preemptions=1, starvation_overrides=1, warm_key_batches=2,
-        lanes=2, lane_depth_high_water=4,
-        lane_depth={"x": 1, "y": 2},
-        lane_wait={"x": WaitHistogram(counts=[1] + [0] * 10, total=1, sum_s=0.5)},
-    )
-    b = SchedulerStats(
-        dispatches=1, lanes=1, lane_depth_high_water=7,
-        lane_depth={"y": 3, "z": 1},
-        lane_wait={"x": WaitHistogram(counts=[0, 2] + [0] * 9, total=2, sum_s=1.0),
-                   "z": WaitHistogram(counts=[1] + [0] * 10, total=1, sum_s=0.1)},
-    )
-    merged = a.merge(b)
+def test_scheduler_stats_merge_and_roundtrip(registry_of):
+    """Two shards' scheduler series merge by registry merge and survive
+    the wire snapshot."""
+    a = registry_of({
+        "scheduler.dispatches": 3, "scheduler.affinity_hits": 2,
+        "scheduler.affinity_steals": 1, "scheduler.edf_preemptions": 1,
+        "scheduler.starvation_overrides": 1, "scheduler.warm_key_batches": 2,
+        "scheduler.lanes": 2, "scheduler.lane_depth_high_water": 4,
+        "scheduler.lane_depth": {"x": 1, "y": 2},
+        "scheduler.lane_wait": {
+            "x": WaitHistogram(counts=[1] + [0] * 10, total=1, sum_s=0.5),
+        },
+    })
+    b = registry_of({
+        "scheduler.dispatches": 1, "scheduler.lanes": 1,
+        "scheduler.lane_depth_high_water": 7,
+        "scheduler.lane_depth": {"y": 3, "z": 1},
+        "scheduler.lane_wait": {
+            "x": WaitHistogram(counts=[0, 2] + [0] * 9, total=2, sum_s=1.0),
+            "z": WaitHistogram(counts=[1] + [0] * 10, total=1, sum_s=0.1),
+        },
+    })
+    merged_registry = a.merge(b)
+    merged = ServeStats.from_registry(merged_registry).scheduler
+    assert isinstance(merged, SchedulerStats)
     assert merged.dispatches == 4
     assert merged.affinity_hits == 2
     assert merged.lane_depth == {"x": 1, "y": 5, "z": 1}
@@ -297,5 +310,6 @@ def test_scheduler_stats_merge_and_roundtrip():
     assert merged.lane_wait["x"].total == 3
     assert merged.lane_wait["x"].sum_s == pytest.approx(1.5)
     assert merged.lane_wait["z"].total == 1
-    back = SchedulerStats.from_dict(merged.to_dict())
-    assert back == merged
+    wire = json.loads(json.dumps(merged_registry.snapshot()))
+    back = ServeStats.from_registry(MetricsRegistry.from_snapshot(wire))
+    assert back.scheduler == merged

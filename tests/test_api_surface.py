@@ -54,7 +54,7 @@ def test_surface_covers_the_engine_api():
         "class RolloutRequest",
         "class TrainRequest",
         "class CapabilityError",
-        "def merge_stats",
+        "from_registry(registry",
         "class TraceBuffer",
         "class MetricsRegistry",
         "class HotLoopProfiler",
