@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 class ShardState(enum.Enum):
@@ -53,7 +53,6 @@ class HealthMonitor:
         shards: Sequence,
         interval_s: float = 2.0,
         failure_threshold: int = 2,
-        on_transition: Callable[[object, ShardState], None] | None = None,
     ):
         if interval_s <= 0:
             raise ValueError("interval_s must be > 0")
@@ -62,7 +61,6 @@ class HealthMonitor:
         self._shards = list(shards)
         self._interval_s = interval_s
         self._threshold = failure_threshold
-        self._on_transition = on_transition
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -93,13 +91,9 @@ class HealthMonitor:
         for shard in self._shards:
             if shard.state is ShardState.DRAINING:
                 continue  # operator-held; probes must not flip it
-            before = shard.state
             try:
                 shard.probe()
             except Exception:  # noqa: BLE001 - any failure means unhealthy
                 shard.note_probe_failed(self._threshold)
             else:
                 shard.note_probe_ok()
-            after = shard.state
-            if after is not before and self._on_transition is not None:
-                self._on_transition(shard, after)

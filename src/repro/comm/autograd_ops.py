@@ -31,10 +31,10 @@ from repro.comm.modes import ExchangeSpec, HaloMode
 from repro.tensor import Tensor
 from repro.tensor.aggregation import aggregation_plans_enabled, plan_for
 from repro.tensor.tensor import accumulate_parent_grad, collect_parents, is_grad_enabled
-from repro.tensor.workspace import arena_adopt, arena_out, arena_recycle, pooled_take
+from repro.tensor.workspace import arena_out, arena_recycle, pooled_take
 
 
-def _raw_exchange(
+def halo_exchange_raw(
     payload: np.ndarray,
     spec: ExchangeSpec,
     comm: Communicator,
@@ -45,8 +45,13 @@ def _raw_exchange(
     received rows stacked neighbor-after-neighbor (sorted by rank).
 
     This is the non-differentiable engine used by both the forward and
-    the backward (with a transposed spec) of the halo exchange.
+    the backward (with a transposed spec) of the halo exchange, and
+    called directly — raw arrays in, raw array out — by the fused
+    inference forward (the result is an arena buffer the caller
+    recycles).
     """
+    if spec.size != comm.size:
+        raise ValueError(f"spec world size {spec.size} != communicator size {comm.size}")
     n_feat = payload.shape[1] if payload.ndim == 2 else 1
     dtype = payload.dtype
     n_halo = spec.n_halo
@@ -152,20 +157,16 @@ def halo_exchange_tensor(
     mode = HaloMode.parse(mode)
     if mode is HaloMode.NONE:
         raise ValueError("halo_exchange_tensor called with mode NONE")
-    if spec.size != comm.size:
-        raise ValueError(f"spec world size {spec.size} != communicator size {comm.size}")
 
-    out_data = _raw_exchange(x.data, spec, comm, mode, tag=0)
+    out_data = halo_exchange_raw(x.data, spec, comm, mode, tag=0)
     if not is_grad_enabled():
-        halo = Tensor(out_data)
-        arena_adopt(halo, out_data)  # recycle the recv block on death
-        return halo
+        return Tensor(out_data)
     parents = collect_parents(x)
     tspec = spec.transpose()
 
     def backward(g):
         # ship halo-block gradients back along reversed channels
-        returned = _raw_exchange(np.ascontiguousarray(g), tspec, comm, mode, tag=1)
+        returned = halo_exchange_raw(np.ascontiguousarray(g), tspec, comm, mode, tag=1)
         if x._needs_graph():
             # the returned rows are stacked neighbor-after-neighbor —
             # exactly the order of spec.send_rows — so the per-neighbor

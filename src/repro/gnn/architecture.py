@@ -24,6 +24,8 @@ from repro.graph.distributed import LocalGraph
 from repro.nn import MLP, Module
 from repro.nn.module import ModuleList
 from repro.tensor import Tensor, astensor
+from repro.tensor.fused import fused_forward_enabled, fused_mlp
+from repro.tensor.workspace import arena_recycle
 
 
 class MeshGNN(Module):
@@ -89,20 +91,59 @@ class MeshGNN(Module):
             raise ValueError(
                 f"x has shape {x.shape}, expected {(graph.n_local, self.config.node_in)}"
             )
+        if encoded_edge_attr is None:
+            edge_attr = astensor(edge_attr)
+            if edge_attr.shape != (graph.n_edges, self.config.edge_in):
+                raise ValueError(
+                    f"edge_attr has shape {edge_attr.shape}, expected "
+                    f"{(graph.n_edges, self.config.edge_in)}"
+                )
+        if fused_forward_enabled(graph.plans):
+            return Tensor(
+                self._forward_fused(
+                    x, edge_attr, graph, comm, HaloMode.parse(halo_mode),
+                    encoded_edge_attr,
+                )
+            )
         if encoded_edge_attr is not None:
             e = astensor(encoded_edge_attr)
         else:
-            e = astensor(edge_attr)
-            if e.shape != (graph.n_edges, self.config.edge_in):
-                raise ValueError(
-                    f"edge_attr has shape {e.shape}, expected "
-                    f"{(graph.n_edges, self.config.edge_in)}"
-                )
-            e = self.edge_encoder(e)
+            e = self.edge_encoder(edge_attr)
         x = self.node_encoder(x)
         for layer in self.processor:
             x, e = layer(x, e, graph, comm, halo_mode)
         return self.decoder(x)
+
+    def _forward_fused(
+        self,
+        x: Tensor,
+        edge_attr: Tensor,
+        graph: LocalGraph,
+        comm: Communicator | None,
+        halo_mode: HaloMode,
+        encoded_edge_attr: np.ndarray | None,
+    ) -> np.ndarray:
+        """The inference forward: raw arrays through the fused kernels.
+
+        Bit-for-bit the ``Tensor`` chain of :meth:`forward`. Every
+        intermediate is an arena buffer recycled here, at the point its
+        lifetime ends; the inputs (``x``, ``edge_attr`` — read only
+        without a hoisted ``encoded_edge_attr``) stay the caller's, and
+        the returned array is the caller's to recycle.
+        """
+        e = encoded_edge_attr
+        if e is None:
+            e = fused_mlp(edge_attr.data, self.edge_encoder.kernel())
+        h = fused_mlp(x.data, self.node_encoder.kernel())
+        for layer in self.processor:
+            h_new, e_new = layer._forward_fused(h, e, graph, comm, halo_mode)
+            arena_recycle(h)
+            if e is not encoded_edge_attr:
+                arena_recycle(e)
+            h, e = h_new, e_new
+        if e is not encoded_edge_attr:
+            arena_recycle(e)
+        return fused_mlp(h, self.decoder.kernel(), recycle_input=True)
 
 
 def cast_replica(model: MeshGNN, dtype) -> MeshGNN:

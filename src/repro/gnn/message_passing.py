@@ -25,21 +25,21 @@ the global sum at its receiver (replicas contribute ``d * (1/d)``).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.comm import HaloMode, halo_exchange_tensor
+from repro.comm.autograd_ops import halo_exchange_raw
 from repro.comm.backend import Communicator
 from repro.graph.distributed import LocalGraph
 from repro.nn import MLP, Module
-from repro.tensor import (
-    Tensor,
-    aggregation_plans_enabled,
-    concatenate,
-    fast_math_enabled,
-    gather_rows,
-    is_grad_enabled,
-    scatter_add,
+from repro.tensor import Tensor, concatenate, gather_rows, scatter_add
+from repro.tensor.fused import (
+    fused_aggregate,
+    fused_edge_mlp,
+    fused_forward_enabled,
+    fused_node_mlp,
 )
-from repro.tensor.fused import fused_aggregate, fused_edge_mlp, fused_node_mlp
-from repro.tensor.workspace import arena_adopt, arena_recycle
+from repro.tensor.workspace import arena_recycle
 
 
 class ConsistentNMPLayer(Module):
@@ -95,22 +95,14 @@ class ConsistentNMPLayer(Module):
         the world size is 1.
         """
         halo_mode = HaloMode.parse(halo_mode)
-        src, dst = graph.edge_index[0], graph.edge_index[1]
         # compiled segment-reduction schedules, cached on the graph
         # (None while plans are globally disabled — ops then fall back
         # to the naive np.add.at path, bit-for-bit identical)
         plans = graph.plans
-
-        # fused fast path: bitwise-identical to the op chain below, but
-        # never while autograd records (training must take the
-        # reference ops) and only with compiled plans to scatter into
-        if (
-            fast_math_enabled()
-            and not is_grad_enabled()
-            and plans is not None
-            and aggregation_plans_enabled()
-        ):
-            return self._forward_fused(x, e, graph, comm, halo_mode, src, dst, plans)
+        if fused_forward_enabled(plans):
+            x_new, e_new = self._forward_fused(x.data, e.data, graph, comm, halo_mode)
+            return Tensor(x_new), Tensor(e_new)
+        src, dst = graph.edge_index[0], graph.edge_index[1]
 
         # Eq. 4a — edge update with residual
         x_src = gather_rows(x, src, plan=plans.gather_src if plans else None)
@@ -143,24 +135,26 @@ class ConsistentNMPLayer(Module):
 
     def _forward_fused(
         self,
-        x: Tensor,
-        e: Tensor,
+        x: np.ndarray,
+        e: np.ndarray,
         graph: LocalGraph,
         comm: Communicator | None,
         halo_mode: HaloMode,
-        src,
-        dst,
-        plans,
-    ) -> tuple[Tensor, Tensor]:
-        """The same layer through the fused raw-array kernels.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The same layer on raw arrays through the fused kernels.
 
         Bit-for-bit the op chain of :meth:`forward` in every dtype (see
-        :mod:`repro.tensor.fused` for why); the halo exchange (Eqs.
-        4c/4d) reuses the differentiable comm ops unchanged — it is
-        communication-bound, not kernel-bound.
+        :mod:`repro.tensor.fused` for why); the halo sync (Eqs. 4c/4d)
+        is the exchange engine under ``halo_exchange_tensor``, the
+        planned halo scatter and the ``np.add`` behind ``Tensor.__add__``.
+        Returns fresh arena buffers; ``x`` and ``e`` stay the caller's
+        (:class:`~repro.gnn.architecture.MeshGNN` recycles them once
+        the layer consumed them). Private to :mod:`repro.gnn`: the two
+        callers check :func:`~repro.tensor.fused.fused_forward_enabled`.
         """
-        xd, ed = x.data, e.data
-        e_new = fused_edge_mlp(xd, ed, src, dst, self.edge_mlp.kernel())
+        src, dst = graph.edge_index[0], graph.edge_index[1]
+        plans = graph.plans
+        e_new = fused_edge_mlp(x, e, src, dst, self.edge_mlp.kernel())
         inv_degree = (
             graph.inv_edge_degree.astype(e_new.dtype, copy=False)[:, None]
             if self.degree_scaling
@@ -170,21 +164,16 @@ class ConsistentNMPLayer(Module):
         if halo_mode is not HaloMode.NONE and graph.size > 1:
             if comm is None:
                 raise ValueError("halo exchange requested but no communicator given")
-            a_t = Tensor(a)
-            arena_adopt(a_t, a)
-            halo_rows = halo_exchange_tensor(a_t, graph.halo.spec, comm, halo_mode)
-            a_t = a_t + scatter_add(
-                halo_rows,
-                graph.halo.halo_to_local,
-                graph.n_local,
-                plan=plans.halo_scatter,
-            )
-            x_new = fused_node_mlp(xd, a_t.data, self.node_mlp.kernel())
-        else:
-            x_new = fused_node_mlp(xd, a, self.node_mlp.kernel())
-            arena_recycle(a)
-        x_t = Tensor(x_new)
-        arena_adopt(x_t, x_new)
-        e_t = Tensor(e_new)
-        arena_adopt(e_t, e_new)
-        return x_t, e_t
+            halo_rows = halo_exchange_raw(a, graph.halo.spec, comm, halo_mode, tag=0)
+            if plans.halo_scatter is None:
+                # a rank without halo rows still joined the collective;
+                # the reference adds a zero block (-0.0 + 0.0 -> +0.0)
+                np.add(a, 0.0, out=a)
+            else:
+                sync = plans.halo_scatter.scatter_add(halo_rows)
+                np.add(a, sync, out=a)
+                arena_recycle(sync)
+            arena_recycle(halo_rows)
+        x_new = fused_node_mlp(x, a, self.node_mlp.kernel())
+        arena_recycle(a)
+        return x_new, e_new

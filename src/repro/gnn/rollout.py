@@ -20,8 +20,8 @@ from repro.gnn.architecture import MeshGNN
 from repro.graph.distributed import LocalGraph
 from repro.graph.features import EDGE_FEATURES_GEOMETRIC
 from repro.obs import profile as _profile
-from repro.tensor import Tensor, inference_mode, no_grad
-from repro.tensor.fused import fast_math as _fast_math_scope
+from repro.tensor import Tensor, fast_math, inference_mode, no_grad
+from repro.tensor.fused import fused_mlp
 
 
 def rollout(
@@ -33,7 +33,6 @@ def rollout(
     halo_mode: HaloMode | str = HaloMode.NEIGHBOR_A2A,
     residual: bool = False,
     workspace: bool = True,
-    fast_math: bool = True,
 ) -> list[np.ndarray]:
     """Iterate the model ``n_steps`` times from ``x0``.
 
@@ -43,20 +42,17 @@ def rollout(
         If true the model output is interpreted as an increment
         (``x_{n+1} = x_n + G(x_n)``) rather than the next state.
     workspace:
-        Run the steady-state loop inside an inference workspace arena
-        (:func:`repro.tensor.inference_mode`): per-layer intermediates,
-        edge features, and halo send/recv buffers are preallocated once
-        and reused every step, and geometric edge features (which do
-        not depend on the state) are computed once. Bitwise identical
-        to the plain path; ``workspace=False`` keeps the naive
-        allocate-per-step loop benchable (``python -m repro bench``).
-    fast_math:
-        Route the workspace loop through the fused inference kernels
-        (:mod:`repro.tensor.fused`) and hoist the state-independent
-        edge encoding out of the loop. Bitwise identical to the
-        reference op chain; ``fast_math=False`` keeps the unfused
-        workspace path benchable. Ignored when ``workspace=False``
-        (the naive loop is the reference implementation).
+        Run the inference path (:func:`workspace_steps`, the loop the
+        serve executor shares): the fused raw-array kernels inside an
+        inference workspace arena, so per-layer intermediates, edge
+        features and halo send/recv buffers are allocated once and
+        reused every step, and geometric edge features (which do not
+        depend on the state) are encoded once. Bitwise identical to
+        ``workspace=False``, which runs the *reference*: the ``Tensor``
+        op chain exactly as training runs it, allocating per op (under
+        :func:`repro.tensor.naive_aggregation` additionally with
+        ``np.add.at`` scatters — the bottom rung every bitwise test and
+        ``python -m repro bench`` compare against).
 
     Returns
     -------
@@ -73,7 +69,6 @@ def rollout(
         workspace_steps(
             model, graph, x, n_steps, comm, halo_mode, residual,
             lambda step, state: states.append(np.array(state, copy=True)),
-            fast_math=fast_math,
         )
         return states
     with no_grad():
@@ -95,12 +90,13 @@ def workspace_steps(
     residual: bool,
     on_state,
     arena=None,
-    fast_math: bool = True,
 ) -> None:
-    """The shared fast stepping loop (direct rollout AND serve executor).
+    """The inference path's stepping loop (direct rollout AND serve executor).
 
     Runs ``n_steps`` model applications from ``x`` inside
-    :func:`repro.tensor.inference_mode`, calling
+    :func:`repro.tensor.inference_mode` with the ``fast_math`` gate
+    set — raw arrays through the fused kernels, ``Tensor``s only at
+    the model-call boundary — calling
     ``on_state(step, state)`` after each step (``step`` is 1-based;
     ``state`` may reference reused pool memory — consumers must copy,
     which both callers do).
@@ -138,47 +134,35 @@ def workspace_steps(
     prof = _profile.current_profiler()
     xbuf: np.ndarray | None = None
     borrowed: np.ndarray | None = None  # pool buffer x references
-    with inference_mode(arena) as arena, _fast_math_scope(fast_math):
+    with inference_mode(arena) as arena, fast_math():
         encoded_edge: np.ndarray | None = None
-        if fast_math and static_attr is not None:
+        if static_attr is not None:
             # geometric edge features do not depend on the state, so
             # their encoding is identical every step — compute it once
             # (bitwise-unchanged; the reference path recomputes it)
-            encoded_edge = model.edge_encoder(Tensor(static_attr)).data
+            encoded_edge = fused_mlp(static_attr, model.edge_encoder.kernel())
         for step in range(1, n_steps + 1):
             arena.reset()
-            if prof is None:
-                edge_attr = (
-                    static_attr
-                    if static_attr is not None
-                    else graph.edge_attr(node_features=x, kind=kind)
-                )
-                if edge_attr.dtype != x.dtype:
-                    cast = edge_attr.astype(x.dtype)
-                    arena.recycle(edge_attr)
-                    edge_attr = cast
-                y = model(
-                    Tensor(x), edge_attr, graph, comm, halo_mode,
-                    encoded_edge_attr=encoded_edge,
-                ).data
-            else:
-                t0 = time.perf_counter()
-                edge_attr = (
-                    static_attr
-                    if static_attr is not None
-                    else graph.edge_attr(node_features=x, kind=kind)
-                )
-                if edge_attr.dtype != x.dtype:
-                    cast = edge_attr.astype(x.dtype)
-                    arena.recycle(edge_attr)
-                    edge_attr = cast
-                t1 = time.perf_counter()
-                prof.add("rollout.edge_features", t1 - t0)
-                y = model(
-                    Tensor(x), edge_attr, graph, comm, halo_mode,
-                    encoded_edge_attr=encoded_edge,
-                ).data
+            # two clock reads per step are cheaper than a second copy
+            # of this body: tracing-off still pays one `is None` branch
+            t0 = time.perf_counter()
+            edge_attr = (
+                static_attr
+                if static_attr is not None
+                else graph.edge_attr(node_features=x, kind=kind)
+            )
+            if edge_attr.dtype != x.dtype:
+                cast = edge_attr.astype(x.dtype)
+                arena.recycle(edge_attr)
+                edge_attr = cast
+            t1 = time.perf_counter()
+            y = model(
+                Tensor(x), edge_attr, graph, comm, halo_mode,
+                encoded_edge_attr=encoded_edge,
+            ).data
+            if prof is not None:
                 t2 = time.perf_counter()
+                prof.add("rollout.edge_features", t1 - t0)
                 prof.add("rollout.model_forward", t2 - t1)
                 prof.add("rollout.step", t2 - t0)
             if static_attr is None:

@@ -86,8 +86,8 @@ class LocalGraph:
 
         Lazily compiled on first use and cached on the instance —
         ``edge_index`` and the halo map must not be mutated afterwards.
-        While plans are globally disabled
-        (:func:`repro.tensor.naive_aggregation` / ``REPRO_NAIVE_AGG``)
+        While plans are globally disabled (inside a
+        :func:`repro.tensor.naive_aggregation` scope)
         no *new* compile happens: the property returns the cached plans
         if a prior enabled call built them, else None. Ops gate on the
         global switch themselves, so a non-None return never forces the

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.autograd_ops import _raw_exchange
+from repro.comm.autograd_ops import halo_exchange_raw
 from repro.comm.backend import Communicator
 from repro.comm.modes import HaloMode
 from repro.graph.distributed import LocalGraph
@@ -54,7 +54,7 @@ def dssum(
     mode = HaloMode.parse(mode)
     squeeze = values.ndim == 1
     payload = values[:, None] if squeeze else values
-    halo = _raw_exchange(np.ascontiguousarray(payload), graph.halo.spec, comm, mode, tag=7)
+    halo = halo_exchange_raw(np.ascontiguousarray(payload), graph.halo.spec, comm, mode, tag=7)
     out = payload.copy()
     np.add.at(out, graph.halo.halo_to_local, halo)
     return out[:, 0] if squeeze else out

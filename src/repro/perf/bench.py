@@ -6,18 +6,17 @@
   backward, naive ``np.add.at`` vs the compiled aggregation plan
   (:mod:`repro.tensor.aggregation`), on a real element graph;
 * **end-to-end** — autoregressive :func:`repro.gnn.rollout.rollout`,
-  three competitors: the naive allocate-per-step loop, the plan +
-  workspace fast path (``fast_math=False``), and the fused edge-MLP
-  kernels (:mod:`repro.tensor.fused`, the library default) — single-rank
-  and (full mode) 4-rank threaded;
+  the two forward paths the library has: the naive reference (the
+  ``Tensor`` op chain, allocate-per-step, ``np.add.at`` scatters) and
+  the fused inference path (:mod:`repro.tensor.fused` kernels in a
+  workspace arena, the library default) — single-rank and (full mode)
+  4-rank threaded;
 * **plan compile** — one-time plan build cost, for context against the
   per-step savings.
 
-All three paths stay permanently benchable: the naive engine is
-selected with :func:`repro.tensor.naive_aggregation` +
-``workspace=False``, the unfused workspace path with
-``fast_math=False``, and the fused path is the library default. Every
-pairing is asserted bitwise identical before it is timed. Results are
+The reference is selected with :func:`repro.tensor.naive_aggregation` +
+``workspace=False``; the fused path is the library default. The pair
+is asserted bitwise identical before it is timed. Results are
 printed as markdown tables and written to ``BENCH_inference.json`` so
 every PR leaves a perf data point (CI uploads the artifact from the
 ``bench-smoke`` job; the ``numerics`` job additionally holds the fused
@@ -71,25 +70,13 @@ def _best_of_pair(
     Interleaving makes the comparison robust to slow drift in machine
     load — each competitor samples the same load profile.
     """
-    best_a, best_b = _best_of_round([a, b], repeats)
-    return best_a, best_b
-
-
-def _best_of_round(
-    fns: list[Callable[[], object]], repeats: int
-) -> list[float]:
-    """Best seconds for N competitors, interleaved round-robin.
-
-    Generalizes :func:`_best_of_pair` to the three-way rollout race
-    (naive / fast / fused); same drift-robustness argument.
-    """
-    best = [float("inf")] * len(fns)
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        for i, fn in enumerate(fns):
+        for i, fn in enumerate((a, b)):
             start = time.perf_counter()
             fn()
             best[i] = min(best[i], time.perf_counter() - start)
-    return best
+    return best[0], best[1]
 
 
 def bench_ops(mesh: BoxMesh, width: int, repeats: int) -> dict:
@@ -149,14 +136,9 @@ def _rollout_pair(
     repeats: int,
     comm=None,
 ) -> dict:
-    """Time naive vs fast vs fused rollout on one (already-built) graph.
-
-    ``fast`` pins ``fast_math=False`` so the naive-vs-fast comparison
-    keeps measuring exactly what it always has (the workspace arena +
-    aggregation plans, no kernel fusion) — ``tools/check_obs_overhead.py``
-    compares those two numbers across runs. ``fused`` is the library
-    default path.
-    """
+    """Time the naive reference vs the fused inference path on one
+    (already-built) graph. ``tools/check_obs_overhead.py`` compares the
+    ``fused_s / naive_s`` ratio across runs."""
 
     def naive():
         with naive_aggregation():
@@ -165,30 +147,16 @@ def _rollout_pair(
                 halo_mode="n-a2a", workspace=False,
             )
 
-    def fast():
-        return rollout(
-            model, graph, x0, n_steps, comm=comm, halo_mode="n-a2a",
-            workspace=True, fast_math=False,
-        )
-
     def fused():
-        return rollout(
-            model, graph, x0, n_steps, comm=comm, halo_mode="n-a2a",
-            workspace=True, fast_math=True,
-        )
+        return rollout(model, graph, x0, n_steps, comm=comm, halo_mode="n-a2a")
 
-    ref = naive()
-    for a, b in zip(ref, fast()):
-        assert (a == b).all(), "fast rollout diverged from naive rollout"
-    for a, b in zip(ref, fused()):
+    for a, b in zip(naive(), fused()):
         assert (a == b).all(), "fused rollout diverged from naive rollout"
-    naive_s, fast_s, fused_s = _best_of_round([naive, fast, fused], repeats)
+    naive_s, fused_s = _best_of_pair(naive, fused, repeats)
     return {
         "n_steps": n_steps,
         "naive_s": naive_s,
-        "fast_s": fast_s,
         "fused_s": fused_s,
-        "speedup": naive_s / fast_s if fast_s else float("inf"),
         "fused_speedup": naive_s / fused_s if fused_s else float("inf"),
     }
 
@@ -215,21 +183,18 @@ def bench_rollout(mesh: BoxMesh, config: GNNConfig, n_steps: int, repeats: int) 
 def bench_rollout_multirank(
     mesh: BoxMesh, config: GNNConfig, n_steps: int, repeats: int, ranks: int = 4
 ) -> dict:
-    """4-rank threaded rollout, naive vs fast (each rank owns an arena)."""
+    """4-rank threaded rollout, naive vs fused (each rank owns an arena)."""
     from repro.comm.threaded import ThreadWorld
 
     model = MeshGNN(config)
     dg = build_distributed_graph(mesh, auto_partition(mesh, ranks))
     x0 = taylor_green_velocity(mesh.all_positions())
 
-    def run(workspace: bool, fast_math: bool = False) -> float:
+    def run(workspace: bool) -> float:
         def program(comm):
             lg = dg.local(comm.rank)
             if workspace:
-                return rollout(
-                    model, lg, x0[lg.global_ids], n_steps, comm, "n-a2a",
-                    workspace=True, fast_math=fast_math,
-                )
+                return rollout(model, lg, x0[lg.global_ids], n_steps, comm, "n-a2a")
             with naive_aggregation():
                 return rollout(
                     model, lg, x0[lg.global_ids], n_steps, comm, "n-a2a",
@@ -240,17 +205,12 @@ def bench_rollout_multirank(
         ThreadWorld(ranks).run(program)
         return time.perf_counter() - start
 
-    naive_s, fast_s, fused_s = _best_of_round(
-        [lambda: run(False), lambda: run(True), lambda: run(True, True)],
-        repeats,
-    )
+    naive_s, fused_s = _best_of_pair(lambda: run(False), lambda: run(True), repeats)
     return {
         "ranks": ranks,
         "n_steps": n_steps,
         "naive_s": naive_s,
-        "fast_s": fast_s,
         "fused_s": fused_s,
-        "speedup": naive_s / fast_s if fast_s else float("inf"),
         "fused_speedup": naive_s / fused_s if fused_s else float("inf"),
     }
 
@@ -433,9 +393,7 @@ def render(doc: dict) -> str:
             f"{op} (E={g['n_edges']}, F={g['width']})",
             f"{r['naive_s'] * 1e3:.2f}",
             f"{r['plan_s'] * 1e3:.2f}",
-            "-",
             f"{r['speedup']:.2f}x",
-            "-",
         ])
     for key, label in (
         ("rollout_single_rank", "rollout 1 rank"),
@@ -446,15 +404,11 @@ def render(doc: dict) -> str:
             rows.append([
                 f"{label} ({r['n_steps']} steps)",
                 f"{r['naive_s'] * 1e3:.2f}",
-                f"{r['fast_s'] * 1e3:.2f}",
                 f"{r['fused_s'] * 1e3:.2f}",
-                f"{r['speedup']:.2f}x",
                 f"{r['fused_speedup']:.2f}x",
             ])
     table = markdown_table(
-        ["benchmark", "naive (ms)", "fast (ms)", "fused (ms)", "speedup",
-         "fused speedup"],
-        rows,
+        ["benchmark", "naive (ms)", "plan / fused (ms)", "speedup"], rows
     )
     extra = (
         f"\nplan compile: {ops['plan_compile_s'] * 1e3:.2f} ms "
@@ -495,7 +449,7 @@ def render(doc: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
-        description="NMP inference microbenchmarks (naive vs compiled-plan fast path)",
+        description="NMP inference microbenchmarks (naive reference vs plans / fused path)",
     )
     parser.add_argument(
         "--quick", action="store_true",

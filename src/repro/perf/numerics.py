@@ -1,6 +1,6 @@
 """Numerics benchmark: the float32 inference tier's error budget.
 
-The float64 path is *bitwise* consistent — fused or unfused, one rank
+The float64 path is *bitwise* consistent — reference or fused, one rank
 or many, every engine produces identical bits, and the test suite
 asserts equality, not closeness. The float32 tier deliberately trades
 that absolute guarantee for speed and memory, which raises the one
@@ -82,10 +82,11 @@ def running_max(values: list[float]) -> list[float]:
 def run_numerics(quick: bool = False) -> dict:
     """Roll out f32 vs f64 on the bench graph; return the error report.
 
-    The float64 trajectory is produced by the fused fast path (after
-    asserting it bitwise-equal to the naive reference — the numerics
-    report must never silently measure against a wrong baseline); the
-    float32 trajectory steps a cast replica through the same loop.
+    The float64 trajectory is produced by the fused inference path
+    (after asserting it bitwise-equal to the reference ``Tensor`` op
+    chain — the numerics report must never silently measure against a
+    wrong baseline); the float32 trajectory steps a cast replica
+    through the same loop.
     """
     mesh = BoxMesh(6, 6, 4, p=2) if quick else BoxMesh(8, 8, 6, p=2)
     n_steps = 10 if quick else 20
@@ -95,14 +96,14 @@ def run_numerics(quick: bool = False) -> dict:
     graph.__dict__["_plans"] = compile_graph_plans(graph)
     x0 = taylor_green_velocity(mesh.all_positions())
 
-    states64 = rollout(model, graph, x0, n_steps, workspace=True, fast_math=True)
-    reference = rollout(model, graph, x0, n_steps, workspace=True, fast_math=False)
+    states64 = rollout(model, graph, x0, n_steps)
+    reference = rollout(model, graph, x0, n_steps, workspace=False)
     f64_bitwise = all(
         (a == b).all() for a, b in zip(states64, reference)
     )
     if not f64_bitwise:
         raise AssertionError(
-            "fused float64 rollout diverged from the unfused reference; "
+            "fused float64 rollout diverged from the reference op chain; "
             "the float32 error report would be measured against wrong bits"
         )
 

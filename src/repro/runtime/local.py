@@ -70,7 +70,6 @@ class LocalEngine(Engine):
         self,
         request_timeout_s: float = 120.0,
         trace_capacity: int = 2048,
-        fast_math: bool = True,
     ):
         self._service = InferenceService(
             ServeConfig(
@@ -79,7 +78,6 @@ class LocalEngine(Engine):
                 max_wait_s=0.0,
                 request_timeout_s=request_timeout_s,
                 trace_capacity=trace_capacity,
-                fast_math=fast_math,
             )
         )
 

@@ -79,6 +79,23 @@ _FALLBACK_CAPABILITIES = EngineCapabilities(
 )
 
 
+def _error_fields(received: tuple | None) -> tuple[str, str] | None:
+    """``(code, text)`` if ``received`` is an ``error`` reply, else None.
+
+    An error reply without both as strings is the peer's protocol
+    violation — a :class:`ProtocolError`, handled like any other
+    unparseable reply (connection discarded, typed
+    :class:`TransportError`), not the ``KeyError`` that would read as
+    "graph not found".
+    """
+    if received is None or received[0].get("type") != "error":
+        return None
+    code, text = received[0].get("code"), received[0].get("message")
+    if not (isinstance(code, str) and isinstance(text, str)):
+        raise ProtocolError(f"malformed error reply: {received[0]!r}")
+    return code, text
+
+
 @dataclass(frozen=True)
 class PoolStats:
     """Connection-pool accounting snapshot (plain data, safe to share).
@@ -283,6 +300,7 @@ class _WireStream:
                     message = read_message(self._conn.stream)
                     if message is None:
                         raise ProtocolError("server closed the stream before done")
+                    error = _error_fields(message)
                 except (ProtocolError, OSError) as exc:
                     # OSError covers socket timeouts and resets: to the
                     # consumer (and the cluster's failover) a hung shard
@@ -311,7 +329,7 @@ class _WireStream:
                     # typed server rejection: the connection itself is
                     # healthy and at a message boundary — keep it
                     at_boundary = True
-                    protocol.raise_for_code(header["code"], header["message"])
+                    protocol.raise_for_code(*error)
                 else:
                     raise TransportError(
                         f"unexpected message {kind!r} in {self._kind} stream"
@@ -477,6 +495,7 @@ class RemoteEngine(Engine):
                 write_message(conn.stream, header, arrays)
                 wrote = True
                 message = read_message(conn.stream)
+                error = _error_fields(message)
             except (OSError, ProtocolError) as exc:
                 self._pool.discard(conn)
                 if conn.reused and not retried and (idempotent or not wrote):
@@ -491,12 +510,10 @@ class RemoteEngine(Engine):
                     retried = True
                     continue
                 raise TransportError("server closed connection without reply")
-            reply, reply_arrays = message
-            if reply.get("type") == "error":
-                self._pool.release(conn)
-                protocol.raise_for_code(reply["code"], reply["message"])
             self._pool.release(conn)
-            return reply, reply_arrays
+            if error is not None:
+                protocol.raise_for_code(*error)
+            return message
 
     def ping(self) -> None:
         """Round-trip a no-op message (raises on unreachable/bad peer)."""

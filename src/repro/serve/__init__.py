@@ -51,7 +51,7 @@ from repro.serve.admission import (
     RequestRejected,
 )
 from repro.runtime.api import BatchKey
-from repro.serve.batching import InferenceRequest, RolloutHandle
+from repro.serve.batching import RolloutHandle
 from repro.serve.cache import GraphAsset, GraphCache
 from repro.serve.executor import BatchExecution, execute_batch, execute_train_job
 from repro.serve.metrics import (
@@ -87,7 +87,6 @@ __all__ = [
     "GraphAsset",
     "GraphCache",
     "IncompatibleModel",
-    "InferenceRequest",
     "InferenceService",
     "ModelNotFound",
     "ModelRegistry",

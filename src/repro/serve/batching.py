@@ -10,8 +10,7 @@ a queued request is seen through from outside it.
 The request type itself is the runtime layer's shared
 :class:`~repro.runtime.api.RolloutRequest` — the same dataclass a
 client hands to any :class:`~repro.runtime.api.Engine` is what the
-queue batches and the executor runs, with no per-layer re-plumbing
-(``InferenceRequest`` remains as a backwards-compatible alias).
+queue batches and the executor runs, with no per-layer re-plumbing.
 
 Results stream back through :class:`RolloutHandle`: frames are pushed
 as each rollout step completes, so a client can consume a trajectory
@@ -31,9 +30,6 @@ import numpy as np
 from repro.obs.trace import TraceBuffer, wall_from_perf
 from repro.runtime.api import RolloutRequest
 from repro.serve.admission import AdmissionController, DeadlineExpired
-
-#: Backwards-compatible name for the shared request dataclass.
-InferenceRequest = RolloutRequest
 
 
 def shed_expired(
@@ -93,7 +89,7 @@ class RolloutHandle:
 
     _DONE = object()
 
-    def __init__(self, request: InferenceRequest):
+    def __init__(self, request: RolloutRequest):
         self.request = request
         self.metrics = None  # RequestMetrics, attached on completion
         self._frames: queue_mod.Queue = queue_mod.Queue()

@@ -169,8 +169,6 @@ class BatchExecution:
     #: bytes parked in the worker's arenas after this batch (0 without
     #: ``arenas``) — the resident cost of allocation-free serving
     arena_nbytes: int = 0
-    #: whether the batch stepped through the fused fast-math kernels
-    fused: bool = False
     #: whether the batch ran on the float32 inference tier
     f32: bool = False
     #: whether the executing worker had served this batch's key before
@@ -255,7 +253,6 @@ def execute_batch(
     dispatch: FrameDispatch,
     timeout: float = 120.0,
     arenas: WorkerArenas | None = None,
-    fast_math: bool = True,
 ) -> BatchExecution:
     """Run one coalesced batch, streaming frames through ``dispatch``.
 
@@ -271,11 +268,10 @@ def execute_batch(
     serving allocation-free across batches (the batch's pool misses are
     reported as ``arena_reallocations``).
 
-    ``fast_math`` routes the stepping loop through the fused inference
-    kernels (:mod:`repro.tensor.fused`) — bitwise identical to the
-    reference op chain, so the consistency contract is untouched;
-    ``False`` keeps the unfused workspace loop (the obs-overhead
-    baseline). A batch whose requests carry ``precision="float32"``
+    The stepping loop is the inference path (fused raw-array kernels,
+    :mod:`repro.tensor.fused`) — bitwise identical to the reference op
+    chain, so the consistency contract is untouched. A batch whose
+    requests carry ``precision="float32"``
     (same :class:`~repro.runtime.api.BatchKey`, so never mixed with
     float64 requests) steps a cached float32 replica of the model on a
     float32 cast of the stacked states; its frames — including frame 0
@@ -342,7 +338,6 @@ def execute_batch(
             run_model, tiled, x, max_steps, comm, halo_mode, residual,
             lambda step, state: emit(comm.rank, step, np.array(state, copy=True)),
             arena=arenas.for_rank(comm.rank) if arenas is not None else None,
-            fast_math=fast_math,
         )
         return comm.stats
 
@@ -403,7 +398,6 @@ def execute_batch(
             arenas.reallocations - reallocs_before if arenas is not None else 0
         ),
         arena_nbytes=arenas.nbytes if arenas is not None else 0,
-        fused=fast_math,
         f32=f32,
         warm_key=warm_key,
     )

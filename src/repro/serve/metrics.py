@@ -216,7 +216,6 @@ class ServeStats:
     train_s: float = 0.0
     arena_reallocations: int = 0
     arena_bytes_high_water: int = 0
-    fused_batches: int = 0
     f32_batches: int = 0
     ensemble_requests: int = 0
     ensemble_members: int = 0
@@ -371,8 +370,6 @@ SERIES: tuple = (
         ("train_s", "repro_train_seconds_total", "training wall seconds"),
         ("arena_reallocations", "repro_arena_reallocations_total",
          "worker-arena reallocations"),
-        ("fused_batches", "repro_fused_batches_total",
-         "batches run through fused kernels"),
         ("f32_batches", "repro_f32_batches_total",
          "batches served on the float32 tier"),
         ("ensemble_requests", "repro_ensemble_requests_total",
@@ -550,8 +547,7 @@ def stats_markdown(stats: ServeStats) -> str:
         ["worker-arena reallocations", stats.arena_reallocations],
         ["worker-arena bytes pooled (high water)",
          stats.arena_bytes_high_water],
-        ["fused / f32 batches",
-         f"{stats.fused_batches} / {stats.f32_batches}"],
+        ["f32 batches", stats.f32_batches],
         ["ensembles (requests / members / chunks)",
          f"{stats.ensemble_requests} / {stats.ensemble_members} / "
          f"{stats.ensemble_chunks}"],

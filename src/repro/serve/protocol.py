@@ -141,6 +141,18 @@ def require_field(header: dict, key: str):
         raise ValueError(f"message is missing required field {key!r}") from None
 
 
+def require_str(header: dict, key: str) -> str:
+    """A required header field that names something (a model, a graph
+    key, a path): any other type is the peer's bad request, not an
+    ``unhashable type`` deep inside a registry lookup."""
+    value = require_field(header, key)
+    if not isinstance(value, str):
+        raise ValueError(
+            f"field {key!r} must be a string, got {type(value).__name__}"
+        )
+    return value
+
+
 def rollout_message(
     request: RolloutRequest,
 ) -> tuple[dict, list[np.ndarray]]:
@@ -190,8 +202,8 @@ def parse_rollout_message(
         kwargs["trace_id"] = str(trace_id)
     try:
         return RolloutRequest(
-            model=require_field(header, "model"),
-            graph=require_field(header, "graph"),
+            model=require_str(header, "model"),
+            graph=require_str(header, "graph"),
             x0=arrays[0],
             n_steps=int(require_field(header, "n_steps")),
             halo_mode=header.get("halo_mode"),
@@ -266,8 +278,8 @@ def parse_ensemble_message(header: dict, arrays: Sequence[np.ndarray]):
     member_range = header.get("member_range")
     try:
         return EnsembleRequest(
-            model=require_field(header, "model"),
-            graph=require_field(header, "graph"),
+            model=require_str(header, "model"),
+            graph=require_str(header, "graph"),
             x0=arrays[0],
             n_steps=int(require_field(header, "n_steps")),
             n_members=int(require_field(header, "n_members")),
@@ -399,7 +411,7 @@ def parse_graph_upload(header: dict, arrays: Sequence[np.ndarray]):
     from repro.graph.distributed import LocalGraph
     from repro.graph.halo import HaloPlan
 
-    key = require_field(header, "key")
+    key = require_str(header, "key")
     ranks_meta = require_field(header, "ranks")
     if not isinstance(ranks_meta, list) or not ranks_meta:
         raise ValueError("graph upload carries no rank payloads")

@@ -69,11 +69,6 @@ class ServeConfig:
     request is a few timestamps. ``tracing=False`` turns every record
     into a no-op.
 
-    ``fast_math`` routes batch execution through the fused inference
-    kernels (:mod:`repro.tensor.fused`). On by default because it is
-    bitwise identical to the reference op chain; ``False`` pins the
-    unfused workspace loop (the obs-overhead baseline).
-
     Dispatch is the per-key-lane scheduler
     (:mod:`repro.serve.scheduler`): disjoint keys overlap across
     workers, earliest-deadline-first lane choice with a starvation
@@ -96,7 +91,6 @@ class ServeConfig:
     default_deadline_s: float | None = None
     tracing: bool = True
     trace_capacity: int = 2048
-    fast_math: bool = True
     affinity: bool = True
     max_lane_skips: int = 4
 
@@ -470,7 +464,6 @@ class InferenceService:
                 dispatch,
                 timeout=self.config.request_timeout_s,
                 arenas=arenas,
-                fast_math=self.config.fast_math,
             )
         except BaseException as exc:  # noqa: BLE001 - failures go to clients
             if self.trace.enabled:
@@ -527,7 +520,6 @@ class InferenceService:
             m["tile_misses"].inc(execution.tile_misses)
             m["arena_reallocations"].inc(execution.arena_reallocations)
             m["arena_bytes_high_water"].set_max(execution.arena_nbytes)
-            m["fused_batches"].inc(int(execution.fused))
             m["f32_batches"].inc(int(execution.f32))
             m["scheduler.warm_key_batches"].inc(int(execution.warm_key))
         # recorded before the handles finish: a client holding its

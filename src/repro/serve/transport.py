@@ -106,6 +106,7 @@ def parse_endpoint(value: str) -> tuple[str, int]:
 # exception <-> wire-code mapping lives with the protocol now; these
 # aliases keep the transport readable (and old import sites working)
 _require = protocol.require_field
+_require_str = protocol.require_str
 _error_code = protocol.error_code
 _raise_for_code = protocol.raise_for_code
 
@@ -169,16 +170,20 @@ class _Handler(socketserver.StreamRequestHandler):
                 self._reply({"type": "models", "names": service.registry.names()})
             elif op == "register_checkpoint":
                 expect = header.get("expect_config")
+                try:
+                    expect_config = GNNConfig(**expect) if expect else None
+                except TypeError as exc:  # not a mapping / unknown field
+                    raise ValueError(f"malformed expect_config: {exc}") from None
                 service.register_checkpoint(
-                    _require(header, "name"),
-                    _require(header, "path"),
-                    expect_config=GNNConfig(**expect) if expect else None,
+                    _require_str(header, "name"),
+                    _require_str(header, "path"),
+                    expect_config=expect_config,
                     eager=bool(header.get("eager", False)),
                 )
                 self._reply({"type": "ok"})
             elif op == "register_graph_dir":
                 service.register_graph_dir(
-                    _require(header, "key"), _require(header, "path")
+                    _require_str(header, "key"), _require_str(header, "path")
                 )
                 self._reply({"type": "ok"})
             elif op == "register_graph":

@@ -32,14 +32,12 @@ from repro.tensor.aggregation import (
     aggregation_plans_enabled,
     naive_aggregation,
     plan_for,
-    set_aggregation_plans_enabled,
 )
 from repro.tensor.workspace import InferenceArena, arena_scope, current_arena
 from repro.tensor.fused import (
     MLPKernel,
     fast_math,
     fast_math_enabled,
-    set_fast_math,
 )
 from repro.tensor.ops import (
     add,
@@ -75,14 +73,12 @@ __all__ = [
     "aggregation_plans_enabled",
     "naive_aggregation",
     "plan_for",
-    "set_aggregation_plans_enabled",
     "InferenceArena",
     "arena_scope",
     "current_arena",
     "MLPKernel",
     "fast_math",
     "fast_math_enabled",
-    "set_fast_math",
     "is_grad_enabled",
     "set_grad_enabled",
     "asarray",

@@ -28,16 +28,15 @@ Plans treat the index array contents as immutable: mutating an index
 array after a plan was compiled for it (directly or through the
 :func:`plan_for` memo) yields undefined results.
 
-The module-wide switch :func:`set_aggregation_plans_enabled` /
-:func:`naive_aggregation` keeps the naive path benchable
-(``python -m repro bench`` compares both); it is process-global so the
-threaded multi-rank backends see a consistent setting.
+The :func:`naive_aggregation` scope keeps the naive path selectable —
+it is the bottom rung every bitwise test and ``python -m repro bench``
+compare against; it is process-global so the threaded multi-rank
+backends see a consistent setting.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 import time
 import weakref
@@ -47,9 +46,6 @@ import numpy as np
 from repro.obs import profile as _profile
 from repro.tensor.workspace import arena_out, arena_recycle, pooled_take
 
-#: process-global switch: when False, ops ignore plans and use np.add.at
-_PLANS_ENABLED = os.environ.get("REPRO_NAIVE_AGG", "") not in ("1", "true", "yes")
-
 #: reentrant disable count (naive_aggregation scopes); > 0 forces naive
 _DISABLE_DEPTH = 0
 _DISABLE_LOCK = threading.Lock()
@@ -57,25 +53,13 @@ _DISABLE_LOCK = threading.Lock()
 
 def aggregation_plans_enabled() -> bool:
     """Whether ops route segment reductions through compiled plans."""
-    return _PLANS_ENABLED and _DISABLE_DEPTH == 0
-
-
-def set_aggregation_plans_enabled(enabled: bool) -> bool:
-    """Set the process-global plan switch; returns the previous value.
-
-    Process-global (not thread-local) on purpose: the threaded comm
-    backends run rank programs on worker threads, and a benchmark
-    toggling the naive path must affect all ranks of the world.
-    """
-    global _PLANS_ENABLED
-    prev = _PLANS_ENABLED
-    _PLANS_ENABLED = bool(enabled)
-    return prev
+    return _DISABLE_DEPTH == 0
 
 
 @contextlib.contextmanager
 def naive_aggregation():
-    """Context manager forcing the naive ``np.add.at`` path (benchmarks).
+    """Context manager forcing the naive ``np.add.at`` path — the one
+    way to select it (reference runs, benchmarks).
 
     Counted, not save/restored: concurrent scopes on different threads
     (each rank of a ``ThreadWorld`` wrapping its program) compose —

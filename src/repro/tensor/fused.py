@@ -1,10 +1,15 @@
-"""Fused inference kernels behind the ``fast_math`` switch.
+"""The inference forward: fused raw-array kernels behind ``fast_math``.
 
-The aggregation plans (PR 3) took the scatter/gather ops off the
-critical path; what remains of the rollout budget is the per-edge MLP
-work — GEMMs, ELUs, LayerNorms, and the gather→concat staging that
-feeds them (see ``BENCH_inference.json``). This module attacks that
-wall directly with *fused* kernels that operate on raw ndarrays:
+There are two implementations of the forward pass and only two. The
+:class:`~repro.tensor.Tensor` op chain (:mod:`repro.tensor.ops`) is what
+training runs and what every bitwise test compares against — the
+*reference*. This module is the other one: kernels that take raw
+ndarrays and return raw ndarrays, draw every buffer from the active
+inference arena (:mod:`repro.tensor.workspace`) and hand temporaries
+back the moment they die. The whole no-grad model forward (encoders,
+processor, halo sync, decoder) is built from them; a steady-state step
+constructs ``Tensor``s only at the model-call boundary and calls no
+function of ``ops``.
 
 * :func:`fused_edge_mlp` writes the ``[x_src, x_dst, e]`` gathers
   straight into one C-contiguous concat buffer and runs **one GEMM per
@@ -19,14 +24,13 @@ wall directly with *fused* kernels that operate on raw ndarrays:
   so the result is bit-for-bit the full-array computation the
   reference op performs (property-tested, including ``-0.0``).
 * :func:`fused_mlp` / :func:`fused_layer_norm` replay exactly the
-  numpy call sequences of the reference ops in
-  :mod:`repro.tensor.ops`, drawing intermediates from the active
-  inference arena.
+  numpy call sequences of the reference ops, with the intermediates in
+  arena buffers.
 
 Bitwise contract
 ----------------
-In float64 the fused path produces **bit-identical** results to the
-unfused op chain (``gather_rows``/``concatenate``/``linear``/``elu``/
+In every dtype the fused path produces **bit-identical** results to the
+reference op chain (``gather_rows``/``concatenate``/``linear``/``elu``/
 ``layer_norm``/``scatter_add``): every floating-point operation either
 is the same numpy call on the same values in the same layout, or is an
 elementwise kernel applied to a compacted subset (position-independent
@@ -34,14 +38,18 @@ per element). ``tests/properties/test_fused_kernel.py`` asserts this
 across adversarial graphs; the engine-conformance suite asserts it
 end-to-end on every engine.
 
-The switch
-----------
+The gate
+--------
 ``fast_math`` is thread-local (each rank thread of a ``ThreadWorld``
 runs its own stepping loop) and **defaults to off**: only inference
-entry points that explicitly opt in (``rollout(..., fast_math=True)``,
-the serve executor) enable it, and the kernels are additionally gated
-on ``not is_grad_enabled()`` — a training step can never silently
-route through the fused path (gradcheck-asserted).
+entry points enable it (:func:`repro.gnn.rollout.workspace_steps`,
+which is ``rollout()``'s default and the serve executor's loop).
+:func:`fused_forward_enabled` is the one fused-vs-reference decision,
+evaluated once per model (or directly-called layer) forward; it
+additionally requires ``not is_grad_enabled()`` — a training step can
+never silently route through the fused path (gradcheck-asserted) — and
+compiled plans to scatter into. When it is false the call *is* the
+reference chain, not a third variant.
 """
 
 from __future__ import annotations
@@ -53,6 +61,8 @@ import time
 import numpy as np
 
 from repro.obs import profile as _profile
+from repro.tensor.aggregation import aggregation_plans_enabled
+from repro.tensor.tensor import is_grad_enabled
 from repro.tensor.workspace import arena_out, arena_recycle
 
 _state = threading.local()
@@ -63,21 +73,30 @@ def fast_math_enabled() -> bool:
     return getattr(_state, "enabled", False)
 
 
-def set_fast_math(enabled: bool) -> bool:
-    """Set the thread-local fast-math switch; returns the previous value."""
-    prev = fast_math_enabled()
-    _state.enabled = bool(enabled)
-    return prev
-
-
 @contextlib.contextmanager
 def fast_math(enabled: bool = True):
     """Scope the thread-local fast-math switch (save/restore)."""
-    prev = set_fast_math(enabled)
+    prev = fast_math_enabled()
+    _state.enabled = bool(enabled)
     try:
         yield
     finally:
-        set_fast_math(prev)
+        _state.enabled = prev
+
+
+def fused_forward_enabled(plans) -> bool:
+    """Whether a forward over a graph with ``plans`` takes the fused path.
+
+    The single fused-vs-reference predicate: the switch is on, autograd
+    is not recording, and the graph has compiled plans that are not
+    disabled by a :func:`~repro.tensor.naive_aggregation` scope.
+    """
+    return (
+        fast_math_enabled()
+        and not is_grad_enabled()
+        and plans is not None
+        and aggregation_plans_enabled()
+    )
 
 
 def _buf(shape, dtype) -> np.ndarray:

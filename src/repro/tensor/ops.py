@@ -12,17 +12,16 @@ rows into node rows. Their backwards are each other's adjoints, which
 is also the structural template for the distributed halo exchange in
 :mod:`repro.comm.autograd_ops`.
 
-Two orthogonal fast paths keep the hot loop off the allocator:
+Segment-reduction **plans** (:mod:`repro.tensor.aggregation`) replace
+``np.add.at`` in ``scatter_add`` and the gather backwards with a
+presorted, bitwise-identical schedule — pass ``plan=`` explicitly
+(graphs cache theirs) or let the weak memo compile one per persistent
+index array.
 
-* segment-reduction **plans** (:mod:`repro.tensor.aggregation`) replace
-  ``np.add.at`` in ``scatter_add`` and the gather backwards with a
-  presorted, bitwise-identical schedule — pass ``plan=`` explicitly
-  (graphs cache theirs) or let the weak memo compile one per persistent
-  index array;
-* an inference **workspace arena** (:mod:`repro.tensor.workspace`)
-  supplies preallocated output buffers to the no-grad forward of the
-  hot ops (gather, concat, linear, ELU, LayerNorm, scatter, add, mul),
-  so steady-state rollout reuses the same memory every step.
+Every op has exactly one body — the autograd one — and that body is
+also the *reference* the no-grad inference kernels
+(:mod:`repro.tensor.fused`) are tested against bit for bit. Nothing
+here knows about inference workspaces.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.tensor.aggregation import (
     aggregation_plans_enabled,
     plan_for,
 )
-from repro.tensor.fused import fast_elu, fast_math_enabled
 from repro.tensor.tensor import (
     Tensor,
     accumulate_parent_grad,
@@ -46,13 +44,6 @@ from repro.tensor.tensor import (
     is_grad_enabled,
     unbroadcast,
 )
-from repro.tensor.workspace import (
-    arena_adopt,
-    arena_out,
-    arena_recycle,
-    current_arena,
-    pooled_take,
-)
 
 
 def _make(data, parents, backward_fn, name=None) -> Tensor:
@@ -60,13 +51,6 @@ def _make(data, parents, backward_fn, name=None) -> Tensor:
     if is_grad_enabled() and parents:
         return Tensor(data, parents=parents, backward_fn=backward_fn, name=name)
     return Tensor(data, name=name)
-
-
-def _pooled(buf: np.ndarray, name: str | None = None) -> Tensor:
-    """Wrap an arena buffer; the buffer recycles when the tensor dies."""
-    t = Tensor(buf, name=name)
-    arena_adopt(t, buf)
-    return t
 
 
 def _plan_index(index) -> bool:
@@ -116,14 +100,6 @@ def _scatter_grad(
 
 def add(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    if not is_grad_enabled():
-        buf = arena_out(
-            np.broadcast_shapes(a.data.shape, b.data.shape),
-            np.result_type(a.data, b.data),
-        )
-        if buf is not None:
-            np.add(a.data, b.data, out=buf)
-            return _pooled(buf)
     out = a.data + b.data
     parents = collect_parents(a, b)
 
@@ -152,14 +128,6 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = astensor(a), astensor(b)
-    if not is_grad_enabled():
-        buf = arena_out(
-            np.broadcast_shapes(a.data.shape, b.data.shape),
-            np.result_type(a.data, b.data),
-        )
-        if buf is not None:
-            np.multiply(a.data, b.data, out=buf)
-            return _pooled(buf)
     out = a.data * b.data
     parents = collect_parents(a, b)
 
@@ -309,23 +277,6 @@ def elu(a, alpha: float = 1.0) -> Tensor:
     ``elu(x) = x`` for ``x > 0``, ``alpha * (exp(x) - 1)`` otherwise.
     """
     a = astensor(a)
-    if not is_grad_enabled():
-        if fast_math_enabled():
-            # exp over the compacted non-positive entries only —
-            # bitwise-identical (elementwise kernel, position-free)
-            return _pooled(fast_elu(a.data, alpha))
-        buf = arena_out(a.data.shape, a.data.dtype)
-        if buf is not None:
-            # same arithmetic as the recording path, into reused buffers
-            mask = arena_out(a.data.shape, np.bool_)
-            np.greater(a.data, 0, out=mask)
-            np.minimum(a.data, 0.0, out=buf)
-            np.exp(buf, out=buf)
-            np.multiply(buf, alpha, out=buf)  # neg_exp = alpha * exp(min(a, 0))
-            np.subtract(buf, alpha, out=buf)
-            np.copyto(buf, a.data, where=mask)
-            arena_recycle(mask)
-            return _pooled(buf)
     pos = a.data > 0
     neg_exp = alpha * np.exp(np.minimum(a.data, 0.0))  # clamp avoids overflow
     out = np.where(pos, a.data, neg_exp - alpha)
@@ -376,17 +327,6 @@ def linear(x, weight, bias=None) -> Tensor:
     layer instead of three).
     """
     x, weight = astensor(x), astensor(weight)
-    buf = None
-    if not is_grad_enabled() and x.data.ndim == 2:
-        buf = arena_out(
-            (x.data.shape[0], weight.data.shape[0]),
-            np.result_type(x.data, weight.data),
-        )
-    if buf is not None:
-        np.matmul(x.data, weight.data.T, out=buf)
-        if bias is not None:
-            buf += astensor(bias).data
-        return _pooled(buf)
     out = x.data @ weight.data.T
     if bias is not None:
         bias = astensor(bias)
@@ -496,15 +436,6 @@ def astype(a, dtype) -> Tensor:
 def concatenate(tensors: Sequence, axis: int = 0) -> Tensor:
     tensors = [astensor(t) for t in tensors]
     arrays = [t.data for t in tensors]
-    buf = None
-    if not is_grad_enabled() and arrays:
-        shape = list(arrays[0].shape)
-        if all(a.ndim == len(shape) for a in arrays):
-            shape[axis] = int(np.sum([a.shape[axis] for a in arrays]))
-            buf = arena_out(tuple(shape), np.result_type(*arrays))
-    if buf is not None:
-        np.concatenate(arrays, axis=axis, out=buf)
-        return _pooled(buf)
     out = np.concatenate(arrays, axis=axis)
     parents = collect_parents(*tensors)
     sizes = [t.data.shape[axis] for t in tensors]
@@ -575,13 +506,6 @@ def gather_rows(a, index, plan: AggregationPlan | None = None) -> Tensor:
     index = np.asarray(index)
     if index.dtype.kind not in "iu":
         raise TypeError("gather_rows index must be an integer array")
-    if not is_grad_enabled() and index.ndim == 1 and current_arena() is not None:
-        # bounds-check before drawing a pool buffer (preserves the
-        # fancy-indexing error semantics AND never strands a buffer)
-        if index.size == 0 or (
-            0 <= int(index.min()) and int(index.max()) < a.data.shape[0]
-        ):
-            return _pooled(pooled_take(a.data, index))
     out = a.data[index]
     parents = collect_parents(a)
 
@@ -620,8 +544,6 @@ def scatter_add(
                 f"got index length {len(index)} and dim_size {dim_size}"
             )
         out = plan.scatter_add(src.data)
-        if not is_grad_enabled():
-            return _pooled(out)
     else:
         out = np.zeros((dim_size,) + src.data.shape[1:], dtype=src.data.dtype)
         np.add.at(out, index, src.data)
@@ -646,22 +568,6 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     block.
     """
     x, gamma, beta = astensor(x), astensor(gamma), astensor(beta)
-    if not is_grad_enabled():
-        buf = arena_out(x.data.shape, x.data.dtype)
-        if buf is not None:
-            # identical arithmetic to the recording path, but the three
-            # (rows, features)-sized intermediates live in pooled buffers
-            # (the (rows, 1) row statistics are negligible)
-            mu = x.data.mean(axis=-1, keepdims=True)
-            xc = np.subtract(x.data, mu, out=arena_out(x.data.shape, x.data.dtype))
-            sq = np.multiply(xc, xc, out=buf)
-            var = np.mean(sq, axis=-1, keepdims=True)
-            inv_std = 1.0 / np.sqrt(var + eps)
-            xhat = np.multiply(xc, inv_std, out=xc)
-            out = np.multiply(xhat, gamma.data, out=buf)
-            out += beta.data
-            arena_recycle(xc)
-            return _pooled(out, name="layer_norm")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)

@@ -59,15 +59,16 @@ def no_grad():
 def inference_mode(arena=None):
     """``no_grad`` plus a per-thread inference workspace arena.
 
-    Inside the scope, ops write their results into preallocated buffers
-    from the arena (see :mod:`repro.tensor.workspace`); callers running
-    a steady-state loop call ``arena.reset()`` at each iteration so the
-    buffers are reused and the loop makes zero large allocations after
-    warmup. Yields the active :class:`~repro.tensor.workspace.InferenceArena`.
+    Inside the scope, the fused inference kernels, the aggregation
+    plans and the halo exchange draw their buffers from the arena (see
+    :mod:`repro.tensor.workspace`) and recycle them explicitly, so a
+    steady-state loop makes zero large allocations after warmup; the
+    ``Tensor`` ops themselves never touch it. Yields the active
+    :class:`~repro.tensor.workspace.InferenceArena`.
 
-    Results computed inside the scope are only valid until the same
-    sequence slot is reached again after a ``reset()`` — copy anything
-    that must outlive the iteration (the rollout loop already does).
+    An arena buffer handed to a caller (a model output under
+    ``fast_math()``) is only valid until the caller recycles it — copy
+    anything that must outlive that (the rollout loop already does).
     """
     from repro.tensor.workspace import arena_scope
 

@@ -1,26 +1,26 @@
 """Inference workspaces: recycled buffers for the no-grad hot loop.
 
-Steady-state autoregressive rollout runs an identical op sequence every
-step, so after one warmup step every buffer the loop needs already
-exists. An :class:`InferenceArena` is a freelist pool keyed by
-``(shape, dtype)``: ops draw output buffers from it and the buffers
-flow back automatically when their wrapping :class:`Tensor` dies (a
-``weakref.finalize`` hook — under ``no_grad`` tensors die promptly by
-refcount, so a buffer is typically reusable two ops later, keeping the
-cache-resident working set as small as the allocator's hot-block reuse
-while eliminating the allocations themselves).
+Steady-state autoregressive rollout runs an identical kernel sequence
+every step, so after one warmup step every buffer the loop needs
+already exists. An :class:`InferenceArena` is a freelist pool keyed by
+``(shape, dtype)``: the fused raw-array kernels
+(:mod:`repro.tensor.fused`), the aggregation plans and the halo
+exchange draw their outputs and temporaries from it with
+:meth:`InferenceArena.out`, and whoever ends a buffer's lifetime hands
+it back with :meth:`InferenceArena.recycle` — the kernel for its own
+temporaries, the model forward for per-layer activations, the stepping
+loop for states. A freed buffer is typically reusable two kernels
+later, which keeps the cache-resident working set as small as the
+allocator's hot-block reuse while eliminating the allocations
+themselves.
 
-Escape safety: the finalize hook returns a buffer to the pool only if
-the dying tensor held the *last* reference (checked against a
-calibrated refcount baseline). An array that outlives its tensor —
-``model(...).data`` kept by the rollout loop, a view, a copy retained
-by a client — is simply never recycled; it is freed by the normal
-allocator later. Wrong results are impossible; the cost of an escape
-is one allocation.
-
-Op-internal temporaries whose lifetime the op itself controls (the
-centered rows inside LayerNorm, halo send buffers after the collective
-returns) are returned eagerly with :meth:`InferenceArena.recycle`.
+Escape safety is the explicit contract: the pool only ever holds
+buffers somebody recycled, and ``out`` removes a buffer from the pool
+before returning it, so an array nobody recycles — a result kept by a
+client, a view, a buffer a forgetful caller dropped — is never handed
+out again; it is garbage-collected like any other array. Forgetting a
+``recycle`` costs one allocation; wrong results need a *premature*
+``recycle``, which is why each one sits at the point its buffer dies.
 
 The arena is opt-in and thread-local: :func:`arena_scope` activates one
 for the current thread (each rank thread of a
@@ -32,9 +32,7 @@ recording.
 from __future__ import annotations
 
 import contextlib
-import sys
 import threading
-import weakref
 
 import numpy as np
 
@@ -48,42 +46,10 @@ _active = threading.local()
 MAX_SHAPE_VARIANTS = 256
 
 
-def _probe_release(buf) -> None:  # pragma: no cover - calibration shim
-    _probe_counts.append(sys.getrefcount(buf))
-
-
-_probe_counts: list[int] = []
-
-
-def _calibrate_baseline() -> int:
-    """Refcount a finalize callback observes when only the dying owner
-    holds the buffer (CPython-version dependent; measured, not assumed).
-
-    The probe mirrors a dying :class:`Tensor` exactly: finalizers run
-    *before* the owner's slots are cleared, so the owner's ``data``
-    reference is still live inside the callback and must be part of
-    the baseline.
-    """
-
-    class _Probe:
-        __slots__ = ("data", "__weakref__")
-
-    probe_buf = np.empty(0)
-    probe_obj = _Probe()
-    probe_obj.data = probe_buf
-    weakref.finalize(probe_obj, _probe_release, probe_buf)
-    del probe_buf
-    del probe_obj  # finalize fires synchronously on refcount death
-    return _probe_counts.pop()
-
-
-_UNREFERENCED = _calibrate_baseline()
-
-
 class InferenceArena:
     """Per-thread buffer pool for the no-grad hot loop."""
 
-    __slots__ = ("_free", "steps", "reallocations", "adopted")
+    __slots__ = ("_free", "steps", "reallocations")
 
     def __init__(self) -> None:
         self._free: dict[tuple, list[np.ndarray]] = {}
@@ -92,8 +58,6 @@ class InferenceArena:
         #: buffers created because the pool had none of the right
         #: (shape, dtype): constant after warmup means zero-alloc
         self.reallocations = 0
-        #: finalize hooks registered (diagnostics)
-        self.adopted = 0
 
     @staticmethod
     def _key(shape, dtype) -> tuple:
@@ -137,19 +101,9 @@ class InferenceArena:
         while len(self._free) >= MAX_SHAPE_VARIANTS:
             del self._free[next(iter(self._free))]
 
-    def adopt(self, owner, buf: np.ndarray) -> None:
-        """Return ``buf`` to the pool when ``owner`` (a Tensor) dies —
-        unless something else still references the array by then."""
-        self.adopted += 1
-        weakref.finalize(owner, self._maybe_recycle, buf)
-
-    def _maybe_recycle(self, buf: np.ndarray) -> None:
-        if sys.getrefcount(buf) == _UNREFERENCED:
-            self.recycle(buf)
-
     def reset(self) -> None:
         """Mark a loop-iteration boundary (statistics only — buffers
-        recycle continuously through tensor death, not per step)."""
+        recycle continuously as their lifetimes end, not per step)."""
         self.steps += 1
 
     @property
@@ -161,8 +115,7 @@ class InferenceArena:
         pooled = sum(len(v) for v in self._free.values())
         return (
             f"InferenceArena(pooled={pooled}, nbytes={self.nbytes}, "
-            f"steps={self.steps}, reallocations={self.reallocations}, "
-            f"adopted={self.adopted})"
+            f"steps={self.steps}, reallocations={self.reallocations})"
         )
 
 
@@ -175,10 +128,9 @@ def current_arena() -> InferenceArena | None:
 def arena_out(shape, dtype) -> np.ndarray | None:
     """Buffer from the active arena, or None when no arena is active.
 
-    The single hook the ops layer uses: ``None`` means "allocate
-    normally". Never hands out a buffer while autograd is recording —
-    a backward pass inside an arena scope must not interact with the
-    pool.
+    ``None`` means "allocate normally". Never hands out a buffer while
+    autograd is recording — a backward pass inside an arena scope must
+    not interact with the pool.
     """
     arena = current_arena()
     if arena is None:
@@ -188,13 +140,6 @@ def arena_out(shape, dtype) -> np.ndarray | None:
     if is_grad_enabled():
         return None
     return arena.out(shape, dtype)
-
-
-def arena_adopt(owner, buf: np.ndarray) -> None:
-    """Recycle ``buf`` on ``owner``'s death, if an arena is active."""
-    arena = current_arena()
-    if arena is not None:
-        arena.adopt(owner, buf)
 
 
 def arena_recycle(buf: np.ndarray | None) -> None:

@@ -1,22 +1,38 @@
-"""The inference fast path must be invisible except for speed.
+"""The inference path must be invisible except for speed.
 
-``rollout(workspace=True)`` — compiled aggregation plans plus the
-buffer-recycling workspace arena — must produce bit-for-bit the same
-trajectories as the naive allocate-per-step loop with ``np.add.at``
-aggregation, in every mode the service exercises: single- and 4-rank,
-residual and direct updates, geometric and full edge features. The
-steady-state loop must also stop allocating after warmup.
+``rollout(workspace=True)`` — the fused raw-array kernels over compiled
+aggregation plans inside the buffer-recycling workspace arena — must
+produce bit-for-bit the same trajectories as the reference: the naive
+allocate-per-step ``Tensor`` op chain with ``np.add.at`` aggregation,
+in every mode the service exercises: single- and 4-rank, residual and
+direct updates, geometric and full edge features. The steady-state loop
+must also stop allocating after warmup, and must really be the *other*
+path: no ``repro.tensor.ops`` function, no finalizer.
 """
+
+import contextlib
+import dataclasses
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.comm.threaded import ThreadWorld
 from repro.gnn import GNNConfig, MeshGNN
-from repro.gnn.rollout import rollout
+from repro.gnn.rollout import rollout, workspace_steps
 from repro.graph import build_distributed_graph, build_full_graph
+from repro.graph.halo import HaloPlan
 from repro.mesh import BoxMesh, auto_partition, taylor_green_velocity
-from repro.tensor import Tensor, inference_mode, naive_aggregation
+from repro.tensor import (
+    InferenceArena,
+    Tensor,
+    fast_math,
+    inference_mode,
+    naive_aggregation,
+    ops,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,13 +98,39 @@ def test_four_rank_fast_path_bitwise(mesh, x0, kind):
         assert_trajectories_bitwise(ref[rank], fast[rank])
 
 
+@pytest.mark.parametrize("mode", ["a2a", "n-a2a", "send-recv"])
+def test_rank_without_halo_rows_bitwise(mesh, x0, mode):
+    """A multi-rank graph whose rank has no neighbours (disconnected
+    partition, uploaded graph) compiles no halo plan: the sync still
+    joins the collective and adds nothing, bit for bit the reference."""
+    model = model_for("geometric")
+    full = build_full_graph(mesh)
+
+    def run(workspace):
+        def program(comm):
+            lg = dataclasses.replace(
+                full, rank=comm.rank, size=2, halo=HaloPlan.empty(2, comm.rank)
+            )
+            if workspace:
+                return rollout(model, lg, x0, 3, comm, mode)
+            with naive_aggregation():
+                return rollout(model, lg, x0, 3, comm, mode, workspace=False)
+
+        return ThreadWorld(2).run(program)
+
+    ref, fast = run(False), run(True)
+    for rank in range(2):
+        assert_trajectories_bitwise(ref[rank], fast[rank])
+
+
 def test_steady_state_rollout_is_allocation_free(mesh, x0):
-    """After warmup, the fast loop draws every buffer from the pool."""
+    """After warmup, the fast loop draws every buffer from the pool
+    (entered the way production enters: arena scope + fast-math gate)."""
     model = model_for("geometric")
     graph = build_full_graph(mesh)
     edge_attr = graph.edge_attr(kind="geometric")
     marks = []
-    with inference_mode() as arena:
+    with inference_mode() as arena, fast_math():
         x = x0
         for _ in range(6):
             arena.reset()
@@ -102,6 +144,77 @@ def test_steady_state_rollout_is_allocation_free(mesh, x0):
     # afterwards the pool must satisfy every request
     growth = [b - a for a, b in zip(marks[2:], marks[3:])]
     assert growth == [0] * len(growth), marks
+
+
+@contextlib.contextmanager
+def reference_path_calls(monkeypatch):
+    """Record every call into ``repro.tensor.ops`` and every
+    ``weakref.finalize`` registration, on this thread and on threads
+    started inside the scope. Calls are seen by code object (a profile
+    hook), so a function imported under another name still counts."""
+    calls: list[str] = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == ops.__file__:
+            calls.append(f"ops.{frame.f_code.co_name}")
+
+    class CountingFinalize(weakref.finalize):
+        def __init__(self, *args, **kwargs):
+            calls.append("weakref.finalize")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(weakref, "finalize", CountingFinalize)
+    threading.setprofile(hook)
+    sys.setprofile(hook)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+
+
+class TestInferenceIsTheOtherPath:
+    """A warmed ``workspace_steps`` call runs the fused raw-array
+    kernels end to end: encoders, processor, halo sync and decoder make
+    no call into ``repro.tensor.ops`` and register no finalizer."""
+
+    def test_the_hook_sees_the_reference_chain(self, mesh, x0, monkeypatch):
+        model, graph = model_for("geometric"), build_full_graph(mesh)
+        with reference_path_calls(monkeypatch) as calls:
+            rollout(model, graph, x0, 1, workspace=False)
+        assert "ops.linear" in calls and "ops.scatter_add" in calls
+
+    @pytest.mark.parametrize("kind", ["geometric", "full"])
+    def test_single_rank_step_calls_no_tensor_op(self, mesh, x0, kind,
+                                                 monkeypatch):
+        model, graph = model_for(kind), build_full_graph(mesh)
+        arena = InferenceArena()
+
+        def steps():
+            workspace_steps(model, graph, x0, 3, None, "n-a2a", False,
+                            lambda step, state: None, arena=arena)
+
+        steps()  # warm-up: plans compile, geometric features cache
+        with reference_path_calls(monkeypatch) as calls:
+            steps()
+        assert calls == []
+
+    def test_two_rank_halo_sync_calls_no_tensor_op(self, mesh, x0,
+                                                   monkeypatch):
+        model = model_for("geometric")
+        dg = build_distributed_graph(mesh, auto_partition(mesh, 2))
+        arenas = [InferenceArena(), InferenceArena()]
+
+        def program(comm):
+            lg = dg.local(comm.rank)
+            workspace_steps(model, lg, x0[lg.global_ids], 3, comm, "n-a2a",
+                            False, lambda step, state: None,
+                            arena=arenas[comm.rank])
+
+        ThreadWorld(2).run(program)
+        with reference_path_calls(monkeypatch) as calls:
+            ThreadWorld(2).run(program)
+        assert calls == []
 
 
 class TestPersistentWorkerArenas:

@@ -52,7 +52,6 @@ def shard_fields(seed: int) -> dict:
         "train_s": 0.5 * seed,
         "arena_reallocations": 2 + seed,
         "arena_bytes_high_water": 4096 * (1 + seed),
-        "fused_batches": 1 + seed,
         "f32_batches": seed,
         "cache.entries": 1 + seed,
         "cache.resident_bytes": 1 << (10 + seed),
@@ -112,8 +111,7 @@ class TestViewOfAMerge:
 
     def test_counters_sum(self, shards, merged):
         for path in ("requests", "batches", "steps", "comm_bytes",
-                     "tile_hits", "train_jobs", "fused_batches",
-                     "f32_batches"):
+                     "tile_hits", "train_jobs", "f32_batches"):
             assert getattr(merged, path) == sum(s[path] for s in shards)
         assert merged.cache.hits == sum(s["cache.hits"] for s in shards)
         assert merged.admission.expired_at_close == sum(
@@ -191,8 +189,7 @@ class TestViewOfAMerge:
 
     def test_the_table_renders_the_merged_rows(self, merged):
         text = stats_markdown(merged)
-        assert (f"| fused / f32 batches | {merged.fused_batches} / "
-                f"{merged.f32_batches} |" in text)
+        assert f"| f32 batches | {merged.f32_batches} |" in text
         sched = merged.scheduler
         assert (f"| scheduler dispatches / lanes pending | "
                 f"{sched.dispatches} / {sched.lanes} |" in text)
@@ -289,8 +286,6 @@ CATALOGUE = [
      "admitted ensemble requests"),
     ("repro_f32_batches_total", "counter", None,
      "batches served on the float32 tier"),
-    ("repro_fused_batches_total", "counter", None,
-     "batches run through fused kernels"),
     ("repro_graph_cache_entries", "gauge", "sum",
      "resident graph-cache entries"),
     ("repro_graph_cache_evicted_reload_seconds_total", "counter", None,

@@ -24,8 +24,13 @@ def test_quick_bench_artifact_schema(artifact):
         assert set(ops[op]) == {"naive_s", "plan_s", "speedup"}
         assert ops[op]["naive_s"] > 0 and ops[op]["plan_s"] > 0
     roll = artifact["rollout_single_rank"]
-    assert roll["naive_s"] > 0 and roll["fast_s"] > 0
-    assert "plan_build_s" in roll
+    # two forward paths, one comparison: naive reference vs fused
+    assert set(roll) == {
+        "n_steps", "naive_s", "fused_s", "fused_speedup", "plan_build_s",
+        "config",
+    }
+    assert roll["naive_s"] > 0 and roll["fused_s"] > 0
+    assert roll["fused_speedup"] == roll["naive_s"] / roll["fused_s"]
     assert ops["plan_compile_s"] > 0
 
 

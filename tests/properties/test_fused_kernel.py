@@ -143,14 +143,28 @@ class TestElementwiseKernels:
         got = fused_layer_norm(a.copy(), gamma, beta, eps=norm.eps)
         assert_bitwise(got, reference)
 
-    @settings(max_examples=80, deadline=None)
-    @given(a=feature_arrays(), h=st.integers(1, 6))
-    def test_fused_mlp_bitwise_equals_module_forward(self, a, h):
-        mlp = MLP(a.shape[1], h, h, n_hidden=1, final_norm=True,
-                  seed=7, name="prop.mlp")
+    @settings(max_examples=120, deadline=None)
+    @given(
+        a=feature_arrays(),
+        h=st.integers(1, 6),
+        n_hidden=st.integers(0, 2),
+        final_norm=st.booleans(),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    def test_fused_mlp_bitwise_equals_module_forward(
+        self, a, h, n_hidden, final_norm, dtype
+    ):
+        """Every MLP shape the model builds rides ``fused_mlp``:
+        encoders (final norm), decoder (none), any depth, and the
+        float32 tier's cast replicas."""
+        mlp = MLP(a.shape[1], h, h, n_hidden=n_hidden, final_norm=final_norm,
+                  seed=7, name="prop.mlp", dtype=dtype)
+        a = a.astype(dtype)
         with no_grad(), fast_math(False):
             reference = mlp(Tensor(a.copy())).data
-        assert_bitwise(fused_mlp(a.copy(), mlp.kernel()), reference)
+        got = fused_mlp(a.copy(), mlp.kernel())
+        assert got.dtype == reference.dtype == dtype
+        assert_bitwise(got, reference)
 
 
 class TestFusedEdgeAndNodeKernels:

@@ -40,6 +40,7 @@ from repro.serve import (
     ServeServer,
 )
 from repro.serve.registry import ModelNotFound
+from repro.tensor import naive_aggregation
 from tests.runtime.conftest import ENGINE_KINDS, make_engine
 
 
@@ -68,9 +69,13 @@ class TestBitwiseTrajectories:
 
     def test_single_rank_matches_direct_rollout(self, asset_paths, x0,
                                                 full_graph):
-        """The engine result is a hand-wired rollout(), bit for bit."""
+        """The engine result is the reference rollout — the ``Tensor``
+        op chain with ``np.add.at`` scatters, not the fused path the
+        engines themselves run — bit for bit."""
         model = load_checkpoint(asset_paths[0])
-        reference = rollout(model, full_graph, x0, n_steps=3)
+        with naive_aggregation():
+            reference = rollout(model, full_graph, x0, n_steps=3,
+                                workspace=False)
         request = RolloutRequest(model="m", graph="g1", x0=x0, n_steps=3)
         for kind in ENGINE_KINDS:
             with make_engine(kind, asset_paths) as engine:

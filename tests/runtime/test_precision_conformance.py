@@ -4,9 +4,9 @@ The fast-math tier's contract, asserted over every engine kind with
 path-identical assets:
 
 * ``precision="float64"`` (the default) stays **bitwise identical** to
-  the pre-tier behavior on every engine, with the fused kernels on or
-  off — opting the fleet into ``fast_math`` must never change served
-  float64 bits;
+  the pre-tier behavior on every engine (that the fused path serves
+  the reference op chain's bits is
+  ``test_engine_conformance.py::test_single_rank_matches_direct_rollout``);
 * ``precision="float32"`` produces float32 frames end-to-end (the wire
   preserves dtype) that are **bitwise identical across engines** —
   bounded error vs float64, but still deterministic;
@@ -27,7 +27,6 @@ import pytest
 
 from repro.runtime import CapabilityError, RolloutRequest
 from repro.runtime.api import BatchKey, EngineCapabilities
-from repro.serve import ServeConfig
 from tests.runtime.conftest import ENGINE_KINDS, make_engine
 
 PRECISIONS = ("float64", "float32")
@@ -90,34 +89,7 @@ class TestRequestSurface:
 
 
 class TestFloat64Unchanged:
-    """Opting into fast_math must never move a served float64 bit."""
-
-    def test_fast_math_off_serves_identical_bits(self, asset_paths, x0):
-        """A pool engine with the fused kernels disabled matches the
-        default (fused) local engine bit for bit."""
-        req = request()(x0)
-        with make_engine("local", asset_paths) as engine:
-            fused = engine.rollout(req).states
-        unfused_config = ServeConfig(max_batch_size=4, max_wait_s=0.0,
-                                     fast_math=False)
-        with make_engine("pool", asset_paths,
-                         serve_config=unfused_config) as engine:
-            unfused = engine.rollout(req).states
-        assert_bitwise_equal(fused, unfused)
-
-    def test_local_engine_fast_math_switch_is_bitwise_free(
-        self, asset_paths, x0
-    ):
-        from repro.runtime.local import LocalEngine
-
-        trajectories = []
-        for fast_math in (True, False):
-            engine = LocalEngine(fast_math=fast_math)
-            ckpt, g1_dir, _ = asset_paths
-            engine.register_checkpoint("m", ckpt)
-            engine.register_graph_dir("g1", g1_dir)
-            trajectories.append(engine.rollout(request()(x0)).states)
-        assert_bitwise_equal(*trajectories)
+    """Naming the default precision must not move a served bit."""
 
     def test_explicit_float64_equals_the_default(self, any_engine, x0):
         default = any_engine.rollout(request()(x0)).states

@@ -1,11 +1,16 @@
 """Transport edge cases the cluster's failover relies on.
 
-Three failure shapes a shard can present, each with a required client
+Four failure shapes a shard can present, each with a required client
 behavior:
 
 * **half-close mid-frame** — the server dies partway through writing a
   frame; the client must surface a typed :class:`TransportError` (after
   its single reconnect attempt), never a truncated trajectory;
+* **malformed error reply** — an ``error`` message without ``code`` /
+  ``message`` is the peer's protocol violation: a typed
+  :class:`TransportError` and a discarded connection, never the
+  ``KeyError`` that means "unknown graph" (and that the cluster reads
+  as "the shard answered, do not fail over");
 * **oversized frame** — a peer announcing an array blob beyond the
   protocol bound gets a ``bad_request`` error reply, not an allocation;
 * **reconnect-after-redial** — an engine whose server went away (redial
@@ -41,11 +46,13 @@ class RogueServer:
     ``capabilities`` with an error-free shrug; on ``rollout`` it writes
     the first ``prefix_bytes`` of a legitimate frame message and then
     hard-closes the connection — the half-close-mid-frame shape a
-    crashed shard presents.
+    crashed shard presents. With ``error_reply`` set, every op but
+    ``ping`` (``rollout`` included) is answered with that message.
     """
 
-    def __init__(self, prefix_bytes: int):
+    def __init__(self, prefix_bytes: int = 0, error_reply: dict | None = None):
         self.prefix_bytes = prefix_bytes
+        self.error_reply = error_reply
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(10.0)
         self.endpoint = "127.0.0.1:%d" % self._listener.getsockname()[1]
@@ -68,6 +75,8 @@ class RogueServer:
                     header, _ = message
                     if header.get("op") == "ping":
                         write_message(stream, {"type": "pong"})
+                    elif self.error_reply is not None:
+                        write_message(stream, self.error_reply)
                     elif header.get("op") == "rollout":
                         frame = self._frame_bytes()
                         stream.write(frame[: self.prefix_bytes])
@@ -117,6 +126,45 @@ class TestHalfCloseMidFrame:
                     RolloutRequest(model="m", graph="g",
                                    x0=np.zeros((4, 3)), n_steps=2)
                 )
+            engine.close()
+        finally:
+            server.close()
+
+
+class TestMalformedErrorReply:
+    @pytest.mark.parametrize("reply", [
+        {"type": "error"},
+        {"type": "error", "code": "graph_not_found"},
+        {"type": "error", "code": ["bad_request"], "message": "x"},
+    ])
+    def test_unary_and_stream_raise_transport_error(self, reply):
+        server = RogueServer(error_reply=reply)
+        try:
+            engine = RemoteEngine.connect(server.endpoint,
+                                          request_timeout_s=10.0)
+            with pytest.raises(TransportError, match="malformed error reply"):
+                engine.model_names()
+            with pytest.raises(TransportError, match="malformed error reply"):
+                engine.rollout(
+                    RolloutRequest(model="m", graph="g",
+                                   x0=np.zeros((4, 3)), n_steps=2)
+                )
+            # a violating peer's connection is not re-pooled
+            assert engine.pool_stats().idle == 0
+            engine.close()
+        finally:
+            server.close()
+
+    def test_well_formed_error_still_maps_to_its_type(self):
+        server = RogueServer(error_reply={
+            "type": "error", "code": "graph_not_found", "message": "nope",
+        })
+        try:
+            engine = RemoteEngine.connect(server.endpoint,
+                                          request_timeout_s=10.0)
+            with pytest.raises(KeyError, match="nope"):
+                engine.graph_keys()
+            assert engine.pool_stats().idle == 1  # healthy: kept
             engine.close()
         finally:
             server.close()

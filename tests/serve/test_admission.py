@@ -15,6 +15,8 @@ from repro.serve import (
     ServeStats,
     WaitHistogram,
 )
+from repro.runtime.api import RolloutRequest
+from repro.serve import ScheduledQueue
 from repro.serve.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -22,7 +24,6 @@ from repro.serve.admission import (
     QueueFull,
     RequestRejected,
 )
-from repro.serve import InferenceRequest, ScheduledQueue
 
 X0 = np.zeros((5, 3))
 
@@ -32,7 +33,7 @@ def make_request(**kw):
     kw.setdefault("graph", "g")
     kw.setdefault("x0", X0)
     kw.setdefault("n_steps", 1)
-    return InferenceRequest(**kw)
+    return RolloutRequest(**kw)
 
 
 class TestAdmissionConfig:

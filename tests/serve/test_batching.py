@@ -6,20 +6,21 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import InferenceRequest, ScheduledQueue
+from repro.runtime.api import RolloutRequest
+from repro.serve import ScheduledQueue
 
 X0 = np.zeros((5, 3))
 
 
 def make_request(model="m", graph="g", n_steps=2, **kw):
-    return InferenceRequest(model=model, graph=graph, x0=X0, n_steps=n_steps, **kw)
+    return RolloutRequest(model=model, graph=graph, x0=X0, n_steps=n_steps, **kw)
 
 
 def test_request_validation():
     with pytest.raises(ValueError, match="n_steps"):
         make_request(n_steps=0)
     with pytest.raises(ValueError, match="2-D"):
-        InferenceRequest(model="m", graph="g", x0=np.zeros(5), n_steps=1)
+        RolloutRequest(model="m", graph="g", x0=np.zeros(5), n_steps=1)
     with pytest.raises(ValueError, match="halo mode"):
         make_request(halo_mode="bogus")
 

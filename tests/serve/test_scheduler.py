@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from repro.obs.registry import MetricsRegistry
+from repro.runtime.api import RolloutRequest
 from repro.serve import (
     AdmissionController,
     DeadlineExpired,
-    InferenceRequest,
     ScheduledQueue,
     SchedulerStats,
     ServeStats,
@@ -24,7 +24,7 @@ X0 = np.zeros((5, 3))
 
 
 def make_request(model="m", graph="g", n_steps=2, **kw):
-    return InferenceRequest(model=model, graph=graph, x0=X0, n_steps=n_steps, **kw)
+    return RolloutRequest(model=model, graph=graph, x0=X0, n_steps=n_steps, **kw)
 
 
 # -- drop-in queue behavior ---------------------------------------------------

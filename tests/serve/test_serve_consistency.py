@@ -1,9 +1,11 @@
 """Serving must not perturb the numbers.
 
 A served trajectory — even one coalesced into a batch with other
-requests — must be *bitwise identical* to a direct
-:func:`repro.gnn.rollout.rollout` call on the same (model, graph, x0),
-in both single-rank and 4-rank threaded modes. This is the serving
+requests — must be *bitwise identical* to the reference
+:func:`repro.gnn.rollout.rollout` on the same (model, graph, x0) — the
+``Tensor`` op chain with ``np.add.at`` scatters (``workspace=False``
+under ``naive_aggregation()``), not the fused path the server itself
+runs — in both single-rank and 4-rank threaded modes. This is the serving
 analog of the paper's consistency property: the execution strategy
 (batched / distributed / sequential) must be invisible in the output.
 """
@@ -16,6 +18,7 @@ from repro.comm import HaloMode, ThreadWorld
 from repro.gnn import rollout
 from repro.runtime.api import RolloutRequest
 from repro.serve import InferenceService, ServeConfig
+from repro.tensor import naive_aggregation
 
 N_STEPS = 3
 
@@ -26,12 +29,18 @@ def perturbed_states(x0, count, scale=1e-3):
     return [x0 + scale * rng.standard_normal(x0.shape) for _ in range(count)]
 
 
+def reference_rollout(*args, **kwargs):
+    """The reference rollout: every served bit is compared against it."""
+    with naive_aggregation():
+        return rollout(*args, workspace=False, **kwargs)
+
+
 def direct_distributed_rollout(model, dg, x0, n_steps, residual=False):
     """Hand-wired R>1 rollout, assembled to global order per step."""
 
     def prog(comm):
         g = dg.local(comm.rank)
-        return rollout(
+        return reference_rollout(
             model, g, x0[g.global_ids], n_steps=n_steps, comm=comm,
             halo_mode=HaloMode.NEIGHBOR_A2A, residual=residual,
         )
@@ -60,7 +69,7 @@ def serve_concurrently(service, graph_key, states, n_steps=N_STEPS,
 
 
 def test_single_rank_served_rollout_bitwise(serve_model, full_graph, x0):
-    direct = rollout(serve_model, full_graph, x0, n_steps=N_STEPS)
+    direct = reference_rollout(serve_model, full_graph, x0, n_steps=N_STEPS)
     with InferenceService(ServeConfig(max_batch_size=1)) as service:
         service.register_model("m", serve_model)
         service.register_graph("g", [full_graph])
@@ -72,7 +81,7 @@ def test_single_rank_served_rollout_bitwise(serve_model, full_graph, x0):
 
 def test_single_rank_batched_requests_bitwise(serve_model, full_graph, x0):
     states = perturbed_states(x0, 4)
-    directs = [rollout(serve_model, full_graph, s, n_steps=N_STEPS) for s in states]
+    directs = [reference_rollout(serve_model, full_graph, s, n_steps=N_STEPS) for s in states]
     with InferenceService(ServeConfig(max_batch_size=4, max_wait_s=0.1)) as service:
         service.register_model("m", serve_model)
         service.register_graph("g", [full_graph])
@@ -112,7 +121,7 @@ def test_multi_rank_batched_requests_bitwise(serve_model, dist_graph, x0):
 
 
 def test_residual_mode_matches_direct(serve_model, full_graph, x0):
-    direct = rollout(serve_model, full_graph, x0, n_steps=N_STEPS, residual=True)
+    direct = reference_rollout(serve_model, full_graph, x0, n_steps=N_STEPS, residual=True)
     with InferenceService(ServeConfig(max_batch_size=1)) as service:
         service.register_model("m", serve_model)
         service.register_graph("g", [full_graph])
@@ -125,7 +134,7 @@ def test_mixed_step_counts_in_one_batch(serve_model, full_graph, x0):
     states = perturbed_states(x0, 3)
     steps = [1, 3, 2]
     directs = [
-        rollout(serve_model, full_graph, s, n_steps=n)
+        reference_rollout(serve_model, full_graph, s, n_steps=n)
         for s, n in zip(states, steps)
     ]
     with InferenceService(ServeConfig(max_batch_size=3, max_wait_s=0.1)) as service:
@@ -148,7 +157,7 @@ def test_mixed_step_counts_in_one_batch(serve_model, full_graph, x0):
 
 
 def test_streaming_yields_frames_in_step_order(serve_model, full_graph, x0):
-    direct = rollout(serve_model, full_graph, x0, n_steps=N_STEPS)
+    direct = reference_rollout(serve_model, full_graph, x0, n_steps=N_STEPS)
     with InferenceService(ServeConfig(max_batch_size=1)) as service:
         service.register_model("m", serve_model)
         service.register_graph("g", [full_graph])

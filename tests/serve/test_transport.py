@@ -172,6 +172,33 @@ class TestErrorPropagation:
         assert header["code"] == "bad_request"
         assert "model" in header["message"]
 
+    @pytest.mark.parametrize("message, names", [
+        ({"op": "register_checkpoint", "name": "m9", "path": "/x.npz",
+          "expect_config": {"bogus": 1}}, "expect_config"),
+        ({"op": "register_checkpoint", "name": "m9", "path": "/x.npz",
+          "expect_config": [1, 2]}, "expect_config"),
+        ({"op": "register_graph_dir", "key": ["k"], "path": "/x"}, "key"),
+        ({"op": "rollout", "model": ["a"], "graph": "g1", "n_steps": 1},
+         "model"),
+    ])
+    def test_wrong_typed_header_field_is_bad_request(self, server, message,
+                                                     names):
+        """Outside input of the wrong type is the peer's bad request,
+        never an ``internal`` failure (``unhashable type`` in a registry
+        lookup, ``TypeError`` constructing a config)."""
+        import socket
+
+        from repro.serve.protocol import read_message, write_message
+
+        arrays = [np.zeros((75, 3))] if message["op"] == "rollout" else []
+        sock = socket.create_connection(server.address, timeout=10.0)
+        with sock, sock.makefile("rwb") as stream:
+            write_message(stream, message, arrays)
+            header, _ = read_message(stream)
+        assert header["type"] == "error"
+        assert header["code"] == "bad_request"
+        assert names in header["message"]
+
     def test_unreachable_endpoint(self):
         with pytest.raises(TransportError, match="cannot reach"):
             RemoteEngine("127.0.0.1", 1, connect_timeout_s=0.5).ping()

@@ -1,8 +1,10 @@
-"""Tier-1 guard: the serving stack's code size never grows unreviewed.
+"""Tier-1 guard: the serving stack's and the numerical core's code size
+never grows unreviewed.
 
 Runs the same count as ``tools/check_loc.py`` (which CI also executes
 as a standalone step) so a PR that pushes ``src/repro/{serve,runtime,
-cluster,obs}`` past the committed ceiling fails the ordinary test run.
+cluster,obs,tensor,gnn,comm}`` past the committed ceiling fails the
+ordinary test run.
 """
 
 import sys
@@ -17,7 +19,7 @@ from check_loc import CEILING, code_lines, count  # noqa: E402 - tools/ path abo
 def test_request_path_is_at_or_under_the_ceiling():
     total = sum(count(REPO_ROOT).values())
     assert total <= CEILING, (
-        f"{total} code lines in the serving stack, ceiling is {CEILING}: "
+        f"{total} code lines under the ratchet, ceiling is {CEILING}: "
         f"remove code, or raise CEILING in tools/check_loc.py deliberately"
     )
 

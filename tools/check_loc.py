@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Code-size ratchet for the serving stack.
+"""Code-size ratchet for the serving stack and the numerical core.
 
 Counts *code lines* — lines holding at least one token that is neither
 a comment nor layout, with docstring lines excluded — over
-``src/repro/{serve,runtime,cluster,obs}`` and fails when the total
-exceeds the committed ceiling. The count is taken with ``tokenize`` + ``ast``
+``src/repro/{serve,runtime,cluster,obs,tensor,gnn,comm}`` and fails
+when the total exceeds the committed ceiling. The count is taken with ``tokenize`` + ``ast``
 rather than by looking at text, so deleting comments, docstrings or
 blank lines cannot lower it: only removing code does.
 
@@ -28,17 +28,18 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: the packages under the ratchet: the request path end to end, and the
-#: observability layer beneath it (so code cannot leave ``serve`` for
-#: ``obs`` and count as removed)
+#: the packages under the ratchet: the request path end to end, the
+#: observability layer beneath it, and the numerical core it executes
+#: (so code cannot leave one for another and count as removed)
 PACKAGES = (
     "src/repro/serve", "src/repro/runtime", "src/repro/cluster",
-    "src/repro/obs",
+    "src/repro/obs", "src/repro/tensor", "src/repro/gnn", "src/repro/comm",
 )
 
 #: committed ceiling, in code lines by this file's rule (re-based from
-#: 4954 to 5647 when ``obs`` joined the packages, then lowered)
-CEILING = 5290
+#: 5290 to 7767 when ``tensor``, ``gnn`` and ``comm`` joined the
+#: packages, then lowered)
+CEILING = 7649
 
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,

@@ -8,16 +8,19 @@ not regress. This checker enforces that against the committed
 ``BENCH_inference.json``:
 
 * The committed baseline and a fresh tracing-OFF bench run each carry
-  a ``rollout_single_rank`` pair (naive vs fast). Absolute times are
+  a ``rollout_single_rank`` pair (naive vs fused). Absolute times are
   machine-dependent, so the comparison is on the *normalized ratio*
-  ``fast_s / naive_s`` — the naive path has no profiler gates, so
-  machine speed cancels and what remains is the fast path's relative
-  cost, gates included. ``fast_s`` is the ``fast_math=False`` unfused
-  workspace path (the bench pins it explicitly), so this check also
-  guards that opting *out* of the fused kernels costs nothing — the
-  fused path has its own checker, ``tools/check_numerics.py``.
+  ``fused_s / naive_s`` — the naive reference has no stepping-loop or
+  GEMM gates, so machine speed cancels and what remains is the relative
+  cost of the fused inference path (the one production runs), gates
+  included. Its speedup floor is held separately by
+  ``tools/check_numerics.py``.
 * The fresh OFF ratio may exceed the committed ratio by at most
   ``--max-regress-pct`` percent (default 1, the budget in the issue).
+* Like for like: the quick mesh has a structurally different
+  fused/naive ratio than the full one, so the OFF run must be the same
+  mode (``"quick"`` flag) as the baseline — the committed baseline is a
+  full-mode run (~10 s), and a mismatch is refused, not compared.
 * When a tracing-ON document is supplied (``--on``), it must declare
   ``"tracing": true`` and contain a non-empty per-op profile —
   proving the instrumentation actually fires when installed — and the
@@ -25,7 +28,7 @@ not regress. This checker enforces that against the committed
 
 CI (the ``obs-overhead`` job) runs::
 
-    python -m repro bench --quick --output OFF.json
+    python -m repro bench --output OFF.json
     python -m repro bench --quick --trace --output ON.json
     python tools/check_obs_overhead.py --off OFF.json --on ON.json
 
@@ -49,17 +52,17 @@ def _load(path: Path) -> dict:
 
 
 def _ratio(doc: dict, label: str) -> float:
-    """``fast_s / naive_s`` of the single-rank rollout (lower = faster)."""
+    """``fused_s / naive_s`` of the single-rank rollout (lower = faster)."""
     try:
         r = doc["rollout_single_rank"]
-        naive, fast = float(r["naive_s"]), float(r["fast_s"])
+        naive, fused = float(r["naive_s"]), float(r["fused_s"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(
             f"obs overhead: {label} has no usable rollout_single_rank: {exc}"
         )
     if naive <= 0:
         raise SystemExit(f"obs overhead: {label} naive_s is non-positive")
-    return fast / naive
+    return fused / naive
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,7 +72,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--off", required=True, metavar="OFF.json",
-        help="fresh `python -m repro bench --quick` output (tracing off)",
+        help="fresh `python -m repro bench` output (tracing off, same "
+        "mode as the baseline)",
     )
     parser.add_argument(
         "--on", default=None, metavar="ON.json",
@@ -100,11 +104,18 @@ def main(argv: list[str] | None = None) -> int:
             f"tracing ON — regenerate it without --trace"
         )
 
+    if bool(off.get("quick")) != bool(baseline.get("quick")):
+        raise SystemExit(
+            f"obs overhead: {args.off} (quick={off.get('quick')}) and baseline "
+            f"{args.baseline} (quick={baseline.get('quick')}) are different "
+            f"bench modes — their ratios are not comparable"
+        )
+
     base_ratio = _ratio(baseline, "baseline")
     off_ratio = _ratio(off, "off run")
     regress_pct = (off_ratio / base_ratio - 1.0) * 100.0
     print(
-        f"obs overhead: fast/naive ratio baseline={base_ratio:.4f} "
+        f"obs overhead: fused/naive ratio baseline={base_ratio:.4f} "
         f"off={off_ratio:.4f} regression={regress_pct:+.2f}% "
         f"(budget {args.max_regress_pct:.2f}%)"
     )
@@ -112,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     failed = False
     if regress_pct > args.max_regress_pct:
         print(
-            f"obs overhead: tracing-off fast path regressed "
+            f"obs overhead: tracing-off fused path regressed "
             f"{regress_pct:.2f}% > {args.max_regress_pct:.2f}% budget — "
             f"the hot-loop gates are no longer free",
             file=sys.stderr,
