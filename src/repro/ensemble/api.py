@@ -1,7 +1,7 @@
 """Typed ensemble workload: requests, summary frames, results, futures.
 
-An :class:`EnsembleRequest` extends the
-:class:`~repro.runtime.api.RolloutRequest` shape with a perturbation
+An :class:`EnsembleRequest` extends the shared
+:class:`~repro.runtime.api.StreamRequest` shape with a perturbation
 spec (seeded initial-condition noise and/or a parameter sweep), a
 member count M, a summary selection, and optional stability
 thresholds. Engines answer with a stream of :class:`SummaryFrame`s —
@@ -36,22 +36,20 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
-from repro.comm.modes import HaloMode
 from repro.ensemble.reduce import (
     ALLOWED_SUMMARIES,
     DEFAULT_QUANTILES,
     DEFAULT_SUMMARIES,
 )
 from repro.ensemble.stability import BlowUp, StabilityConfig, StabilityReport
-from repro.obs.trace import mint_trace_id
 from repro.runtime.api import (
-    BatchKey,
     RolloutRequest,
     StreamFuture,
+    StreamRequest,
     _request_ids,
 )
 
@@ -110,13 +108,14 @@ class PerturbationSpec:
 
 
 @dataclass
-class EnsembleRequest:
+class EnsembleRequest(StreamRequest):
     """An M-member perturbed-rollout ensemble with streamed summaries.
 
-    ``x0`` is the *base* global initial state; members are derived
-    from it deterministically server-side (the request ships one
-    state, never M). ``summaries`` selects what each
-    :class:`SummaryFrame` carries (subset of
+    The shared :class:`~repro.runtime.api.StreamRequest` shape plus the
+    (keyword-only) ensemble fields. ``x0`` is the *base* global initial
+    state; members are derived from it deterministically server-side
+    (the request ships one state, never M). ``summaries`` selects what
+    each :class:`SummaryFrame` carries (subset of
     ``("mean", "variance", "min", "max", "quantiles", "energy")``);
     ``quantiles`` gives the levels when ``"quantiles"`` is selected.
     ``return_members`` additionally streams every member's state per
@@ -133,10 +132,7 @@ class EnsembleRequest:
     ensembles never reach a queue.
     """
 
-    model: str
-    graph: str
-    x0: np.ndarray
-    n_steps: int
+    _: KW_ONLY
     n_members: int
     perturbation: PerturbationSpec = field(default_factory=PerturbationSpec)
     summaries: tuple = DEFAULT_SUMMARIES
@@ -144,30 +140,11 @@ class EnsembleRequest:
     return_members: bool = False
     stability: StabilityConfig | None = None
     member_range: tuple | None = None
-    halo_mode: str | None = None
-    residual: bool = False
-    precision: str = "float64"
-    deadline_s: float | None = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-    submitted_at: float = field(default_factory=time.perf_counter)
-    trace_id: str = field(default_factory=mint_trace_id)
 
     def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        super().__post_init__()
         if self.n_members < 1:
             raise ValueError("n_members must be >= 1")
-        if not self.trace_id:
-            raise ValueError("trace_id must be a non-empty string")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0 (or None)")
-        if self.halo_mode is not None:
-            self.halo_mode = HaloMode.parse(self.halo_mode).value
-        if self.precision not in ("float64", "float32"):
-            raise ValueError(
-                f"precision must be 'float64' or 'float32', "
-                f"got {self.precision!r}"
-            )
         if not isinstance(self.perturbation, PerturbationSpec):
             raise ValueError(
                 f"perturbation must be a PerturbationSpec, "
@@ -203,11 +180,6 @@ class EnsembleRequest:
                     f"{self.n_members} members"
                 )
             self.member_range = (start, stop)
-        self.x0 = np.asarray(self.x0, dtype=np.float64)
-        if self.x0.ndim != 2:
-            raise ValueError(
-                f"x0 must be 2-D (nodes, features), got {self.x0.shape}"
-            )
 
     @property
     def members(self) -> range:
@@ -216,43 +188,19 @@ class EnsembleRequest:
             return range(self.n_members)
         return range(self.member_range[0], self.member_range[1])
 
-    @property
-    def key(self) -> BatchKey:
-        """The coalescing key the member requests share (they tile)."""
-        return BatchKey(
-            self.model, self.graph, self.halo_mode, self.residual,
-            self.precision,
-        )
-
-    def resolved(
-        self,
-        default_halo_mode,
-        default_deadline_s: float | None = None,
-    ) -> "EnsembleRequest":
-        """Fill engine defaults into unset fields (``self`` if complete)."""
-        changes: dict = {}
-        if self.halo_mode is None:
-            changes["halo_mode"] = HaloMode.parse(default_halo_mode).value
-        if self.deadline_s is None and default_deadline_s is not None:
-            changes["deadline_s"] = default_deadline_s
-        return dataclasses.replace(self, **changes) if changes else self
-
     def chunk(self, start: int, stop: int) -> "EnsembleRequest":
         """The sub-request for members ``[start, stop)`` (router fan-out).
 
         A chunk streams raw members (``return_members=True``, no
         summaries, no blow-up detection) — the router owns reduction
-        and stability for the whole ensemble. Fresh ``request_id``,
-        same ``trace_id`` so the fan-out correlates in one trace.
+        and stability for the whole ensemble. Fresh ``request_id`` and
+        ``submitted_at``, same ``trace_id`` so the fan-out correlates
+        in one trace.
         """
-        return EnsembleRequest(
-            model=self.model, graph=self.graph, x0=self.x0,
-            n_steps=self.n_steps, n_members=self.n_members,
-            perturbation=self.perturbation, summaries=(),
-            quantiles=self.quantiles, return_members=True, stability=None,
-            member_range=(start, stop), halo_mode=self.halo_mode,
-            residual=self.residual, precision=self.precision,
-            deadline_s=self.deadline_s, trace_id=self.trace_id,
+        return dataclasses.replace(
+            self, summaries=(), return_members=True, stability=None,
+            member_range=(start, stop), request_id=next(_request_ids),
+            submitted_at=time.perf_counter(),
         )
 
     def member_request(self, member: int) -> RolloutRequest:

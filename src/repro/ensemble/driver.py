@@ -7,9 +7,9 @@ into a :class:`~repro.ensemble.api.SummaryFrame` and feeding the
 stability tracker. That something is :class:`SummaryStream`. Engines
 differ only in where the member frames come from:
 
-* **local** — pre-collected trajectories replayed as iterators;
-* **pooled** — live :class:`~repro.serve.batching.RolloutHandle`
-  streams (:class:`EnsembleHandle` wraps them for the service);
+* **local / pooled** — live :class:`~repro.serve.batching.RolloutHandle`
+  streams (:class:`EnsembleHandle`, the service's ensemble future,
+  drives them);
 * **remote** — the server runs the driver and streams the already-
   reduced frames, so the client never drives;
 * **cluster** — the router drives over *chunk* streams, each yielding
@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.ensemble.api import EnsembleRequest, SummaryFrame
+from repro.ensemble.api import EnsembleFuture, EnsembleRequest, SummaryFrame
 from repro.ensemble.reduce import ReducerState, reduce_frame
 from repro.ensemble.stability import StabilityTracker
 from repro.obs.trace import wall_from_perf
@@ -188,14 +188,18 @@ class SummaryStream:
                 pass
 
 
-class EnsembleHandle:
-    """The service-side ensemble handle: member rollout handles, reduced.
+class EnsembleHandle(EnsembleFuture):
+    """The service's in-flight ensemble: member rollout handles, reduced.
 
-    Built by :meth:`~repro.serve.service.InferenceService.submit_ensemble`
-    over the M member :class:`~repro.serve.batching.RolloutHandle`\\ s
-    the scheduler is tiling. ``frames()`` runs the lockstep driver in
-    the caller's thread (handles buffer, so lockstep never blocks a
-    worker); ``report`` and ``metrics`` are set once the stream ends.
+    Built by :meth:`~repro.serve.service.InferenceService.submit` over
+    the M member :class:`~repro.serve.batching.RolloutHandle`\\ s the
+    scheduler is tiling, and handed out as the engine's
+    :class:`~repro.ensemble.api.EnsembleFuture` directly. The lockstep
+    driver runs in the consumer's thread (handles buffer, so lockstep
+    never blocks a worker), so summaries stream as member batches
+    complete and overlap with later steps' compute; ``stability`` and
+    ``metrics`` are set once the stream ends. ``timeout_s`` is the
+    default per-frame wait (the service's ``request_timeout_s``).
     """
 
     def __init__(
@@ -206,34 +210,36 @@ class EnsembleHandle:
         trace=None,
         on_outcome: Callable[[bool, bool], None] | None = None,
     ):
-        self.request = request
+        super().__init__(request)
         self.handles = list(handles)
-        self.report = None
-        #: aggregate member metrics dict once the stream finished
-        self.metrics: dict | None = None
         self._timeout_s = timeout_s
         self._trace = trace
         self._on_outcome = on_outcome
-        self._stream: SummaryStream | None = None
 
-    def frames(self, timeout: float | None = None) -> Iterator[SummaryFrame]:
-        """Stream reduced frames (one-shot; drives the member handles)."""
+    def _frames(self, timeout: float | None) -> Iterator[SummaryFrame]:
         t = self._timeout_s if timeout is None else timeout
-        streams = [
-            member_stream(m, h.frames(timeout=t))
-            for m, h in zip(self.request.members, self.handles)
-        ]
-        self._stream = SummaryStream(
-            self.request, streams, trace=self._trace,
-            component="server", on_outcome=self._on_outcome,
+        member_frames = [h.frames(timeout=t) for h in self.handles]
+        stream = SummaryStream(
+            self.request,
+            [
+                member_stream(m, (f.state for f in frames))
+                for m, frames in zip(self.request.members, member_frames)
+            ],
+            trace=self._trace, component="server",
+            on_outcome=self._on_outcome,
         )
-        yield from self._stream.frames()
-        self.report = self._stream.report
+        for frame in stream.frames():
+            self._collected.append(frame)
+            yield frame
+        if not stream.report.early_stopped:
+            # the driver read every frame but not the members' end of
+            # stream: run them out, so their metrics are final and no
+            # suspended iterator keeps its handle in a reference cycle
+            for frames in member_frames:
+                for _ in frames:
+                    pass
+        self.stability = stream.report
         self.metrics = self._member_metrics()
-
-    def result(self, timeout: float | None = None) -> "list[SummaryFrame]":
-        """Drain the stream; return every delivered frame."""
-        return list(self.frames(timeout=timeout))
 
     def _member_metrics(self) -> dict:
         per = [h.metrics for h in self.handles if h.metrics is not None]

@@ -4,14 +4,16 @@ execution.
 The unified engine API over the whole stack:
 
 * :mod:`repro.runtime.api` — the shared typed dataclasses
-  (:class:`RolloutRequest`, :class:`StepFrame`, :class:`RolloutResult`,
+  (:class:`RolloutRequest` over the shared :class:`StreamRequest`
+  shape, :class:`StepFrame`, :class:`RolloutResult`,
   :class:`TrainRequest`, :class:`TrainResult`), the :class:`Engine`
   interface with its futures, :class:`EngineCapabilities`, and the
   typed :class:`CapabilityError`;
-* :mod:`repro.runtime.local` — :class:`LocalEngine`, the serving
-  stack run inline on the calling thread;
 * :mod:`repro.runtime.pooled` — :class:`PooledEngine`, the batched
-  in-process service plus the training-job path;
+  in-process service plus the training-job path, and the engine body
+  it shares with
+* :mod:`repro.runtime.local` — :class:`LocalEngine`, the same service
+  run inline on the calling thread;
 * :mod:`repro.runtime.remote` — :class:`RemoteEngine`, the socket
   transport with persistent pooled connections;
 * :mod:`repro.runtime.factory` — :func:`connect`, building any of the
@@ -41,6 +43,7 @@ from repro.runtime.api import (
     ShardError,
     StepFrame,
     StreamFuture,
+    StreamRequest,
     TrainFuture,
     TrainRequest,
     TrainResult,
@@ -63,6 +66,7 @@ __all__ = [
     "ShardError",
     "StepFrame",
     "StreamFuture",
+    "StreamRequest",
     "TrainFuture",
     "TrainRequest",
     "TrainResult",

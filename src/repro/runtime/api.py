@@ -49,6 +49,7 @@ from repro.obs.trace import mint_trace_id
 if TYPE_CHECKING:  # imports for annotations only — api must stay a leaf module
     from pathlib import Path
 
+    from repro.ensemble.api import EnsembleFuture, EnsembleRequest
     from repro.gnn.architecture import MeshGNN
     from repro.gnn.config import GNNConfig
     from repro.graph.distributed import LocalGraph
@@ -142,6 +143,12 @@ class EngineCapabilities:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EngineCapabilities":
+        """Invert :meth:`to_dict`; ``d`` is a peer's reply, so anything
+        but a mapping is a :class:`ValueError`, not a ``TypeError``."""
+        if not isinstance(d, dict):
+            raise ValueError(
+                f"capabilities must be a mapping, got {type(d).__name__}"
+            )
         return cls(
             transport=str(d["transport"]),
             training=bool(d["training"]),
@@ -200,9 +207,13 @@ class BatchKey:
 
 
 @dataclass
-class RolloutRequest:
-    """One rollout (``n_steps >= 1``) or single-step (``n_steps == 1``)
-    surrogate query — the request type every engine accepts.
+class StreamRequest:
+    """What every streamed request kind carries (the request-side
+    mirror of :class:`StreamFuture`): the fields, their front-door
+    validation, the coalescing :attr:`key`, engine-default resolution
+    and the deadline clock. Submit one of its kinds —
+    :class:`RolloutRequest` or
+    :class:`repro.ensemble.api.EnsembleRequest`.
 
     ``x0`` is the *global* initial state ``(n_global_nodes, node_in)``;
     execution scatters it to ranks by global ID and assembles global
@@ -270,12 +281,12 @@ class RolloutRequest:
         self,
         default_halo_mode: str | HaloMode,
         default_deadline_s: float | None = None,
-    ) -> "RolloutRequest":
+    ) -> StreamRequest:
         """Fill engine defaults into unset fields (``self`` if complete).
 
-        Pure function: returns a new request (same ``request_id`` /
-        ``submitted_at`` / ``trace_id``) when a default applies, so the
-        original is never mutated after submission.
+        Pure function: returns a new request of the same kind (same
+        ``request_id`` / ``submitted_at`` / ``trace_id``) when a default
+        applies, so the original is never mutated after submission.
         """
         changes: dict = {}
         if self.halo_mode is None:
@@ -309,6 +320,15 @@ class RolloutRequest:
     def waited_s(self, now: float | None = None) -> float:
         """Seconds spent since submission (queue wait until dequeued)."""
         return (time.perf_counter() if now is None else now) - self.submitted_at
+
+
+@dataclass
+class RolloutRequest(StreamRequest):
+    """One rollout (``n_steps >= 1``) or single-step (``n_steps == 1``)
+    surrogate query — the request type every engine accepts. Exactly
+    the shared :class:`StreamRequest` shape: frames stream back as
+    :class:`StepFrame`, the result is a :class:`RolloutResult`.
+    """
 
 
 @dataclass(frozen=True)
@@ -587,9 +607,11 @@ class Engine(ABC):
     The contract every implementation honors:
 
     * **Typed requests.** :meth:`submit` takes a
-      :class:`RolloutRequest` or :class:`TrainRequest` and returns the
-      matching future; :meth:`rollout` / :meth:`stream` / :meth:`train`
-      are synchronous conveniences over it.
+      :class:`RolloutRequest`, an
+      :class:`~repro.ensemble.api.EnsembleRequest` or a
+      :class:`TrainRequest` and returns the matching future;
+      :meth:`rollout` / :meth:`stream` / :meth:`train` are synchronous
+      conveniences over it.
     * **Capability negotiation.** :meth:`capabilities` says what the
       engine supports; unsupported submissions raise
       :class:`CapabilityError` at the call site, never a transport
@@ -683,8 +705,8 @@ class Engine(ABC):
         )
 
     def submit(
-        self, request: RolloutRequest | TrainRequest
-    ) -> RolloutFuture | TrainFuture:
+        self, request: RolloutRequest | EnsembleRequest | TrainRequest
+    ) -> RolloutFuture | EnsembleFuture | TrainFuture:
         """Submit a typed request; returns the matching future.
 
         Raises :class:`CapabilityError` for request types the engine
@@ -694,9 +716,10 @@ class Engine(ABC):
         # lazy: ensemble.api imports this module at its top level
         from repro.ensemble.api import EnsembleRequest
 
-        if isinstance(request, EnsembleRequest):
+        if isinstance(request, (RolloutRequest, EnsembleRequest)):
             caps = self.capabilities()
-            if not caps.ensemble:
+            ensemble = isinstance(request, EnsembleRequest)
+            if ensemble and not caps.ensemble:
                 raise CapabilityError(
                     f"engine {caps.transport!r} does not support ensemble "
                     f"requests (capability 'ensemble' is off); submit "
@@ -707,32 +730,26 @@ class Engine(ABC):
                 raise CapabilityError(
                     f"engine {caps.transport!r} does not support the "
                     f"{request.precision!r} inference tier (capability "
-                    f"'float32' is off); resubmit ensemble request "
-                    f"{request.request_id} with precision='float64'"
-                )
-            return self._submit_ensemble(request)
-        if isinstance(request, RolloutRequest):
-            if request.precision != "float64" and not self.capabilities().float32:
-                raise CapabilityError(
-                    f"engine {self.capabilities().transport!r} does not "
-                    f"support the {request.precision!r} inference tier "
-                    f"(capability 'float32' is off); resubmit request "
+                    f"'float32' is off); resubmit request "
                     f"{request.request_id} with precision='float64' or "
                     f"target a float32-capable engine"
                 )
+            if ensemble:
+                return self._submit_ensemble(request)
             return self._submit_rollout(request)
         if isinstance(request, TrainRequest):
-            if not self.capabilities().training:
+            caps = self.capabilities()
+            if not caps.training:
                 raise CapabilityError(
-                    f"engine {self.capabilities().transport!r} does not "
-                    f"support training jobs (capability 'training' is off); "
-                    f"submit TrainRequest {request.request_id} to a "
-                    f"local:// or pool:// engine"
+                    f"engine {caps.transport!r} does not support training "
+                    f"jobs (capability 'training' is off); submit "
+                    f"TrainRequest {request.request_id} to a local:// or "
+                    f"pool:// engine"
                 )
             return self._submit_train(request)
         raise TypeError(
-            f"submit() takes a RolloutRequest or TrainRequest, "
-            f"got {type(request).__name__}"
+            f"submit() takes a RolloutRequest, EnsembleRequest or "
+            f"TrainRequest, got {type(request).__name__}"
         )
 
     # -- synchronous conveniences --------------------------------------------

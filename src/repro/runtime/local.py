@@ -20,27 +20,9 @@ concurrency arrives — the calling code does not change.
 from __future__ import annotations
 
 from concurrent.futures import Future
-from pathlib import Path
-from typing import Sequence
 
-from repro.gnn.architecture import MeshGNN
-from repro.gnn.config import GNNConfig
-from repro.graph.distributed import LocalGraph
-from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import Span
-from repro.runtime.api import (
-    Engine,
-    EngineCapabilities,
-    RolloutFuture,
-    RolloutRequest,
-    TrainFuture,
-    TrainRequest,
-)
-from repro.runtime.pooled import (
-    _ExecutorTrainFuture,
-    _HandleEnsembleFuture,
-    _HandleRolloutFuture,
-)
+from repro.runtime.api import EngineCapabilities, TrainFuture, TrainRequest
+from repro.runtime.pooled import _ExecutorTrainFuture, _ServiceEngine
 from repro.serve import InferenceService, ServeConfig
 
 _CAPABILITIES = EngineCapabilities(
@@ -53,8 +35,13 @@ _CAPABILITIES = EngineCapabilities(
 )
 
 
-class LocalEngine(Engine):
+class LocalEngine(_ServiceEngine):
     """Inline engine over in-process assets (see module docstring).
+
+    The in-process engine body (:class:`~repro.runtime.pooled.
+    _ServiceEngine`) in its second mode: it never starts workers, it
+    serves through ``_serve_inline``, and it runs a train job on the
+    calling thread.
 
     Thread safety: asset registration and submission may be called from
     any thread (everything goes through the service's thread-safe API);
@@ -66,22 +53,15 @@ class LocalEngine(Engine):
     ``rollout()``.
     """
 
-    def __init__(
-        self,
-        request_timeout_s: float = 120.0,
-        trace_capacity: int = 2048,
-    ):
+    def __init__(self, request_timeout_s: float = 120.0):
         self._service = InferenceService(
             ServeConfig(
                 # the caller is the worker: a collection window would
                 # only be this thread waiting on itself
                 max_wait_s=0.0,
                 request_timeout_s=request_timeout_s,
-                trace_capacity=trace_capacity,
             )
         )
-
-    # -- lifecycle -----------------------------------------------------------
 
     def capabilities(self) -> EngineCapabilities:
         return _CAPABILITIES
@@ -89,56 +69,11 @@ class LocalEngine(Engine):
     def close(self) -> None:
         """Nothing to release (no threads, no sockets); idempotent."""
 
-    # -- assets --------------------------------------------------------------
-
-    def register_model(self, name: str, model: MeshGNN) -> None:
-        self._service.register_model(name, model)
-
-    def register_checkpoint(
-        self,
-        name: str,
-        path: str | Path,
-        expect_config: GNNConfig | None = None,
-        eager: bool = False,
-    ) -> None:
-        self._service.register_checkpoint(name, path, expect_config, eager)
-
-    def register_graph(self, key: str, graphs: Sequence[LocalGraph]) -> None:
-        self._service.register_graph(key, graphs)
-
-    def register_graph_dir(self, key: str, directory: str | Path) -> None:
-        self._service.register_graph_dir(key, directory)
-
-    def model_names(self) -> list:
-        return self._service.registry.names()
-
-    def graph_keys(self) -> list:
-        return self._service.graph_keys()
-
-    # -- submission ----------------------------------------------------------
-
-    def _submit_rollout(self, request: RolloutRequest) -> RolloutFuture:
-        return _HandleRolloutFuture(
-            self._service._serve_inline(request),
-            self._service.config.request_timeout_s,
-        )
-
-    def _submit_ensemble(self, request):
-        return _HandleEnsembleFuture(
-            self._service._serve_inline(request),
-            self._service.config.request_timeout_s,
-        )
+    def _serve(self, request):
+        return self._service._serve_inline(request)
 
     def _submit_train(self, request: TrainRequest) -> TrainFuture:
         finished: Future = Future()
         # inline: a failing job raises here, at submission
         finished.set_result(self._service.execute_train(request))
         return _ExecutorTrainFuture(request, finished)
-
-    # -- stats / observability ------------------------------------------------
-
-    def metrics_registry(self) -> MetricsRegistry:
-        return self._service.metrics_registry()
-
-    def get_trace(self, trace_id: str) -> list[Span]:
-        return self._service.get_trace(trace_id)

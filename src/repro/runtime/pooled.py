@@ -21,19 +21,19 @@ import threading
 from concurrent.futures import Future as _StdFuture
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from repro.ensemble.api import EnsembleFuture, SummaryFrame
+from repro.ensemble.api import EnsembleFuture, EnsembleRequest
 from repro.gnn.architecture import MeshGNN
 from repro.gnn.config import GNNConfig
 from repro.graph.distributed import LocalGraph
 from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Span
 from repro.runtime.api import (
     Engine,
     EngineCapabilities,
     RolloutFuture,
     RolloutRequest,
-    StepFrame,
     TrainFuture,
     TrainRequest,
     TrainResult,
@@ -48,56 +48,6 @@ _CAPABILITIES = EngineCapabilities(
     float32=True,
     ensemble=True,
 )
-
-
-class _HandleStream:
-    """Engine future over one of the service's streaming handles.
-
-    The one adapter both in-process engines use: a handle has
-    ``frames()``, ``done`` and ``metrics``. Frames are pushed by
-    whoever executes the batch and consumed here; a failure there —
-    including typed admission rejections — re-raises in the consumer.
-    Single-consumer, like the handle it wraps. Mixed into the public
-    future type of each kind.
-    """
-
-    def __init__(self, handle, timeout_s: float):
-        super().__init__(handle.request)
-        self._handle = handle
-        self._timeout_s = timeout_s
-
-    def _frames(self, timeout: float | None) -> Iterator:
-        for item in self._handle.frames(
-            timeout=self._timeout_s if timeout is None else timeout
-        ):
-            yield self._collect(item)
-        self.metrics = self._handle.metrics
-
-    @property
-    def done(self) -> bool:
-        return self._handle.done
-
-
-class _HandleRolloutFuture(_HandleStream, RolloutFuture):
-    """Over a :class:`~repro.serve.batching.RolloutHandle` (raw states)."""
-
-    def _collect(self, state) -> StepFrame:
-        self._collected.append(state)
-        return StepFrame(len(self._collected) - 1, state)
-
-
-class _HandleEnsembleFuture(_HandleStream, EnsembleFuture):
-    """Over the reducing ``EnsembleHandle``: it drives the lockstep
-    reduction in this consumer's thread, so summaries stream as member
-    batches complete and overlap with later steps' compute."""
-
-    def _collect(self, frame: SummaryFrame) -> SummaryFrame:
-        self._collected.append(frame)
-        return frame
-
-    def _frames(self, timeout: float | None) -> Iterator[SummaryFrame]:
-        yield from super()._frames(timeout)
-        self.stability = self._handle.report
 
 
 class _ExecutorTrainFuture(TrainFuture):
@@ -115,7 +65,65 @@ class _ExecutorTrainFuture(TrainFuture):
         return self._inner.done()
 
 
-class PooledEngine(Engine):
+class _ServiceEngine(Engine):
+    """The in-process engine body: an :class:`InferenceService` behind
+    the Engine API.
+
+    Assets, introspection and tracing are the service's; a streamed
+    request's future is whatever the service hands out (its handle *is*
+    the engine future). The two modes — :class:`PooledEngine`, and
+    :class:`~repro.runtime.local.LocalEngine` run inline — supply
+    ``capabilities``, ``_serve`` (how a streamed request reaches the
+    service), ``_submit_train`` and ``close``.
+    """
+
+    _service: InferenceService
+
+    # -- assets --------------------------------------------------------------
+
+    def register_model(self, name: str, model: MeshGNN) -> None:
+        self._service.register_model(name, model)
+
+    def register_checkpoint(
+        self,
+        name: str,
+        path: str | Path,
+        expect_config: GNNConfig | None = None,
+        eager: bool = False,
+    ) -> None:
+        self._service.register_checkpoint(name, path, expect_config, eager)
+
+    def register_graph(self, key: str, graphs: Sequence[LocalGraph]) -> None:
+        self._service.register_graph(key, graphs)
+
+    def register_graph_dir(self, key: str, directory: str | Path) -> None:
+        self._service.register_graph_dir(key, directory)
+
+    def model_names(self) -> list:
+        return self._service.registry.names()
+
+    def graph_keys(self) -> list:
+        return self._service.graph_keys()
+
+    # -- submission ----------------------------------------------------------
+
+    def _submit_rollout(self, request: RolloutRequest) -> RolloutFuture:
+        return self._serve(request)
+
+    def _submit_ensemble(self, request: EnsembleRequest) -> EnsembleFuture:
+        return self._serve(request)
+
+    # -- stats / observability ------------------------------------------------
+
+    def metrics_registry(self) -> MetricsRegistry:
+        return self._service.metrics_registry()
+
+    def get_trace(self, trace_id: str) -> list[Span]:
+        """Spans from the service's trace ring (admission/queue/tile/execute)."""
+        return self._service.get_trace(trace_id)
+
+
+class PooledEngine(_ServiceEngine):
     """Dynamic-batching engine over an :class:`InferenceService`.
 
     Thread safety: fully shareable — submissions from any number of
@@ -150,8 +158,6 @@ class PooledEngine(Engine):
         """The underlying service (e.g. to mount a ``ServeServer`` on)."""
         return self._service
 
-    # -- lifecycle -----------------------------------------------------------
-
     def capabilities(self) -> EngineCapabilities:
         return _CAPABILITIES
 
@@ -168,54 +174,13 @@ class PooledEngine(Engine):
         if self._owns_service:
             self._service.stop()
 
-    # -- assets --------------------------------------------------------------
-
-    def register_model(self, name: str, model: MeshGNN) -> None:
-        self._service.register_model(name, model)
-
-    def register_checkpoint(
-        self,
-        name: str,
-        path: str | Path,
-        expect_config: GNNConfig | None = None,
-        eager: bool = False,
-    ) -> None:
-        self._service.register_checkpoint(name, path, expect_config, eager)
-
-    def register_graph(self, key: str, graphs: Sequence[LocalGraph]) -> None:
-        self._service.register_graph(key, graphs)
-
-    def register_graph_dir(self, key: str, directory: str | Path) -> None:
-        self._service.register_graph_dir(key, directory)
-
-    def model_names(self) -> list:
-        return self._service.registry.names()
-
-    def graph_keys(self) -> list:
-        return self._service.graph_keys()
-
-    # -- submission ----------------------------------------------------------
-
-    def _submit_rollout(self, request: RolloutRequest) -> RolloutFuture:
-        return _HandleRolloutFuture(
-            self._service.submit_request(request),
-            self._service.config.request_timeout_s,
-        )
-
-    def _submit_ensemble(self, request):
-        return _HandleEnsembleFuture(
-            self._service.submit_ensemble(request),
-            self._service.config.request_timeout_s,
-        )
+    def _serve(self, request):
+        return self._service.submit(request)
 
     def _submit_train(self, request: TrainRequest) -> TrainFuture:
         # fail fast on unknown assets at submission, not inside the job
         self._service.registry.get(request.model)
-        if request.graph not in self._service.graph_keys():
-            raise KeyError(
-                f"no graph registered under {request.graph!r}; "
-                f"known: {self.graph_keys()}"
-            )
+        self._service._require_graph(request.graph)
         with self._train_lock:
             if self._closed:
                 raise RuntimeError("engine is closed")
@@ -225,12 +190,3 @@ class PooledEngine(Engine):
                 )
             inner = self._train_pool.submit(self._service.execute_train, request)
         return _ExecutorTrainFuture(request, inner)
-
-    # -- stats / observability ------------------------------------------------
-
-    def get_trace(self, trace_id: str) -> list:
-        """Spans from the service's trace ring (admission/queue/tile/execute)."""
-        return self._service.get_trace(trace_id)
-
-    def metrics_registry(self) -> MetricsRegistry:
-        return self._service.metrics_registry()

@@ -8,8 +8,10 @@ trained model into a *service*:
   with config-compatibility validation;
 * :mod:`repro.serve.cache` — LRU cache of partitioned graph assets so
   repeated requests skip partitioning/halo-plan construction;
-* :mod:`repro.serve.batching` — the streaming handle a queued request
-  is consumed through, and the shared deadline-shed path;
+* :mod:`repro.serve.batching` — :class:`RolloutHandle`, the
+  :class:`~repro.runtime.api.RolloutFuture` a queued request is
+  consumed through (the service's handle *is* the engine future), and
+  the shared deadline-shed path;
 * :mod:`repro.serve.admission` — admission control: queue caps,
   per-request deadlines, load shedding with typed rejections;
 * :mod:`repro.serve.scheduler` — the request queue with dynamic
@@ -23,8 +25,10 @@ trained model into a *service*:
 * :mod:`repro.serve.metrics` — the one table of exported series,
   :class:`ServeStats` as a view over a metrics registry, the
   per-request record, and the stats table;
-* :mod:`repro.serve.service` — the in-process serving engine
-  (fronted by :class:`repro.runtime.pooled.PooledEngine`);
+* :mod:`repro.serve.service` — the in-process serving engine, one
+  typed way in (``InferenceService.submit(request)``; fronted by
+  :class:`repro.runtime.pooled.PooledEngine` and, run inline, by
+  :class:`repro.runtime.local.LocalEngine`);
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.transport` — the
   length-prefixed socket wire format (speaking the runtime layer's
   typed dataclasses) and the :class:`ServeServer` front end (fronted

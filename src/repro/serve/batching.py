@@ -12,23 +12,26 @@ The request type itself is the runtime layer's shared
 client hands to any :class:`~repro.runtime.api.Engine` is what the
 queue batches and the executor runs, with no per-layer re-plumbing.
 
-Results stream back through :class:`RolloutHandle`: frames are pushed
-as each rollout step completes, so a client can consume a trajectory
-incrementally while later steps are still being computed. A request
-whose deadline passes while it waits never executes: the queue finishes
-its handle through :func:`shed_expired` with the typed
-:class:`~repro.serve.admission.DeadlineExpired`.
+Results stream back through :class:`RolloutHandle` — a
+:class:`~repro.runtime.api.RolloutFuture`, the same future type every
+engine hands out, so the service's in-flight request *is* the engine's:
+frames are pushed as each rollout step completes, so a client can
+consume a trajectory incrementally while later steps are still being
+computed. A request whose deadline passes while it waits never
+executes: the queue finishes its handle through :func:`shed_expired`
+with the typed :class:`~repro.serve.admission.DeadlineExpired`.
 """
 
 from __future__ import annotations
 
 import queue as queue_mod
 import threading
+from typing import Iterator
 
 import numpy as np
 
 from repro.obs.trace import TraceBuffer, wall_from_perf
-from repro.runtime.api import RolloutRequest
+from repro.runtime.api import RolloutFuture, RolloutRequest, StepFrame
 from repro.serve.admission import AdmissionController, DeadlineExpired
 
 
@@ -69,15 +72,20 @@ def shed_expired(
     )
 
 
-class RolloutHandle:
-    """Client-side view of an in-flight request (stream or await).
+class RolloutHandle(RolloutFuture):
+    """The service's in-flight rollout: the engine future itself.
 
-    Frames arrive in step order, frame 0 being ``x0`` itself (matching
-    :func:`repro.gnn.rollout.rollout`, which returns ``n_steps + 1``
-    states). ``frames()`` yields them as they are produced; ``result()``
-    blocks for the complete trajectory. A failure in the worker —
-    including a typed admission rejection — is re-raised in the
-    consumer.
+    A :class:`~repro.runtime.api.RolloutFuture` whose frames are pushed
+    by whoever executes the batch (``_push_frame`` / ``_finish``, the
+    producer side) and read off an internal queue by the consumer. The
+    stream life-cycle — one shared ``frames()`` iterator, ``result()``
+    after a partial pass, a failed stream stays failed — is
+    :class:`~repro.runtime.api.StreamFuture`'s; a failure in the worker,
+    including a typed admission rejection, is re-raised in the
+    consumer. ``timeout_s`` is the default per-frame wait (the
+    service's ``request_timeout_s``): it caps how long to wait for the
+    *next* frame, not the whole trajectory, and a quiet producer raises
+    :class:`TimeoutError`.
 
     Thread safety: one producer (the worker) and one consumer (the
     client thread) are the supported topology; ``frames()``/``result()``
@@ -89,36 +97,31 @@ class RolloutHandle:
 
     _DONE = object()
 
-    def __init__(self, request: RolloutRequest):
-        self.request = request
-        self.metrics = None  # RequestMetrics, attached on completion
-        self._frames: queue_mod.Queue = queue_mod.Queue()
+    def __init__(self, request: RolloutRequest, timeout_s: float = 60.0):
+        super().__init__(request)
+        self._timeout_s = timeout_s
+        self._queue: queue_mod.Queue = queue_mod.Queue()
         self._done = threading.Event()
         self._error: BaseException | None = None
-        self._collected: list[np.ndarray] = []
 
     # -- producer side (service internals) -----------------------------------
 
     def _push_frame(self, state: np.ndarray) -> None:
-        self._frames.put(np.array(state, copy=True))
+        self._queue.put(np.array(state, copy=True))
 
     def _finish(self, error: BaseException | None = None) -> None:
         self._error = error
-        self._frames.put(self._DONE)
+        self._queue.put(self._DONE)
         self._done.set()
 
     # -- consumer side -------------------------------------------------------
 
-    def frames(self, timeout: float | None = 60.0):
-        """Yield frames incrementally (``n_steps + 1`` of them).
-
-        ``timeout`` is a per-frame inactivity bound: it caps how long
-        to wait for the *next* frame, not the whole trajectory. Raises
-        :class:`TimeoutError` when the producer goes quiet.
-        """
+    def _frames(self, timeout: float | None) -> Iterator[StepFrame]:
+        if timeout is None:
+            timeout = self._timeout_s
         while True:
             try:
-                item = self._frames.get(timeout=timeout)
+                item = self._queue.get(timeout=timeout)
             except queue_mod.Empty:
                 raise TimeoutError(
                     f"request {self.request.request_id}: no frame within "
@@ -129,16 +132,7 @@ class RolloutHandle:
                     raise self._error
                 return
             self._collected.append(item)
-            yield item
-
-    def result(self, timeout: float | None = 60.0) -> list[np.ndarray]:
-        """Block until done; return the full trajectory (incl. frame 0).
-
-        ``timeout`` bounds each frame's arrival (see :meth:`frames`).
-        """
-        for _ in self.frames(timeout=timeout):
-            pass
-        return self._collected
+            yield StepFrame(len(self._collected) - 1, item)
 
     @property
     def done(self) -> bool:

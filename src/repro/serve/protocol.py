@@ -153,6 +153,60 @@ def require_str(header: dict, key: str) -> str:
     return value
 
 
+def _stream_header(op: str, request) -> dict:
+    """The header fields every streamed request kind shares."""
+    return {
+        "op": op,
+        "model": request.model,
+        "graph": request.graph,
+        "n_steps": int(request.n_steps),
+        "halo_mode": request.halo_mode,
+        "residual": bool(request.residual),
+        "precision": request.precision,
+        "deadline_s": request.deadline_s,
+        "trace_id": request.trace_id,
+    }
+
+
+def _parse_stream_request(
+    kind: str, cls, header: dict, arrays: Sequence[np.ndarray],
+    extra=lambda header: {},
+):
+    """Rebuild a ``cls`` request from the shared header fields plus
+    whatever ``extra(header)`` reads for the kind.
+
+    The reconstructed request gets a new ``request_id`` /
+    ``submitted_at`` but *keeps* the peer's ``trace_id`` so server-side
+    spans join the client's trace (a peer that predates tracing gets a
+    freshly minted ID). Everything a malformed header can trigger is a
+    :class:`ValueError` (``bad_request`` on the wire).
+    """
+    if len(arrays) != 1:
+        raise ValueError(
+            f"{kind} carries exactly one array (x0), got {len(arrays)}"
+        )
+    try:
+        fields = extra(header)
+        if header.get("trace_id") is not None:
+            fields["trace_id"] = str(header["trace_id"])
+        return cls(
+            model=require_str(header, "model"),
+            graph=require_str(header, "graph"),
+            x0=arrays[0],
+            n_steps=int(require_field(header, "n_steps")),
+            halo_mode=header.get("halo_mode"),
+            residual=bool(header.get("residual", False)),
+            # absent on peers that predate the float32 tier: canonical
+            precision=str(header.get("precision", "float64")),
+            deadline_s=header.get("deadline_s"),
+            **fields,
+        )
+    except (TypeError, AttributeError) as exc:
+        # wrong-typed header fields (n_steps: null, deadline_s: "soon",
+        # ...) are the peer's fault, not an internal failure
+        raise ValueError(f"malformed {kind} request: {exc}") from None
+
+
 def rollout_message(
     request: RolloutRequest,
 ) -> tuple[dict, list[np.ndarray]]:
@@ -166,18 +220,7 @@ def rollout_message(
     correlation key that stitches client, router, and server spans into
     one trace (:mod:`repro.obs.trace`).
     """
-    header = {
-        "op": "rollout",
-        "model": request.model,
-        "graph": request.graph,
-        "n_steps": int(request.n_steps),
-        "halo_mode": request.halo_mode,
-        "residual": bool(request.residual),
-        "precision": request.precision,
-        "deadline_s": request.deadline_s,
-        "trace_id": request.trace_id,
-    }
-    return header, [request.x0]
+    return _stream_header("rollout", request), [request.x0]
 
 
 def parse_rollout_message(
@@ -185,38 +228,12 @@ def parse_rollout_message(
 ) -> RolloutRequest:
     """Invert :func:`rollout_message` into a fresh server-side request.
 
-    Raises :class:`ValueError` on missing required fields or a wrong
-    array count (mapped to ``bad_request`` by the transport). The
-    reconstructed request gets a new ``request_id`` / ``submitted_at``
-    — see :func:`rollout_message` — but *keeps* the peer's
-    ``trace_id`` so server-side spans join the client's trace (a peer
-    that predates tracing gets a freshly minted ID).
+    Raises :class:`ValueError` on missing or wrong-typed fields or a
+    wrong array count (mapped to ``bad_request`` by the transport); see
+    :func:`_parse_stream_request` for what is kept and what is stamped
+    anew.
     """
-    if len(arrays) != 1:
-        raise ValueError(
-            f"rollout carries exactly one array (x0), got {len(arrays)}"
-        )
-    kwargs: dict = {}
-    trace_id = header.get("trace_id")
-    if trace_id is not None:
-        kwargs["trace_id"] = str(trace_id)
-    try:
-        return RolloutRequest(
-            model=require_str(header, "model"),
-            graph=require_str(header, "graph"),
-            x0=arrays[0],
-            n_steps=int(require_field(header, "n_steps")),
-            halo_mode=header.get("halo_mode"),
-            residual=bool(header.get("residual", False)),
-            # absent on peers that predate the float32 tier: canonical
-            precision=str(header.get("precision", "float64")),
-            deadline_s=header.get("deadline_s"),
-            **kwargs,
-        )
-    except TypeError as exc:
-        # wrong-typed header fields (n_steps: null, deadline_s: "soon",
-        # ...) are the peer's fault, not an internal failure
-        raise ValueError(f"malformed rollout request: {exc}") from None
+    return _parse_stream_request("rollout", RolloutRequest, header, arrays)
 
 
 def ensemble_message(request) -> tuple[dict, list[np.ndarray]]:
@@ -229,16 +246,8 @@ def ensemble_message(request) -> tuple[dict, list[np.ndarray]]:
     ``trace_id`` crosses.
     """
     header = {
-        "op": "ensemble",
-        "model": request.model,
-        "graph": request.graph,
-        "n_steps": int(request.n_steps),
+        **_stream_header("ensemble", request),
         "n_members": int(request.n_members),
-        "halo_mode": request.halo_mode,
-        "residual": bool(request.residual),
-        "precision": request.precision,
-        "deadline_s": request.deadline_s,
-        "trace_id": request.trace_id,
         "perturbation": request.perturbation.to_dict(),
         "summaries": list(request.summaries),
         "quantiles": list(request.quantiles),
@@ -267,21 +276,9 @@ def parse_ensemble_message(header: dict, arrays: Sequence[np.ndarray]):
     from repro.ensemble.api import EnsembleRequest, PerturbationSpec
     from repro.ensemble.stability import StabilityConfig
 
-    if len(arrays) != 1:
-        raise ValueError(
-            f"ensemble carries exactly one array (x0), got {len(arrays)}"
-        )
-    kwargs: dict = {}
-    trace_id = header.get("trace_id")
-    if trace_id is not None:
-        kwargs["trace_id"] = str(trace_id)
-    member_range = header.get("member_range")
-    try:
-        return EnsembleRequest(
-            model=require_str(header, "model"),
-            graph=require_str(header, "graph"),
-            x0=arrays[0],
-            n_steps=int(require_field(header, "n_steps")),
+    def ensemble_fields(header: dict) -> dict:
+        member_range = header.get("member_range")
+        return dict(
             n_members=int(require_field(header, "n_members")),
             perturbation=PerturbationSpec.from_dict(
                 header.get("perturbation") or {}
@@ -296,14 +293,11 @@ def parse_ensemble_message(header: dict, arrays: Sequence[np.ndarray]):
             member_range=(
                 None if member_range is None else tuple(member_range)
             ),
-            halo_mode=header.get("halo_mode"),
-            residual=bool(header.get("residual", False)),
-            precision=str(header.get("precision", "float64")),
-            deadline_s=header.get("deadline_s"),
-            **kwargs,
         )
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed ensemble request: {exc}") from None
+
+    return _parse_stream_request(
+        "ensemble", EnsembleRequest, header, arrays, ensemble_fields
+    )
 
 
 def summary_frame_message(frame) -> tuple[dict, list[np.ndarray]]:
@@ -331,24 +325,33 @@ def summary_frame_message(frame) -> tuple[dict, list[np.ndarray]]:
 
 
 def parse_summary_frame(header: dict, arrays: Sequence[np.ndarray]):
-    """Invert :func:`summary_frame_message` into a ``SummaryFrame``."""
+    """Invert :func:`summary_frame_message` into a ``SummaryFrame``.
+
+    Raises :class:`ValueError` on missing or wrong-typed header fields
+    or a wrong array count.
+    """
     from repro.ensemble.api import SummaryFrame
 
-    names = list(header.get("summaries", ()))
-    n_member_arrays = int(header.get("members", 0))
-    if len(arrays) != 1 + len(names) + n_member_arrays:
-        raise ValueError(
-            f"summary frame announced {1 + len(names) + n_member_arrays} "
-            f"arrays, carried {len(arrays)}"
+    try:
+        names = list(header.get("summaries", ()))
+        n_member_arrays = int(header.get("members", 0))
+        if len(arrays) != 1 + len(names) + n_member_arrays:
+            raise ValueError(
+                f"summary frame announced {1 + len(names) + n_member_arrays} "
+                f"arrays, carried {len(arrays)}"
+            )
+        return SummaryFrame(
+            step=int(require_field(header, "step")),
+            n_members=int(require_field(header, "n_members")),
+            summaries=dict(zip(names, arrays[1:1 + len(names)])),
+            energy=arrays[0],
+            divergence=float(require_field(header, "divergence")),
+            members=tuple(arrays[1 + len(names):]),
         )
-    return SummaryFrame(
-        step=int(require_field(header, "step")),
-        n_members=int(require_field(header, "n_members")),
-        summaries=dict(zip(names, arrays[1:1 + len(names)])),
-        energy=arrays[0],
-        divergence=float(require_field(header, "divergence")),
-        members=tuple(arrays[1 + len(names):]),
-    )
+    except TypeError as exc:
+        # wrong-typed header fields (members: null, summaries: 5, ...)
+        # are the peer's protocol violation, not an internal failure
+        raise ValueError(f"malformed summary frame: {exc}") from None
 
 
 #: per-rank array fields of a graph-upload message, in wire order;

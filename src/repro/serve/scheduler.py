@@ -55,6 +55,11 @@ from repro.serve.batching import RolloutHandle, shed_expired
 from repro.serve.metrics import SchedulerStats, ServeStats, declare
 
 
+#: how often an idle worker blocked in ``next_batch`` re-checks for a
+#: grantable lane (submissions and closes notify it sooner)
+_POLL_S = 1.0
+
+
 def lane_label(key: BatchKey) -> str:
     """Canonical human-readable label of one lane (metrics label value)."""
     kind = "residual" if key.residual else "direct"
@@ -85,7 +90,8 @@ class ScheduledQueue:
     The policy counters and high-water marks are series in ``metrics``
     (the service's registry, so they outlive a queue rebuilt after
     ``stop()``; a queue built on its own gets a private one);
-    :meth:`scheduler_stats` is their view.
+    :meth:`scheduler_stats` is their view. ``request_timeout_s`` is the
+    default per-frame wait of the handles the queue hands out.
 
     Thread safety: fully thread-safe, one condition variable guards
     all lanes. Determinism: batch composition is a pure function of
@@ -101,6 +107,7 @@ class ScheduledQueue:
         affinity: bool = True,
         max_lane_skips: int = 4,
         metrics: MetricsRegistry | None = None,
+        request_timeout_s: float = 60.0,
     ) -> None:
         if max_lane_skips < 1:
             raise ValueError("max_lane_skips must be >= 1")
@@ -113,6 +120,7 @@ class ScheduledQueue:
         self._trace = trace
         self._affinity_on = affinity
         self._max_lane_skips = max_lane_skips
+        self._request_timeout_s = request_timeout_s
         self._lane_seq = itertools.count()
         self._metrics, self._m = declare(metrics)
 
@@ -138,7 +146,7 @@ class ScheduledQueue:
         """
         if not requests:
             raise ValueError("submit_many needs at least one request")
-        handles = [RolloutHandle(r) for r in requests]
+        handles = [RolloutHandle(r, self._request_timeout_s) for r in requests]
         with self._cond:
             if self._closed:
                 raise RuntimeError("queue is closed")
@@ -165,12 +173,11 @@ class ScheduledQueue:
         self,
         max_batch_size: int,
         max_wait_s: float,
-        poll_s: float = 1.0,
         worker_id: int = 0,
     ) -> list[tuple[RolloutRequest, RolloutHandle]] | None:
         """Collect the next batch for ``worker_id``, or ``None`` at drain.
 
-        Blocks while nothing is grantable (re-checking every ``poll_s``)
+        Blocks while nothing is grantable (re-checking every second)
         until the queue is closed and drained. See :meth:`_collect` for
         how a batch forms.
         """
@@ -183,7 +190,7 @@ class ScheduledQueue:
                     return None
                 self._idle += 1
                 try:
-                    self._cond.wait(timeout=poll_s)
+                    self._cond.wait(timeout=_POLL_S)
                 finally:
                     self._idle -= 1
 

@@ -45,6 +45,7 @@ from repro.serve.registry import ModelRegistry
 from repro.serve.scheduler import ScheduledQueue
 
 if TYPE_CHECKING:  # serve must not import ensemble at module load
+    from repro.ensemble.api import EnsembleRequest
     from repro.ensemble.driver import EnsembleHandle
 
 
@@ -121,7 +122,7 @@ class InferenceService:
     >>> # with InferenceService(ServeConfig(max_batch_size=4)) as svc:
     >>> #     svc.register_model("m", model)
     >>> #     svc.register_graph("g", dg.locals)
-    >>> #     states = svc.rollout("m", "g", x0, n_steps=5)
+    >>> #     states = svc.submit(RolloutRequest("m", "g", x0, 5)).result().states
     """
 
     def __init__(self, config: ServeConfig | None = None):
@@ -157,6 +158,7 @@ class InferenceService:
             affinity=self.config.affinity,
             max_lane_skips=self.config.max_lane_skips,
             metrics=self._metrics,
+            request_timeout_s=self.config.request_timeout_s,
         )
 
     def start(self) -> "InferenceService":
@@ -242,43 +244,44 @@ class InferenceService:
         Thread-safe; loads directory-backed assets through the cache on
         a miss. Raises :class:`KeyError` for unknown keys.
         """
+        self._require_graph(key)
         pinned = self._pinned_graphs.get(key)
         if pinned is not None:
             return self.cache.get_or_load(key, lambda: pinned)
-        directory = self._graph_dirs.get(key)
-        if directory is not None:
-            return self.cache.get_or_load(key, lambda: load_rank_graphs(directory))
-        raise KeyError(
-            f"no graph registered under {key!r}; known: {self.graph_keys()}"
-        )
+        directory = self._graph_dirs[key]
+        return self.cache.get_or_load(key, lambda: load_rank_graphs(directory))
+
+    def _require_graph(self, key: str) -> None:
+        """Raise the typed :class:`KeyError` for an unregistered graph key."""
+        if key not in self._pinned_graphs and key not in self._graph_dirs:
+            raise KeyError(
+                f"no graph registered under {key!r}; known: {self.graph_keys()}"
+            )
 
     # -- request API ---------------------------------------------------------
 
-    def submit_request(self, request: RolloutRequest) -> RolloutHandle:
-        """Enqueue one typed rollout request; returns a streaming handle.
+    def submit(
+        self, request: RolloutRequest | EnsembleRequest
+    ) -> RolloutHandle | EnsembleHandle:
+        """Enqueue one typed request → its engine future.
 
-        The shared-dataclass path every front end funnels into (the
-        engine API, the transport handler, and the kwargs convenience
-        :meth:`submit`). Engine defaults are resolved here: a request
-        with ``halo_mode=None`` gets ``config.default_halo_mode``, one
-        with ``deadline_s=None`` gets ``config.default_deadline_s``.
-        Raises :class:`~repro.serve.admission.QueueFull` when the queue
-        is at its configured cap.
-        """
-        if not self._started:
-            raise RuntimeError("service is not started (use start() or `with`)")
-        return self._submit(request)
+        The one way in for every front end (the engine API, the
+        transport handler): a :class:`~repro.runtime.api.RolloutRequest`
+        gets a :class:`~repro.serve.batching.RolloutHandle`, an
+        :class:`~repro.ensemble.api.EnsembleRequest` the reducing
+        :class:`~repro.ensemble.driver.EnsembleHandle`. Engine defaults
+        are resolved here: a request with ``halo_mode=None`` gets
+        ``config.default_halo_mode``, one with ``deadline_s=None`` gets
+        ``config.default_deadline_s``. Raises
+        :class:`~repro.serve.admission.QueueFull` when the queue is at
+        its configured cap.
 
-    def submit_ensemble(self, request) -> "EnsembleHandle":
-        """Enqueue an :class:`~repro.ensemble.api.EnsembleRequest` →
-        reducing :class:`~repro.ensemble.driver.EnsembleHandle`.
-
-        The ensemble decomposes into M member rollouts submitted
+        An ensemble decomposes into M member rollouts submitted
         *atomically* (one admission decision for M queue slots — all
         or nothing, so a large ensemble sheds instead of starving the
         cap); the scheduler then tiles them into at most
         ``max_batch_size``-member batches like any other same-key
-        burst. The returned handle runs the lockstep reduction in the
+        burst. Its handle runs the lockstep reduction in the
         consumer's thread, streaming bounded
         :class:`~repro.ensemble.api.SummaryFrame`\\ s.
         """
@@ -286,22 +289,16 @@ class InferenceService:
             raise RuntimeError("service is not started (use start() or `with`)")
         return self._submit(request)
 
-    def _submit(self, request) -> "RolloutHandle | EnsembleHandle":
-        """Every request kind's way into the queue (no liveness check).
+    def _submit(self, request) -> RolloutHandle | EnsembleHandle:
+        """:meth:`submit` without the liveness check (what
+        :meth:`_serve_inline` needs: it never starts workers).
 
         Fails fast on unknown asset names, fills engine defaults, then
         enqueues the rollouts the request decomposes into — itself, or
         an ensemble's perturbed members — under one admission decision.
         """
         self.registry.get(request.model)
-        if (
-            request.graph not in self._pinned_graphs
-            and request.graph not in self._graph_dirs
-        ):
-            raise KeyError(
-                f"no graph registered under {request.graph!r}; "
-                f"known: {self.graph_keys()}"
-            )
+        self._require_graph(request.graph)
         request = request.resolved(
             self.config.default_halo_mode,
             self._admission.effective_deadline_s(request.deadline_s),
@@ -360,7 +357,7 @@ class InferenceService:
         span()
         return handles
 
-    def _serve_inline(self, request) -> "RolloutHandle | EnsembleHandle":
+    def _serve_inline(self, request) -> RolloutHandle | EnsembleHandle:
         """Serve one rollout or ensemble on the *calling* thread.
 
         What ``local://`` is: the request is enqueued like any other,
@@ -378,57 +375,6 @@ class InferenceService:
         )) is not None:
             self._execute(batch)
         return handle
-
-    def submit(
-        self,
-        model: str,
-        graph: str,
-        x0: np.ndarray,
-        n_steps: int,
-        halo_mode: str | HaloMode | None = None,
-        residual: bool = False,
-        deadline_s: float | None = None,
-        precision: str = "float64",
-    ) -> RolloutHandle:
-        """Kwargs convenience over :meth:`submit_request`.
-
-        ``deadline_s`` is the queue-wait budget (falling back to
-        ``config.default_deadline_s``); ``precision`` selects the
-        inference tier (``"float32"`` opts into the bounded-error
-        low-precision path). Raises
-        :class:`~repro.serve.admission.QueueFull` when the queue is at
-        its configured cap.
-        """
-        return self.submit_request(
-            RolloutRequest(
-                model=model,
-                graph=graph,
-                x0=x0,
-                n_steps=n_steps,
-                halo_mode=(
-                    None if halo_mode is None else HaloMode.parse(halo_mode).value
-                ),
-                residual=residual,
-                deadline_s=deadline_s,
-                precision=precision,
-            )
-        )
-
-    def rollout(
-        self,
-        model: str,
-        graph: str,
-        x0: np.ndarray,
-        n_steps: int,
-        halo_mode: str | HaloMode | None = None,
-        residual: bool = False,
-        deadline_s: float | None = None,
-    ) -> list[np.ndarray]:
-        """Synchronous convenience: submit and wait for the trajectory."""
-        handle = self.submit(
-            model, graph, x0, n_steps, halo_mode, residual, deadline_s
-        )
-        return handle.result(timeout=self.config.request_timeout_s)
 
     # -- worker pool ---------------------------------------------------------
 

@@ -103,14 +103,6 @@ def parse_endpoint(value: str) -> tuple[str, int]:
     return host, port
 
 
-# exception <-> wire-code mapping lives with the protocol now; these
-# aliases keep the transport readable (and old import sites working)
-_require = protocol.require_field
-_require_str = protocol.require_str
-_error_code = protocol.error_code
-_raise_for_code = protocol.raise_for_code
-
-
 # -- server ------------------------------------------------------------------
 
 
@@ -155,7 +147,8 @@ class _Handler(socketserver.StreamRequestHandler):
             elif op in _STREAM_OPS:
                 self._stream(service, op, header, arrays)
             elif op == "get_trace":
-                spans = service.get_trace(str(_require(header, "trace_id")))
+                trace_id = str(protocol.require_field(header, "trace_id"))
+                spans = service.get_trace(trace_id)
                 self._reply({"type": "trace", "spans": spans_to_dicts(spans)})
             elif op == "metrics":
                 self._reply(
@@ -175,15 +168,16 @@ class _Handler(socketserver.StreamRequestHandler):
                 except TypeError as exc:  # not a mapping / unknown field
                     raise ValueError(f"malformed expect_config: {exc}") from None
                 service.register_checkpoint(
-                    _require_str(header, "name"),
-                    _require_str(header, "path"),
+                    protocol.require_str(header, "name"),
+                    protocol.require_str(header, "path"),
                     expect_config=expect_config,
                     eager=bool(header.get("eager", False)),
                 )
                 self._reply({"type": "ok"})
             elif op == "register_graph_dir":
                 service.register_graph_dir(
-                    _require_str(header, "key"), _require_str(header, "path")
+                    protocol.require_str(header, "key"),
+                    protocol.require_str(header, "path"),
                 )
                 self._reply({"type": "ok"})
             elif op == "register_graph":
@@ -201,7 +195,7 @@ class _Handler(socketserver.StreamRequestHandler):
         except BaseException as exc:  # noqa: BLE001 - typed and sent to client
             if isinstance(exc, (BrokenPipeError, ConnectionError)):
                 raise
-            self._reply_error(_error_code(exc), str(exc) or repr(exc))
+            self._reply_error(protocol.error_code(exc), str(exc) or repr(exc))
         return True
 
     def _stream(
@@ -211,10 +205,10 @@ class _Handler(socketserver.StreamRequestHandler):
         """Serve one streamed op: frames as they complete, then ``done``.
 
         The one routine that writes stream frames; :data:`_STREAM_OPS`
-        says how each kind parses, submits, encodes a frame and fills
-        its ``done`` header.
+        says how each kind parses, encodes a frame and fills its
+        ``done`` header.
         """
-        parse, submit, encode, done_fields = _STREAM_OPS[op]
+        parse, encode, done_fields = _STREAM_OPS[op]
         try:
             request = parse(header, arrays)
         except ValueError as exc:
@@ -233,18 +227,18 @@ class _Handler(socketserver.StreamRequestHandler):
         if refusal is not None:
             self._reply_error(protocol.ERR_CAPABILITY, refusal)
             return
-        handle = submit(service, request)
+        handle = service.submit(request)
         n = 0
         started = time.perf_counter()
         try:
-            for frame in handle.frames(timeout=service.config.request_timeout_s):
-                self._reply(*encode(n, frame))
+            for frame in handle.frames():
+                self._reply(*encode(frame))
                 n += 1
         except BaseException as exc:  # noqa: BLE001 - forwarded as typed error
             self._serialize_span(service, request, started, n, failed=True)
             if isinstance(exc, (BrokenPipeError, ConnectionError)):
                 raise
-            self._reply_error(_error_code(exc), str(exc) or repr(exc))
+            self._reply_error(protocol.error_code(exc), str(exc) or repr(exc))
             return
         self._serialize_span(service, request, started, n, failed=False)
         self._reply({"type": "done", "n_frames": n, **done_fields(handle)})
@@ -280,16 +274,14 @@ class _Handler(socketserver.StreamRequestHandler):
             pass
 
 
-#: streamed op -> (parse message, submit to service, encode one frame,
-#: extra ``done`` header fields). Per-frame wire bytes of an ensemble
-#: are independent of M unless the client asked for raw members — the
-#: summaries/energy/divergence payload depends only on the mesh and the
-#: summary selection.
+#: streamed op -> (parse message, encode one frame, extra ``done``
+#: header fields). Per-frame wire bytes of an ensemble are independent
+#: of M unless the client asked for raw members — the summaries/energy/
+#: divergence payload depends only on the mesh and the summary selection.
 _STREAM_OPS = {
     "rollout": (
         protocol.parse_rollout_message,
-        InferenceService.submit_request,
-        lambda step, state: ({"type": "frame", "step": step}, [state]),
+        lambda frame: ({"type": "frame", "step": frame.step}, [frame.state]),
         lambda handle: {
             "metrics": (
                 None if handle.metrics is None
@@ -299,11 +291,11 @@ _STREAM_OPS = {
     ),
     "ensemble": (
         protocol.parse_ensemble_message,
-        InferenceService.submit_ensemble,
-        lambda n, frame: protocol.summary_frame_message(frame),
+        protocol.summary_frame_message,
         lambda handle: {
             "stability": (
-                None if handle.report is None else handle.report.to_dict()
+                None if handle.stability is None
+                else handle.stability.to_dict()
             ),
             "metrics": handle.metrics,
         },

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.obs.registry import MetricsRegistry
+from repro.runtime import RolloutRequest
 from repro.serve import InferenceService, ServeConfig
 from repro.serve.metrics import (
     ServeStats,
@@ -215,7 +216,7 @@ class TestRecordedSeries:
             svc.register_model("m2", model)
             svc.register_graph("g", [graph])
             for name in ("m1", "m2", "m1"):
-                svc.rollout(name, "g", x0, n_steps=2)
+                svc.submit(RolloutRequest(name, "g", x0, n_steps=2)).result()
             yield svc.stats(), svc.metrics_registry()
 
     def test_means_are_stored_as_sums(self, served):

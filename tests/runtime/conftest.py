@@ -15,7 +15,7 @@ from repro.graph import build_distributed_graph, build_full_graph
 from repro.graph.io import save_distributed_graph, save_local_graph
 from repro.mesh import BoxMesh, auto_partition, taylor_green_velocity
 from repro.runtime import connect
-from repro.serve import ServeConfig, ServeServer
+from repro.serve import InferenceService, ServeConfig, ServeServer
 
 ENGINE_CONFIG = GNNConfig(hidden=6, n_message_passing=2, n_mlp_hidden=1, seed=11)
 ENGINE_KINDS = ("local", "pool", "tcp", "cluster")
@@ -99,6 +99,12 @@ def make_engine(kind, asset_paths, serve_config=None):
             )
             _register(engine, ckpt, g1_dir, g4_dir)
             yield engine
+    elif kind == "service":
+        # not an engine: the in-process service itself, whose submit()
+        # hands out the same future types the engines do
+        with InferenceService(config) as service:
+            _register(service, ckpt, g1_dir, g4_dir)
+            yield service
     else:  # pragma: no cover - fixture misuse
         raise ValueError(f"unknown engine kind {kind!r}")
 
@@ -114,3 +120,11 @@ def any_engine(request, asset_paths):
     """One engine per parametrization, assets registered."""
     with make_engine(request.param, asset_paths) as engine:
         yield engine
+
+
+@pytest.fixture(params=ENGINE_KINDS + ("service",))
+def any_front_door(request, asset_paths):
+    """Everything with a ``submit(request)``: each engine, and the
+    in-process service the in-process engines hand their futures from."""
+    with make_engine(request.param, asset_paths) as front_door:
+        yield front_door

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.comm.single import SingleProcessComm
+from repro.ensemble import EnsembleRequest, PerturbationSpec
 from repro.gnn import load_checkpoint, rollout, train_model
 from repro.runtime import (
     CapabilityError,
@@ -89,8 +90,8 @@ class TestBitwiseTrajectories:
         result = any_engine.rollout(request)
         assert_bitwise_equal([f.state for f in frames], result.states)
 
-    def test_submit_future_result(self, any_engine, x0):
-        future = any_engine.submit(
+    def test_submit_future_result(self, any_front_door, x0):
+        future = any_front_door.submit(
             RolloutRequest(model="m", graph="g4", x0=x0, n_steps=2)
         )
         result = future.result(timeout=60.0)
@@ -98,11 +99,12 @@ class TestBitwiseTrajectories:
         assert len(result.states) == 3
         assert result.request_id == future.request.request_id
 
-    def test_result_after_full_stream_never_blocks(self, any_engine, x0):
+    def test_result_after_full_stream_never_blocks(self, any_front_door,
+                                                   x0):
         """frames() and result() share one iterator: draining the stream
         and then asking for the result returns the collected trajectory
         instead of re-reading an exhausted stream."""
-        future = any_engine.submit(
+        future = any_front_door.submit(
             RolloutRequest(model="m", graph="g1", x0=x0, n_steps=2)
         )
         steps = [f.step for f in future.frames(timeout=30.0)]
@@ -112,9 +114,20 @@ class TestBitwiseTrajectories:
         # idempotent from here on
         assert len(future.result(timeout=5.0).states) == 3
 
-    def test_result_after_partial_stream_drains_the_rest(self, any_engine,
-                                                         x0):
-        future = any_engine.submit(
+    def test_result_twice_returns_the_same_trajectory(self, any_front_door,
+                                                      x0):
+        future = any_front_door.submit(
+            RolloutRequest(model="m", graph="g1", x0=x0, n_steps=2)
+        )
+        first = future.result(timeout=30.0)
+        started = time.perf_counter()
+        again = future.result(timeout=5.0)  # nothing left to wait for
+        assert time.perf_counter() - started < 1.0
+        assert_bitwise_equal(first.states, again.states)
+
+    def test_result_after_partial_stream_drains_the_rest(self,
+                                                         any_front_door, x0):
+        future = any_front_door.submit(
             RolloutRequest(model="m", graph="g1", x0=x0, n_steps=3)
         )
         stream = future.frames(timeout=30.0)
@@ -124,7 +137,7 @@ class TestBitwiseTrajectories:
         assert len(result.states) == 4
         assert np.array_equal(result.states[0], first.state)
 
-    @pytest.mark.parametrize("kind", ["pool", "tcp", "cluster"])
+    @pytest.mark.parametrize("kind", ["pool", "tcp", "cluster", "service"])
     def test_failed_stream_never_resolves_to_truncated_success(
         self, kind, asset_paths, x0
     ):
@@ -142,6 +155,32 @@ class TestBitwiseTrajectories:
                 future.result(timeout=30.0)
             with pytest.raises(IncompatibleModel):
                 future.result(timeout=5.0)  # same error, not a short success
+
+    def test_shed_request_reraises_the_same_typed_error(self, any_front_door,
+                                                        x0):
+        """A request the queue shed stays shed: every read re-raises the
+        typed rejection, never a timeout on a stream that already ended."""
+        future = any_front_door.submit(RolloutRequest(
+            model="m", graph="g1", x0=x0, n_steps=2, deadline_s=1e-9,
+        ))
+        for _ in range(3):
+            with pytest.raises(DeadlineExpired):
+                future.result(timeout=5.0)
+
+    def test_ensemble_frames_is_one_shared_iterator(self, any_front_door,
+                                                    x0):
+        future = any_front_door.submit(EnsembleRequest(
+            "m", "g1", x0, n_steps=2, n_members=3,
+            perturbation=PerturbationSpec(seed=1, noise_scale=1e-3),
+        ))
+        stream = future.frames(timeout=30.0)
+        first = next(stream)
+        assert future.frames() is stream  # continues, never re-drives
+        steps = [first.step] + [f.step for f in future.frames()]
+        assert steps == [0, 1, 2]
+        result = future.result(timeout=5.0)
+        assert [f.step for f in result.frames] == [0, 1, 2]
+        assert result.stability.stable
 
 
 class TestTypedErrors:
@@ -217,7 +256,7 @@ class TestTypedErrors:
                 engine.register_model("m2", engine_model)
 
     def test_submit_rejects_non_requests(self, any_engine):
-        with pytest.raises(TypeError, match="RolloutRequest or TrainRequest"):
+        with pytest.raises(TypeError, match="RolloutRequest, EnsembleRequest or TrainRequest"):
             any_engine.submit("not a request")
 
 

@@ -1,6 +1,6 @@
 """Transport edge cases the cluster's failover relies on.
 
-Four failure shapes a shard can present, each with a required client
+Five failure shapes a shard can present, each with a required client
 behavior:
 
 * **half-close mid-frame** — the server dies partway through writing a
@@ -11,6 +11,10 @@ behavior:
   :class:`TransportError` and a discarded connection, never the
   ``KeyError`` that means "unknown graph" (and that the cluster reads
   as "the shard answered, do not fail over");
+* **wrong-typed reply fields** — a ``summary`` frame or a
+  ``capabilities`` reply whose fields have the wrong JSON type is the
+  same violation: :class:`TransportError` mid-stream, the fallback
+  capability set at negotiation, never a bare ``TypeError``;
 * **oversized frame** — a peer announcing an array blob beyond the
   protocol bound gets a ``bad_request`` error reply, not an allocation;
 * **reconnect-after-redial** — an engine whose server went away (redial
@@ -25,6 +29,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.ensemble import EnsembleRequest
 from repro.runtime import RolloutRequest, connect
 from repro.runtime.remote import RemoteEngine
 from repro.serve import ServeServer
@@ -34,7 +39,7 @@ from repro.serve.protocol import (
     read_message,
     write_message,
 )
-from repro.serve.transport import TransportError
+from repro.serve.transport import WIRE_CAPABILITIES, TransportError
 
 from tests.runtime.conftest import make_engine
 
@@ -47,14 +52,17 @@ class RogueServer:
     the first ``prefix_bytes`` of a legitimate frame message and then
     hard-closes the connection — the half-close-mid-frame shape a
     crashed shard presents. With ``error_reply`` set, every op but
-    ``ping`` (``rollout`` included) is answered with that message.
+    ``ping`` (``rollout`` included) is answered with that message;
+    ``replies`` scripts single ops (``{op: reply message}``) instead.
     """
 
-    def __init__(self, prefix_bytes: int = 0, error_reply: dict | None = None):
+    def __init__(self, prefix_bytes: int = 0, error_reply: dict | None = None,
+                 replies: dict | None = None):
         self.prefix_bytes = prefix_bytes
         self.error_reply = error_reply
+        self.replies = replies or {}
         self._listener = socket.create_server(("127.0.0.1", 0))
-        self._listener.settimeout(10.0)
+        self._listener.settimeout(0.2)  # how often _serve sees close()
         self.endpoint = "127.0.0.1:%d" % self._listener.getsockname()[1]
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
@@ -75,6 +83,8 @@ class RogueServer:
                     header, _ = message
                     if header.get("op") == "ping":
                         write_message(stream, {"type": "pong"})
+                    elif header.get("op") in self.replies:
+                        write_message(stream, self.replies[header["op"]])
                     elif self.error_reply is not None:
                         write_message(stream, self.error_reply)
                     elif header.get("op") == "rollout":
@@ -165,6 +175,51 @@ class TestMalformedErrorReply:
             with pytest.raises(KeyError, match="nope"):
                 engine.graph_keys()
             assert engine.pool_stats().idle == 1  # healthy: kept
+            engine.close()
+        finally:
+            server.close()
+
+
+class TestWrongTypedReplyFields:
+    """Outside input with the wrong JSON types is a protocol violation
+    (typed), not a ``TypeError`` out of ``int()`` / ``list()``."""
+
+    @pytest.mark.parametrize("bad", [
+        {"members": None},
+        {"summaries": 5},
+    ])
+    def test_wrong_typed_summary_frame_is_transport_error(self, bad):
+        summary = {"type": "summary", "step": 0, "n_members": 2,
+                   "divergence": 0.0, "summaries": [], "members": 0, **bad}
+        server = RogueServer(replies={
+            "capabilities": {"type": "capabilities",
+                             "capabilities": WIRE_CAPABILITIES.to_dict()},
+            "ensemble": summary,
+        })
+        try:
+            engine = RemoteEngine.connect(server.endpoint,
+                                          request_timeout_s=10.0)
+            with pytest.raises(TransportError, match="malformed summary"):
+                engine.ensemble(
+                    EnsembleRequest("m", "g", np.zeros((4, 3)), n_steps=1,
+                                    n_members=2)
+                )
+            assert engine.pool_stats().idle == 0  # mid-stream: discarded
+            engine.close()
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("payload", [["x"], "tcp", 5, None])
+    def test_wrong_typed_capabilities_reply_falls_back(self, payload):
+        server = RogueServer(replies={
+            "capabilities": {"type": "capabilities", "capabilities": payload},
+        })
+        try:
+            engine = RemoteEngine.connect(server.endpoint,
+                                          request_timeout_s=10.0)
+            caps = engine.capabilities()
+            assert caps.transport == "tcp"
+            assert not caps.graph_upload and not caps.ensemble
             engine.close()
         finally:
             server.close()

@@ -237,7 +237,7 @@ class TestServiceIntegration:
         with InferenceService(config) as svc:
             svc.register_model("m", serve_model)
             svc.register_graph("g", [full_graph])
-            svc.rollout("m", "g", x0, n_steps=1)
+            svc.submit(RolloutRequest("m", "g", x0, n_steps=1)).result()
             stats = svc.stats()
         assert stats.admission.accepted == 1
         assert stats.admission.shed == 0
@@ -252,9 +252,9 @@ class TestServiceIntegration:
         svc.register_graph("g", [full_graph])
         # not started: no worker drains the queue, so depth is stable
         svc._started = True
-        svc.submit("m", "g", x0, n_steps=1)
+        svc.submit(RolloutRequest("m", "g", x0, n_steps=1))
         with pytest.raises(QueueFull):
-            svc.submit("m", "g", x0, n_steps=1)
+            svc.submit(RolloutRequest("m", "g", x0, n_steps=1))
         shed = svc.stats().admission.shed
         assert shed == 1
 
@@ -266,7 +266,9 @@ class TestServiceIntegration:
         svc.register_model("m", serve_model)
         svc.register_graph("g", [full_graph])
         svc._started = True
-        h1 = svc.submit("m", "g", x0, n_steps=1)
-        h2 = svc.submit("m", "g", x0, n_steps=1, deadline_s=5.0)
+        h1 = svc.submit(RolloutRequest("m", "g", x0, n_steps=1))
+        h2 = svc.submit(
+            RolloutRequest("m", "g", x0, n_steps=1, deadline_s=5.0)
+        )
         assert h1.request.deadline_s == 30.0
         assert h2.request.deadline_s == 5.0

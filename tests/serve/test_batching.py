@@ -105,7 +105,7 @@ def test_handle_streams_frames_and_result():
     for k in range(3):
         h._push_frame(np.full((5, 3), float(k)))
     h._finish()
-    states = handle.result(timeout=5.0)
+    states = handle.result(timeout=5.0).states
     assert len(states) == 3
     assert states[2][0, 0] == 2.0
 

@@ -1,12 +1,16 @@
 """Wire-format tests: framing, array round-trips, malformed streams,
 graph upload."""
 
+import dataclasses
 import io
 import struct
 
 import numpy as np
 import pytest
 
+from repro.ensemble.api import EnsembleRequest
+from repro.runtime.api import RolloutRequest, StreamRequest
+from repro.serve import protocol
 from repro.serve.protocol import (
     MAX_ARRAY_BYTES,
     MAX_HEADER_BYTES,
@@ -200,6 +204,57 @@ class TestTypedRequestMessages:
         with pytest.raises(ValueError, match="exactly one array"):
             parse_rollout_message({"op": "rollout", "model": "m",
                                    "graph": "g", "n_steps": 1}, [])
+
+
+class TestSharedFieldsRoundTrip:
+    """Every field the streamed request kinds share crosses the wire
+    the same way for both kinds (or, for the process-local identity,
+    is re-stamped for both)."""
+
+    KINDS = {
+        "rollout": (RolloutRequest, protocol.rollout_message,
+                    protocol.parse_rollout_message, {}),
+        "ensemble": (EnsembleRequest, protocol.ensemble_message,
+                     protocol.parse_ensemble_message, {"n_members": 3}),
+    }
+    REQUIRED = dict(model="m", graph="g", x0=np.zeros((4, 3)), n_steps=1)
+    #: a non-default value for every shared field; a field added to
+    #: StreamRequest without an entry here fails the test below
+    VALUES = dict(
+        model="other", graph="g4", x0=np.arange(12.0).reshape(4, 3) / 7,
+        n_steps=5, halo_mode="a2a", residual=True, precision="float32",
+        deadline_s=0.5, trace_id="trace-abc", request_id=10 ** 9,
+        submitted_at=-1.0,
+    )
+    STAMPED = ("request_id", "submitted_at")  # never trusted from the wire
+    SHARED = [f.name for f in dataclasses.fields(StreamRequest)]
+
+    def through_the_wire(self, kind, **fields):
+        cls, to_wire, from_wire, extra = self.KINDS[kind]
+        request = cls(**{**self.REQUIRED, **extra, **fields})
+        return request, from_wire(*roundtrip(*to_wire(request)))
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @pytest.mark.parametrize("name", SHARED)
+    def test_shared_field_round_trips(self, kind, name):
+        request, parsed = self.through_the_wire(
+            kind, **{name: self.VALUES[name]}
+        )
+        if name in self.STAMPED:
+            assert getattr(parsed, name) != getattr(request, name)
+        elif name == "x0":
+            assert parsed.x0.dtype == np.float64
+            assert parsed.x0.tobytes() == request.x0.tobytes()
+        else:
+            assert getattr(parsed, name) == self.VALUES[name]
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_unset_fields_stay_unset(self, kind):
+        request, parsed = self.through_the_wire(kind)
+        assert parsed.halo_mode is None and parsed.deadline_s is None
+        assert (parsed.residual, parsed.precision) == (False, "float64")
+        assert parsed.trace_id == request.trace_id
+        assert parsed.key == request.key
 
 
 class TestGraphUploadMessages:

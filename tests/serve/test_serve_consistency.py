@@ -52,13 +52,18 @@ def direct_distributed_rollout(model, dg, x0, n_steps, residual=False):
     ]
 
 
+def served_rollout(service, *args, **kwargs):
+    """Submit one typed request and wait for its trajectory."""
+    return service.submit(RolloutRequest(*args, **kwargs)).result().states
+
+
 def serve_concurrently(service, graph_key, states, n_steps=N_STEPS,
                        residual=False):
     outputs = [None] * len(states)
 
     def fire(i):
-        outputs[i] = service.rollout("m", graph_key, states[i], n_steps,
-                                     residual=residual)
+        outputs[i] = served_rollout(service, "m", graph_key, states[i],
+                                    n_steps, residual=residual)
 
     threads = [threading.Thread(target=fire, args=(i,)) for i in range(len(states))]
     for t in threads:
@@ -73,7 +78,7 @@ def test_single_rank_served_rollout_bitwise(serve_model, full_graph, x0):
     with InferenceService(ServeConfig(max_batch_size=1)) as service:
         service.register_model("m", serve_model)
         service.register_graph("g", [full_graph])
-        served = service.rollout("m", "g", x0, N_STEPS)
+        served = served_rollout(service, "m", "g", x0, N_STEPS)
     assert len(served) == len(direct) == N_STEPS + 1
     for a, b in zip(served, direct):
         assert np.array_equal(a, b)
@@ -98,7 +103,7 @@ def test_multi_rank_served_rollout_bitwise(serve_model, dist_graph, x0):
     with InferenceService(ServeConfig(max_batch_size=1)) as service:
         service.register_model("m", serve_model)
         service.register_graph("g4", dist_graph.locals)
-        served = service.rollout("m", "g4", x0, N_STEPS)
+        served = served_rollout(service, "m", "g4", x0, N_STEPS)
     for a, b in zip(served, direct):
         assert np.array_equal(a, b)
 
@@ -125,7 +130,7 @@ def test_residual_mode_matches_direct(serve_model, full_graph, x0):
     with InferenceService(ServeConfig(max_batch_size=1)) as service:
         service.register_model("m", serve_model)
         service.register_graph("g", [full_graph])
-        served = service.rollout("m", "g", x0, N_STEPS, residual=True)
+        served = served_rollout(service, "m", "g", x0, N_STEPS, residual=True)
     for a, b in zip(served, direct):
         assert np.array_equal(a, b)
 
@@ -143,7 +148,7 @@ def test_mixed_step_counts_in_one_batch(serve_model, full_graph, x0):
         outputs = [None] * 3
 
         def fire(i):
-            outputs[i] = service.rollout("m", "g", states[i], steps[i])
+            outputs[i] = served_rollout(service, "m", "g", states[i], steps[i])
 
         threads = [threading.Thread(target=fire, args=(i,)) for i in range(3)]
         for t in threads:
@@ -161,10 +166,10 @@ def test_streaming_yields_frames_in_step_order(serve_model, full_graph, x0):
     with InferenceService(ServeConfig(max_batch_size=1)) as service:
         service.register_model("m", serve_model)
         service.register_graph("g", [full_graph])
-        handle = service.submit_request(
+        handle = service.submit(
             RolloutRequest(model="m", graph="g", x0=x0, n_steps=N_STEPS)
         )
         frames = list(handle.frames())
-    assert len(frames) == N_STEPS + 1
+    assert [f.step for f in frames] == list(range(N_STEPS + 1))
     for a, b in zip(frames, direct):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a.state, b)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.gnn import save_checkpoint
 from repro.graph.io import save_distributed_graph
+from repro.runtime import RolloutRequest as Req
 from repro.serve import (
     IncompatibleModel,
     InferenceService,
@@ -12,6 +13,11 @@ from repro.serve import (
     stats_markdown,
 )
 from repro.serve.registry import ModelNotFound
+
+
+def rollout(svc, *args, **kwargs):
+    """Submit one typed request and wait for its trajectory."""
+    return svc.submit(Req(*args, **kwargs)).result().states
 
 
 @pytest.fixture()
@@ -27,18 +33,18 @@ def test_submit_requires_started(serve_model, full_graph):
     svc.register_model("m", serve_model)
     svc.register_graph("g", [full_graph])
     with pytest.raises(RuntimeError, match="not started"):
-        svc.submit("m", "g", np.zeros((full_graph.n_local, 3)), 1)
+        svc.submit(Req("m", "g", np.zeros((full_graph.n_local, 3)), 1))
 
 
 def test_unknown_model_and_graph_fail_fast(service, x0):
     with pytest.raises(ModelNotFound):
-        service.submit("nope", "g", x0, 1)
+        service.submit(Req("nope", "g", x0, 1))
     with pytest.raises(KeyError, match="no graph registered"):
-        service.submit("m", "nope", x0, 1)
+        service.submit(Req("m", "nope", x0, 1))
 
 
 def test_bad_x0_shape_surfaces_through_handle(service, x0):
-    handle = service.submit("m", "g", x0[:-1], 1)
+    handle = service.submit(Req("m", "g", x0[:-1], 1))
     with pytest.raises(IncompatibleModel, match="x0 has shape"):
         handle.result(timeout=30.0)
 
@@ -51,7 +57,7 @@ def test_checkpoint_and_graph_dir_assets(serve_model, dist_graph, x0, tmp_path):
     with InferenceService() as svc:
         svc.register_checkpoint("m", ckpt, expect_config=serve_model.config)
         svc.register_graph_dir("g", gdir)
-        states = svc.rollout("m", "g", x0, 2)
+        states = rollout(svc, "m", "g", x0, 2)
         assert len(states) == 3
         stats = svc.stats()
     assert stats.cache.misses == 1
@@ -63,7 +69,7 @@ def test_checkpoint_and_graph_dir_assets(serve_model, dist_graph, x0, tmp_path):
 
 def test_cache_hits_accumulate_across_requests(service, x0):
     for _ in range(3):
-        service.rollout("m", "g", x0, 1)
+        rollout(service, "m", "g", x0, 1)
     stats = service.stats()
     assert stats.cache.misses == 1
     assert stats.cache.hits >= 2
@@ -71,7 +77,7 @@ def test_cache_hits_accumulate_across_requests(service, x0):
 
 
 def test_metrics_populated_per_request(service, x0):
-    handle = service.submit("m", "g", x0, 2)
+    handle = service.submit(Req("m", "g", x0, 2))
     handle.result(timeout=30.0)
     m = handle.metrics
     assert m is not None
@@ -83,7 +89,7 @@ def test_metrics_populated_per_request(service, x0):
 
 
 def test_stats_markdown_renders(service, x0):
-    service.rollout("m", "g", x0, 1)
+    rollout(service, "m", "g", x0, 1)
     stats = service.stats()
     table = stats_markdown(stats)
     assert "| requests served | 1 |" in table
@@ -97,10 +103,10 @@ def test_stop_drains_pending_work(serve_model, full_graph, x0):
     svc.register_model("m", serve_model)
     svc.register_graph("g", [full_graph])
     svc.start()
-    handles = [svc.submit("m", "g", x0, 1) for _ in range(4)]
+    handles = [svc.submit(Req("m", "g", x0, 1)) for _ in range(4)]
     svc.stop()
     for h in handles:
-        assert len(h.result(timeout=30.0)) == 2
+        assert len(h.result(timeout=30.0).states) == 2
 
 
 def test_reregistering_graph_key_invalidates_cache(serve_model, full_graph,
@@ -108,10 +114,10 @@ def test_reregistering_graph_key_invalidates_cache(serve_model, full_graph,
     with InferenceService() as svc:
         svc.register_model("m", serve_model)
         svc.register_graph("g", [full_graph])
-        svc.rollout("m", "g", x0, 1)  # caches the R=1 asset under "g"
+        rollout(svc, "m", "g", x0, 1)  # caches the R=1 asset under "g"
         svc.register_graph("g", dist_graph.locals)
-        svc.rollout("m", "g", x0, 1)
-        h = svc.submit("m", "g", x0, 1)
+        rollout(svc, "m", "g", x0, 1)
+        h = svc.submit(Req("m", "g", x0, 1))
         h.result(timeout=30.0)
         assert h.metrics.world_size == dist_graph.size  # new asset served
         assert svc.stats().cache.evictions == 1
@@ -135,13 +141,13 @@ def test_service_restarts_after_stop(serve_model, full_graph, x0):
     svc.register_model("m", serve_model)
     svc.register_graph("g", [full_graph])
     svc.start()
-    svc.rollout("m", "g", x0, 1)
+    rollout(svc, "m", "g", x0, 1)
     svc.stop()
     svc.stop()  # idempotent
     with pytest.raises(RuntimeError, match="not started"):
-        svc.submit("m", "g", x0, 1)
+        svc.submit(Req("m", "g", x0, 1))
     svc.start()
-    assert len(svc.rollout("m", "g", x0, 1)) == 2
+    assert len(rollout(svc, "m", "g", x0, 1)) == 2
     assert svc.stats().requests == 2
     svc.stop()
 
@@ -153,9 +159,9 @@ def test_multiple_workers_serve_distinct_keys(serve_model, full_graph,
         svc.register_model("m", serve_model)
         svc.register_graph("g1", [full_graph])
         svc.register_graph("g4", dist_graph.locals)
-        h1 = svc.submit("m", "g1", x0, 2)
-        h4 = svc.submit("m", "g4", x0, 2)
-        s1 = h1.result(timeout=60.0)
-        s4 = h4.result(timeout=60.0)
+        h1 = svc.submit(Req("m", "g1", x0, 2))
+        h4 = svc.submit(Req("m", "g4", x0, 2))
+        s1 = h1.result(timeout=60.0).states
+        s4 = h4.result(timeout=60.0).states
     for a, b in zip(s1, s4):
         assert np.allclose(a, b, atol=1e-12)

@@ -49,7 +49,11 @@ def sample_count(svc: InferenceService) -> int:
 
 
 def live_request_metrics() -> int:
-    gc.collect()
+    # to a fixed point: a stream some earlier test abandoned mid-way is
+    # closed by the collector, and what its generators drop on the way
+    # out (the handles' per-request records) only goes in the next pass
+    while gc.collect():
+        pass
     return sum(isinstance(o, RequestMetrics) for o in gc.get_objects())
 
 
@@ -101,7 +105,9 @@ class TestNoTornView:
                 # every third request carries a deadline the queue will
                 # often miss, so the expiry paths run too
                 deadline = 1e-4 if i % 3 == 0 else None
-                handle = svc.submit(model, "g", tiny_x0, 1, deadline_s=deadline)
+                handle = svc.submit(
+                    RolloutRequest(model, "g", tiny_x0, 1, deadline_s=deadline)
+                )
                 try:
                     handle.result(timeout=30.0)
                     key = "served"
@@ -193,7 +199,7 @@ class TestStatsSpanRestarts:
         assert first.scheduler.dispatches == first.batches >= 3
 
         svc.start()  # a fresh queue; the registry carries on
-        svc.rollout("m", "g", tiny_x0, 1)
+        svc.submit(RolloutRequest("m", "g", tiny_x0, 1)).result()
         svc.stop()
         second = svc.stats()
         assert second.requests == 6

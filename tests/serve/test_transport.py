@@ -60,7 +60,7 @@ def req(model, graph, x0, n_steps, **kwargs) -> RolloutRequest:
 
 def local_rollout(service, request) -> list:
     """The in-process reference trajectory for one request."""
-    return service.submit_request(request).result()
+    return service.submit(request).result().states
 
 
 def assert_bitwise_equal(a, b):

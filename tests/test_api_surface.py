@@ -44,8 +44,8 @@ def test_surface_covers_the_engine_api():
     for export in (
         "def connect",
         "class Engine(ABC)",
-        "class LocalEngine(Engine)",
-        "class PooledEngine(Engine)",
+        "class LocalEngine(_ServiceEngine)",
+        "class PooledEngine(_ServiceEngine)",
         "class RemoteEngine(Engine)",
         "class ClusterEngine(Engine)",
         "class HashRing",

@@ -1,10 +1,10 @@
-"""Tier-1 guard: the serving stack's and the numerical core's code size
-never grows unreviewed.
+"""Tier-1 guard: the serving stack's (ensemble layer included) and the
+numerical core's code size never grows unreviewed.
 
 Runs the same count as ``tools/check_loc.py`` (which CI also executes
 as a standalone step) so a PR that pushes ``src/repro/{serve,runtime,
-cluster,obs,tensor,gnn,comm}`` past the committed ceiling fails the
-ordinary test run.
+cluster,obs,tensor,gnn,comm,ensemble}`` past the committed ceiling
+fails the ordinary test run.
 """
 
 import sys

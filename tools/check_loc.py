@@ -3,7 +3,7 @@
 
 Counts *code lines* — lines holding at least one token that is neither
 a comment nor layout, with docstring lines excluded — over
-``src/repro/{serve,runtime,cluster,obs,tensor,gnn,comm}`` and fails
+``src/repro/{serve,runtime,cluster,obs,tensor,gnn,comm,ensemble}`` and fails
 when the total exceeds the committed ceiling. The count is taken with ``tokenize`` + ``ast``
 rather than by looking at text, so deleting comments, docstrings or
 blank lines cannot lower it: only removing code does.
@@ -28,18 +28,20 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: the packages under the ratchet: the request path end to end, the
-#: observability layer beneath it, and the numerical core it executes
-#: (so code cannot leave one for another and count as removed)
+#: the packages under the ratchet: the request path end to end (the
+#: ensemble request and handle ride it), the observability layer
+#: beneath it, and the numerical core it executes (so code cannot
+#: leave one for another and count as removed)
 PACKAGES = (
     "src/repro/serve", "src/repro/runtime", "src/repro/cluster",
     "src/repro/obs", "src/repro/tensor", "src/repro/gnn", "src/repro/comm",
+    "src/repro/ensemble",
 )
 
 #: committed ceiling, in code lines by this file's rule (re-based from
 #: 5290 to 7767 when ``tensor``, ``gnn`` and ``comm`` joined the
-#: packages, then lowered)
-CEILING = 7649
+#: packages and from 7649 to 8383 when ``ensemble`` did, then lowered)
+CEILING = 8193
 
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
