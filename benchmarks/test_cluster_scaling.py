@@ -10,7 +10,11 @@ is real, not simulated):
 * **(b) failover exactly-once**: SIGKILLing one shard mid-load, every
   accepted request still completes — exactly once, bitwise-identical
   to the survivors' trajectories — and the cluster ledger balances
-  (``accepted == completed``, ``redrives >= 1``).
+  (``accepted == completed``, ``redrives >= 1``). The load carries one
+  ensemble whose member chunk is streaming from the doomed shard when
+  it dies: it completes too, with the summary frames the survivor
+  serves for the same request afterwards, and the ``redrive`` event
+  names the killed endpoint.
 """
 
 import os
@@ -29,6 +33,7 @@ if str(REPO_ROOT / "tools") not in sys.path:
 from launch_cluster import ClusterHarness  # noqa: E402
 
 from repro.cluster import ClusterEngine  # noqa: E402
+from repro.ensemble import EnsembleRequest, PerturbationSpec  # noqa: E402
 from repro.gnn import GNNConfig, MeshGNN, save_checkpoint  # noqa: E402
 from repro.graph import build_full_graph  # noqa: E402
 from repro.graph.io import save_local_graph  # noqa: E402
@@ -159,6 +164,23 @@ class TestClusterScaling:
 
                 doomed = engine.place(MODEL, keys[0])
                 doomed_index = harness.endpoints.index(doomed)
+                survivor = next(s for s in engine.shard_ids if s != doomed)
+
+                def ensemble_request():
+                    return EnsembleRequest(
+                        model=MODEL, graph=keys[0], x0=x0, n_steps=n_steps,
+                        n_members=4,
+                        perturbation=PerturbationSpec(seed=7, noise_scale=1e-3),
+                    )
+
+                # one ensemble rides the load, its single member chunk
+                # pinned to the doomed shard (the survivor is drained
+                # for just this submission) and mid-stream at the kill:
+                # the consumer holds frame 0, the rest is still to come
+                engine.drain(survivor)
+                ensemble = engine.submit(ensemble_req := ensemble_request())
+                engine.undrain(survivor)
+                first = next(ensemble.frames(timeout=120.0))
                 results: list = [None] * n_requests
                 errors: list = []
 
@@ -189,6 +211,7 @@ class TestClusterScaling:
                 assert not errors, errors
                 assert all(r is not None and r.n_steps == n_steps
                            for r in results)
+                ensemble_result = ensemble.result(timeout=120.0)
                 stats = engine.cluster_stats()
                 accepted = stats.accepted - ledger_before.accepted
                 completed = stats.completed - ledger_before.completed
@@ -198,8 +221,8 @@ class TestClusterScaling:
                       f"completed={completed} failed={failed} "
                       f"redrives={stats.redrives}")
                 # exactly-once: every accepted request resolved, once
-                assert accepted == n_requests
-                assert completed == n_requests
+                assert accepted == n_requests + 1  # the rollouts + the ensemble
+                assert completed == n_requests + 1
                 assert failed == 0
                 assert stats.redrives >= 1, (
                     "the kill landed after all work drained; load was "
@@ -219,3 +242,26 @@ class TestClusterScaling:
                             assert np.array_equal(
                                 a.view(np.uint64), b.view(np.uint64)
                             ), f"divergent trajectory on {key}"
+                # the ensemble's chunk was redriven off the killed shard
+                # (the event log says so by name) and delivered every
+                # step once, bitwise what the survivor serves for the
+                # same request now
+                redrives = engine.events("redrive")
+                assert {e.attrs["source"] for e in redrives} == {doomed}
+                (moved,) = [e for e in redrives
+                            if e.attrs["trace_id"] == ensemble_req.trace_id]
+                assert moved.attrs["target"] == survivor
+                assert moved.attrs["frames"] >= 1
+                assert ensemble_result.frames[0] is first
+                assert ensemble_result.n_frames == n_steps + 1
+                replay = engine.ensemble(ensemble_request())
+                for got, ref in zip(ensemble_result.frames, replay.frames):
+                    assert got.step == ref.step
+                    for name, summary in ref.summaries.items():
+                        assert got.summaries[name].tobytes() == (
+                            summary.tobytes()
+                        ), f"ensemble {name!r} diverged at step {got.step}"
+                    assert got.energy.tobytes() == ref.energy.tobytes()
+                    assert np.float64(got.divergence).tobytes() == (
+                        np.float64(ref.divergence).tobytes()
+                    )

@@ -16,17 +16,23 @@ aggregate throughput grows with the number of hosts:
   (:class:`ShardState`: UP / DRAINING / DOWN) and the periodic
   :class:`HealthMonitor`;
 * :mod:`repro.cluster.engine` — the :class:`ClusterEngine` itself:
-  automatic failover redriving in-flight rollouts of a dead shard onto
-  a survivor with exactly-once accounting, capability negotiation as
-  the intersection of the backends', broadcast asset registration
-  (including graph *upload* for shards with disjoint filesystems), and
-  per-shard serve metrics merged into one stats table.
+  automatic failover redriving the in-flight streams of a dead shard
+  (rollouts and ensemble member chunks alike — one routed stream
+  carries both) onto a survivor with exactly-once accounting, a
+  routing ledger stored once in the cluster's metrics registry
+  (:class:`ClusterStats` / :class:`ShardStatus` are views of it),
+  capability negotiation as the intersection of the backends',
+  broadcast asset registration (including graph *upload* for shards
+  with disjoint filesystems), and per-shard serve metrics merged into
+  one stats table.
 
 The cluster promise extends the engine promise: the same request
 produces bit-identical trajectories whether it runs on a
 ``local://`` engine or is routed (and even redriven mid-stream) by a
-cluster — asserted in ``tests/runtime/test_engine_conformance.py`` and
-exercised at scale by ``benchmarks/test_cluster_scaling.py``.
+cluster — asserted in ``tests/runtime/test_engine_conformance.py``,
+held under generated kill plans by
+``tests/properties/test_cluster_failover_property.py`` and exercised
+on real sockets by ``benchmarks/test_cluster_scaling.py``.
 """
 
 from repro.runtime.api import NoShardAvailable, ShardError

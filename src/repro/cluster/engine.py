@@ -17,15 +17,24 @@ typed request to a backend shard:
   background monitor pings each shard; transport failures during a
   request mark the shard DOWN immediately. ``drain()`` removes a shard
   from routing without declaring it dead.
-* **Failover** redrives in-flight rollouts of a dead shard onto a
-  survivor. A rollout is a pure read, so redriving is safe; frames the
-  consumer already received are *skipped* from the replayed stream
-  (bitwise-identical by the engine conformance contract), so the
-  client sees one uninterrupted, exactly-once trajectory. Accounting
-  is asserted: every accepted submission resolves exactly once
-  (:meth:`cluster_stats`). Typed server-side rejections (``QueueFull``,
+* **Failover** is written once, for every streamed request kind: a
+  rollout is one :class:`_RoutedStream`, an ensemble one per member
+  chunk, and a routed stream whose shard dies — refusing the
+  submission or mid-flight — is placed again on the next preferred UP
+  shard. Rollouts and (deterministic) ensemble members are pure reads,
+  so redriving is safe; frames the consumer already received are
+  *skipped* from the replayed stream (bitwise-identical by the engine
+  conformance contract), so the client sees one uninterrupted,
+  exactly-once stream. Typed server-side rejections (``QueueFull``,
   ``DeadlineExpired``, unknown assets, ...) are **not** failover events
-  — the shard answered; the answer was no.
+  — the shard answered; the answer was no. Train jobs never fail over
+  (an optimizer run is not idempotent).
+* **The ledger** is stored once: every routing count is a
+  ``repro_cluster_*`` counter in the cluster's
+  :class:`~repro.obs.registry.MetricsRegistry` (named in
+  :data:`_SERIES`, incremented where the thing happens), and
+  :meth:`cluster_stats` is a read-only view of them. Accounting is
+  asserted: every accepted submission resolves exactly once.
 * **Capabilities** are negotiated as the intersection of the backends'
   (:meth:`~repro.runtime.api.EngineCapabilities.intersection`): the
   cluster only claims what every shard it may route to can serve.
@@ -42,13 +51,19 @@ typed request to a backend shard:
   decisions (spills and redrives included), and the serving shard's
   admission/queue/tile/execute/serialize spans, all correlated by the
   one trace id minted at the front door. Health transitions, spills,
-  and redrives land in :class:`~repro.obs.registry.MetricsRegistry`
-  counters (``repro_cluster_*``) and a structured
-  :class:`~repro.obs.events.EventLog` (:meth:`events`);
-  :meth:`metrics_registry` merges each shard's registry with a
-  ``shard=<id>`` label stamped on.
+  and redrives also land in a structured
+  :class:`~repro.obs.events.EventLog` (:meth:`events`; a ``redrive``
+  names its ``trace_id``, ``source``, ``target`` and delivered
+  ``frames``); :meth:`metrics_registry` merges each shard's registry
+  with a ``shard=<id>`` label stamped on.
 
-Thread safety: fully shareable — routing state is lock-guarded and the
+Tuning that no caller ever varied is a module constant
+(:data:`RING_REPLICAS`, :data:`TRACE_CAPACITY`, :data:`EVENT_CAPACITY`,
+:data:`~repro.cluster.health.FAILURE_THRESHOLD`); the constructor keeps
+``spill_threshold`` and ``health_interval_s``.
+
+Thread safety: fully shareable — live routing state is lock-guarded,
+counts live in the (locked) registry, and the
 backends are themselves thread-safe engines. Determinism: routing
 never changes computed bits (conformance-suite-asserted); it only
 changes where they are computed.
@@ -60,7 +75,9 @@ import threading
 import time
 import weakref
 from concurrent.futures import TimeoutError as _FuturesTimeout
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -84,33 +101,68 @@ from repro.runtime.api import (
     TrainFuture,
     TrainRequest,
 )
-from repro.cluster.health import HealthMonitor, ShardState
+from repro.cluster.health import FAILURE_THRESHOLD, HealthMonitor, ShardState
 from repro.cluster.placement import HashRing, placement_key
 from repro.serve.transport import RemoteServeError, TransportError
 
 
-class _Shard:
-    """One backend engine plus its routing state (internally locked).
+#: virtual points per shard on the placement ring
+RING_REPLICAS = 64
+#: router-side span ring size (``route`` / ``attempt`` spans)
+TRACE_CAPACITY = 2048
+#: structured event ring size (health transitions, spills, redrives)
+EVENT_CAPACITY = 1024
 
-    ``on_transition(shard_id, new_state)`` — when provided — is invoked
-    on every health-state change, strictly *outside* the shard lock so
-    an observer may take its own locks (the cluster's counter/event
-    bookkeeping does) without ordering hazards.
+#: Every router-side series — the one place they are named. The routing
+#: ledger lives in these counters and nowhere else; :class:`ClusterStats`
+#: and :class:`ShardStatus` are views of them (``field: (name, help)``).
+_SERIES = {
+    "transitions": ("repro_cluster_health_transitions_total",
+                    "shard health-state transitions, labeled shard and new state"),
+    "spills": ("repro_cluster_spills_total",
+               "requests diverted off a saturated primary shard"),
+    "redrives": ("repro_cluster_redrives_total",
+                 "in-flight rollouts salvaged off a dead shard"),
+    "accepted": ("repro_cluster_requests_accepted_total",
+                 "submissions accepted into the exactly-once ledger"),
+    "resolved": ("repro_cluster_requests_resolved_total",
+                 "accepted submissions by terminal outcome"),
+    "routed": ("repro_cluster_shard_routed_total",
+               "submissions placed on a shard (spills and redrives onto it included)"),
+    "redriven": ("repro_cluster_shard_redriven_total",
+                 "submissions placed on a shard after the shard serving them died"),
+    "outcomes": ("repro_cluster_shard_outcomes_total",
+                 "terminal outcomes of submissions on the shard they ended on"),
+}
+
+
+def _outcome(completed: bool) -> str:
+    return "completed" if completed else "failed"
+
+
+class _Shard:
+    """One backend engine plus its *live* routing state (internally locked).
+
+    Live means what routing reads on every decision: the health state
+    and ``in_flight``. Everything counted — placements, redrives onto
+    this shard, terminal outcomes — goes straight into ``ledger`` (the
+    cluster's :data:`_SERIES` handles) under ``shard=<id>``.
+
+    ``on_transition(shard_id, new_state)`` is invoked on every
+    health-state change, strictly *outside* the shard lock so the
+    observer may take its own locks without ordering hazards.
     """
 
-    def __init__(self, shard_id: str, engine: Engine, on_transition=None):
+    def __init__(self, shard_id: str, engine: Engine, ledger: dict,
+                 on_transition):
         self.shard_id = shard_id
         self.engine = engine
+        self._ledger = ledger
         self._lock = threading.Lock()
         self._state = ShardState.UP
         self._consecutive_failures = 0
         self._on_transition = on_transition
         self.in_flight = 0
-        self.routed = 0
-        self.spilled = 0
-        self.redriven = 0
-        self.completed = 0
-        self.failed = 0
 
     # -- state machine (HealthMonitor protocol) ------------------------------
 
@@ -127,11 +179,6 @@ class _Shard:
         else:
             self.engine.capabilities()
 
-    def _notify(self, state: ShardState) -> None:
-        # caller must NOT hold the lock
-        if self._on_transition is not None:
-            self._on_transition(self.shard_id, state)
-
     def note_probe_ok(self) -> None:
         with self._lock:
             self._consecutive_failures = 0
@@ -139,19 +186,19 @@ class _Shard:
             if changed:
                 self._state = ShardState.UP
         if changed:
-            self._notify(ShardState.UP)
+            self._on_transition(self.shard_id, ShardState.UP)
 
-    def note_probe_failed(self, threshold: int) -> None:
+    def note_probe_failed(self) -> None:
         with self._lock:
             self._consecutive_failures += 1
             changed = (
                 self._state is ShardState.UP
-                and self._consecutive_failures >= threshold
+                and self._consecutive_failures >= FAILURE_THRESHOLD
             )
             if changed:
                 self._state = ShardState.DOWN
         if changed:
-            self._notify(ShardState.DOWN)
+            self._on_transition(self.shard_id, ShardState.DOWN)
 
     def mark_down(self) -> None:
         """Demand-driven: a live request saw the shard die."""
@@ -160,7 +207,7 @@ class _Shard:
             if changed:
                 self._state = ShardState.DOWN
         if changed:
-            self._notify(ShardState.DOWN)
+            self._on_transition(self.shard_id, ShardState.DOWN)
 
     def set_state(self, state: ShardState) -> None:
         with self._lock:
@@ -168,61 +215,41 @@ class _Shard:
             self._state = state
             self._consecutive_failures = 0
         if changed:
-            self._notify(state)
+            self._on_transition(self.shard_id, state)
 
     # -- load accounting -----------------------------------------------------
 
-    def begin(self, spilled: bool, redriven: bool) -> None:
+    def submit(self, request, redriven: bool = False, failover: bool = False):
+        """Take an ``in_flight`` slot, count the placement, and hand
+        ``request`` to the backend.
+
+        A rejected submission gives the slot straight back before
+        re-raising — the future is never returned, so nothing enters
+        the accepted/resolved ledger — and counts as a failed outcome
+        here, unless it is a dead transport the caller will
+        ``failover`` from (that is the shard's health, not the
+        request's outcome).
+        """
         with self._lock:
             self.in_flight += 1
-            self.routed += 1
-            if spilled:
-                self.spilled += 1
-            if redriven:
-                self.redriven += 1
-
-    def end(self) -> None:
-        with self._lock:
-            self.in_flight -= 1
-
-    def submit(self, request, spilled: bool, redriven: bool = False,
-               failover: bool = False):
-        """Account the shard busy and hand ``request`` to its engine.
-
-        A rejected submission is unwound before re-raising — the future
-        is never returned, so nothing enters the accepted/resolved
-        ledger — and counted against the shard, unless it is a dead
-        transport the caller will ``failover`` from (that is the
-        shard's health, not the request's outcome).
-        """
-        self.begin(spilled=spilled, redriven=redriven)
+        self._ledger["routed"].inc(shard=self.shard_id)
+        if redriven:
+            self._ledger["redriven"].inc(shard=self.shard_id)
         try:
             return self.engine.submit(request)
         except BaseException as exc:
-            self.end()
-            if not (failover and isinstance(exc, TransportError)):
-                self.note_failed()
+            dead = failover and isinstance(exc, TransportError)
+            self.release(None if dead else False)
             raise
 
-    def note_completed(self) -> None:
+    def release(self, completed: bool | None) -> None:
+        """Give an ``in_flight`` slot back and record how the work on it
+        ended; ``None`` records nothing (the transport died under it)."""
         with self._lock:
-            self.completed += 1
-
-    def note_failed(self) -> None:
-        with self._lock:
-            self.failed += 1
-
-    def status(self) -> "ShardStatus":
-        with self._lock:
-            return ShardStatus(
-                shard_id=self.shard_id,
-                state=self._state.value,
-                in_flight=self.in_flight,
-                routed=self.routed,
-                spilled=self.spilled,
-                redriven=self.redriven,
-                completed=self.completed,
-                failed=self.failed,
+            self.in_flight -= 1
+        if completed is not None:
+            self._ledger["outcomes"].inc(
+                shard=self.shard_id, outcome=_outcome(completed)
             )
 
 
@@ -230,11 +257,14 @@ class _Shard:
 class ShardStatus:
     """Routing/health snapshot of one shard (plain data, shareable).
 
-    ``routed`` counts submissions placed here (including spills and
-    redrives *onto* this shard); ``spilled`` the subset diverted here
-    from a saturated primary; ``redriven`` the subset salvaged from a
-    failed shard; ``completed``/``failed`` terminal outcomes of
-    rollouts that finished here.
+    ``state`` and ``in_flight`` are the live values; the counts are read
+    from the cluster's registry. ``routed`` counts submissions placed
+    here (including spills and redrives *onto* this shard); ``spilled``
+    the subset diverted here from a saturated primary; ``redriven`` the
+    subset salvaged from a failed shard; ``completed``/``failed``
+    terminal outcomes of work that ended here (a stream its consumer
+    closed early — an early-stopped ensemble's chunks included — counts
+    failed: the rest of its output was thrown away).
     """
 
     shard_id: str
@@ -251,7 +281,8 @@ class ShardStatus:
 class ClusterStats:
     """Cluster-wide routing ledger + per-shard status (snapshot).
 
-    The exactly-once invariant reads directly off the ledger: once the
+    A view of the cluster's ``repro_cluster_*`` series taken at one
+    instant. The exactly-once invariant reads directly off it: once the
     cluster is quiescent, ``accepted == completed + failed`` — every
     accepted submission resolved exactly once, redrives included
     (a redrive moves a submission, it never forks it).
@@ -288,141 +319,79 @@ class ClusterStats:
         )
 
 
-def _abandon_cleanup(cluster: "ClusterEngine", cell: dict) -> None:
-    """``weakref.finalize`` hook: settle the books of a future that was
-    garbage-collected without ever being consumed.
+class _Slot:
+    """A placed request's claim on one shard's ``in_flight``.
 
-    A submitted future holds shard ``in_flight`` (that IS pending load)
-    and one accepted-ledger slot; a consumer that drops the future
-    without calling ``result()``/``frames()`` would otherwise leak both
-    — saturating spill routing and breaking the exactly-once invariant
-    at quiescence. The cell is disarmed on every consumed path, so this
-    only fires for true abandonment (counted as failed: the work's
-    outcome was thrown away).
-    """
-    if cell["armed"]:
-        cell["armed"] = False
-        cell["shard"].end()
-        cell["shard"].note_failed()
-        if cell["ledger"]:
-            cluster._note_resolved(completed=False)
-
-
-class _Routed:
-    """The books every routed future keeps, written once.
-
-    A submitted future holds its shards' ``in_flight`` and — for the
-    kinds in the exactly-once ledger — one accepted slot. ``_accept``
-    opens those books and arms the abandonment cells; ``_disarm`` hands
-    them to the consuming code path; ``_settle`` closes them with the
-    terminal outcome, exactly once. Mixed into each kind's public
-    future type; the kinds keep their own routing behaviour.
+    ``release`` is idempotent, so every way a request can end —
+    consumed, failed, closed by its consumer, garbage-collected without
+    ever being consumed (a ``weakref.finalize`` on the owner calls it)
+    — gives the slot back exactly once; a leaked slot would saturate
+    spill routing forever. ``shard`` stays readable after release.
     """
 
-    def _accept(self, cluster: "ClusterEngine", shards, ledger: bool = True):
+    def __init__(self, shard: _Shard | None = None):
+        self.shard = shard
+        self._held = shard is not None
+
+    def take(self, shard: _Shard) -> None:
+        """Adopt the slot ``shard.submit`` just took."""
+        self.shard, self._held = shard, True
+
+    def release(self, completed: bool | None) -> None:
+        if self._held:
+            self._held = False
+            self.shard.release(completed)
+
+
+class _RoutedStream:
+    """One streamed request placed on a shard, outliving that shard.
+
+    The one place that knows who survives a shard's death, for every
+    streamed request kind (a rollout is one routed stream, an ensemble
+    one per member chunk). Placement is eager — route and write happen
+    in ``__init__``, so routing errors surface at the call site — and a
+    shard whose transport refuses is marked DOWN, excluded, and the
+    next preferred UP shard tried, until one accepts or
+    :class:`~repro.runtime.api.NoShardAvailable` carries the attempt
+    log. :meth:`frames` hands out the backend future's frames; when the
+    transport breaks mid-stream the request is placed again the same
+    way and the frames already delivered are *skipped* from the replay
+    — the request is a pure read of deterministic arithmetic, so the
+    skipped prefix is bitwise what the consumer already holds. Frames
+    are opaque here: only their count matters.
+
+    Redrives are bounded without a retry budget: a dead shard joins the
+    exclusion list, so each shard is tried at most once per stream and
+    a stream is placed at most ``len(shards)`` times.
+
+    ``salt`` perturbs the ring key (see :meth:`ClusterEngine._route`);
+    ``span_attrs`` ride on every span the stream records. The stream
+    holds its shard's ``in_flight`` slot from placement until it ends,
+    whichever way (see :class:`_Slot`); ``inner`` is the backend future
+    of the current placement. Single-consumer.
+    """
+
+    def __init__(self, cluster: "ClusterEngine", request,
+                 salt: int | None = None, **span_attrs):
+        self.request = request
         self._cluster = cluster
-        self._ledger = ledger
-        self._terminal = False
-        # abandonment safety net: a future dropped without ever being
-        # consumed must still release its shards and settle the ledger
-        self._cells = [
-            {"shard": shard, "armed": True, "ledger": ledger and i == 0}
-            for i, shard in enumerate(shards)
-        ]
-        for cell in self._cells:
-            weakref.finalize(self, _abandon_cleanup, cluster, cell)
-        if ledger:
-            cluster._note_accepted()
-
-    def _disarm(self) -> list:
-        """The consumer took over: the abandonment hook stands down.
-        Returns the shards whose ``in_flight`` the caller now owns."""
-        owned = [cell["shard"] for cell in self._cells if cell["armed"]]
-        for cell in self._cells:
-            cell["armed"] = False
-        return owned
-
-    def _settle(self, shards, completed: bool) -> None:
-        """Terminal outcome onto ``shards`` and into the ledger."""
-        # exactly-once accounting: a future must resolve exactly once
-        if self._terminal:
-            raise AssertionError(
-                f"request {self.request.request_id} resolved twice "
-                f"(exactly-once accounting violated)"
-            )
-        self._terminal = True
-        for shard in shards:
-            if completed:
-                shard.note_completed()
-            else:
-                shard.note_failed()
-        if self._ledger:
-            self._cluster._note_resolved(completed)
-
-
-class _ClusterTrainFuture(_Routed, TrainFuture):
-    """A routed training job: the shard stays accounted busy until the
-    job resolves, and its outcome lands in the shard's ledger.
-
-    No failover — a redriven optimizer run is not idempotent — so this
-    is a thin accounting wrapper over the backend's future. Train jobs
-    live outside the rollout exactly-once ledger, but abandonment still
-    releases the shard.
-    """
-
-    def __init__(self, cluster: "ClusterEngine", shard: _Shard,
-                 inner: TrainFuture):
-        super().__init__(inner.request)
-        self._inner = inner
-        self._accept(cluster, [shard], ledger=False)
-
-    def result(self, timeout: float | None = None):
-        try:
-            outcome = self._inner.result(timeout=timeout)
-        except (TimeoutError, _FuturesTimeout):
-            raise  # still running; the shard stays busy
-        except BaseException:
-            self._resolve(completed=False)
-            raise
-        self._resolve(completed=True)
-        return outcome
-
-    def _resolve(self, completed: bool) -> None:
-        shards = self._disarm()  # empty once resolved (or abandoned)
-        if shards:
-            shards[0].end()
-            self._settle(shards, completed)
-
-    @property
-    def done(self) -> bool:
-        return self._inner.done
-
-
-class _ClusterRolloutFuture(_Routed, RolloutFuture):
-    """A routed rollout with transparent redrive-on-shard-death.
-
-    Submission is eager (placement + write happen in ``__init__``), so
-    routing errors surface at the call site. The frame stream wraps the
-    backend future's; when the connection to the serving shard breaks,
-    the request is redriven on the next preferred UP shard and the
-    frames already delivered are skipped from the replay — rollouts are
-    deterministic, so the skipped prefix is bitwise-identical to what
-    the consumer already holds. Single-consumer, like every future.
-    """
-
-    def __init__(self, cluster: "ClusterEngine", request: RolloutRequest):
-        super().__init__(request)
-        self._cluster = cluster
+        self._salt = salt
+        self._span_attrs = span_attrs
         self._excluded: list = []
         self._attempts: list = []
-        self._shard: _Shard | None = None
-        self._inner: RolloutFuture | None = None
         self._redriving = False
-        self._submit_attempt()
-        self._accept(cluster, [self._shard])
+        self._delivered = 0
+        self._slot = _Slot()
+        weakref.finalize(self, self._slot.release, False)
+        self._place()
 
-    def _submit_attempt(self) -> None:
-        """Route and submit once; on a dead shard, exclude it and retry."""
+    @property
+    def shard_id(self) -> str:
+        """The shard serving (or that last served) this stream."""
+        return self._slot.shard.shard_id
+
+    def _place(self) -> None:
+        """Route and submit; on a dead shard, exclude it and go again."""
         while True:
             started = time.perf_counter()
             shard, spilled = self._cluster._route(
@@ -430,30 +399,32 @@ class _ClusterRolloutFuture(_Routed, RolloutFuture):
                 self.request.graph,
                 exclude=self._excluded,
                 attempts=self._attempts,
+                salt=self._salt,
             )
             try:
-                self._inner = shard.submit(
-                    self.request, spilled, redriven=self._redriving,
-                    failover=True,
+                self.inner = shard.submit(
+                    self.request, redriven=self._redriving, failover=True
                 )
             except TransportError as exc:
-                self._note_shard_failure(shard, exc)
+                self._shard_died(shard, exc)
                 self._span("route", started, "failed", shard, spilled=spilled,
                            error=str(exc))
                 continue
             self._span("route", started, "ok", shard, spilled=spilled)
-            self._shard = shard
+            self._slot.take(shard)
             return
+
+    def _shard_died(self, shard: _Shard, exc: TransportError) -> None:
+        self._attempts.append((shard.shard_id, str(exc)))
+        self._excluded.append(shard.shard_id)
+        shard.mark_down()
 
     def _span(
         self, name: str, started: float, status: str, shard: _Shard, **attrs
     ) -> None:
         """Record one router-side span (``route`` decision / stream
         ``attempt``) under the request's trace id."""
-        trace = self._cluster.trace
-        if not trace.enabled:
-            return
-        trace.record_span(
+        self._cluster.trace.record_span(
             self.request.trace_id,
             name,
             "router",
@@ -462,97 +433,190 @@ class _ClusterRolloutFuture(_Routed, RolloutFuture):
             status=status,
             shard=shard.shard_id,
             redriven=self._redriving,
+            **self._span_attrs,
             **attrs,
         )
 
-    def _note_shard_failure(self, shard: _Shard, exc: TransportError) -> None:
-        self._attempts.append((shard.shard_id, str(exc)))
-        self._excluded.append(shard.shard_id)
-        shard.mark_down()
+    def close(self) -> None:
+        """Give up a stream that will never be consumed."""
+        self._slot.release(False)
 
-    def _frames(self, timeout: float | None) -> Iterator[StepFrame]:
-        # from here the generator's exception/finally paths own the
-        # shard and ledger accounting
-        self._disarm()
-        yielded = 0
+    def frames(self, timeout: float | None) -> Iterator:
+        """The request's frames, each exactly once, across redrives."""
         while True:
-            shard, inner = self._shard, self._inner
-            attempt_started = time.perf_counter()
+            shard, started = self._slot.shard, time.perf_counter()
+            source = self.inner.frames(timeout=timeout)
+            outcome, error = False, {}
             try:
-                try:
-                    skip = yielded
-                    for frame in inner.frames(timeout=timeout):
-                        if skip:
-                            skip -= 1  # redrive replay: already delivered
-                            continue
-                        self._collected.append(frame.state)
-                        yield StepFrame(yielded, frame.state)
-                        yielded += 1
-                    self.metrics = inner.metrics
-                    self._span("attempt", attempt_started, "ok", shard,
-                               frames=yielded)
-                    self._settle([shard], completed=True)
-                    return
-                except TransportError as exc:
-                    self._span("attempt", attempt_started, "failed", shard,
-                               frames=yielded, error=str(exc))
-                    if isinstance(exc, RemoteServeError):
-                        # the shard is reachable and *reported* an
-                        # internal failure: not a failover event
-                        self._settle([shard], completed=False)
-                        raise
-                    self._note_shard_failure(shard, exc)
-                    self._redriving = True
-                    self._cluster._note_redrive()
-                    try:
-                        self._submit_attempt()
-                    except BaseException:
-                        # no survivor took the redrive (or the survivor
-                        # rejected it): the accepted submission resolves
-                        # here, exactly once, as failed
-                        self._settle([], completed=False)
-                        raise
-                    continue
-                except BaseException as exc:
-                    # typed server rejection or consumer abandonment:
-                    # the shard is healthy, the request is over
-                    self._span("attempt", attempt_started, "failed", shard,
-                               frames=yielded, error=repr(exc))
-                    self._settle([shard], completed=False)
+                # a redrive replays from frame 0: skip what was delivered
+                for frame in islice(source, self._delivered, None):
+                    self._delivered += 1
+                    yield frame
+                outcome = True
+                return
+            except TransportError as exc:
+                error = {"error": str(exc)}
+                if isinstance(exc, RemoteServeError):
+                    # the shard is reachable and *reported* an internal
+                    # failure: an answer, not a failover event
                     raise
+                outcome = None  # the shard's health, not the request's
+                self._shard_died(shard, exc)
+            except BaseException as exc:
+                # typed server rejection, or the consumer closed the
+                # stream: the shard is healthy, the request is over
+                error = {"error": repr(exc)}
+                raise
             finally:
-                shard.end()
+                # an abandoned backend stream must not keep its socket
+                source.close()
+                self._span("attempt", started, "ok" if outcome else "failed",
+                           shard, frames=self._delivered, **error)
+                self._slot.release(outcome)
+            self._redrive(shard)
+
+    def _redrive(self, dead: _Shard) -> None:
+        """Place the request again after ``dead``'s transport broke.
+
+        Raises when no survivor takes it (or the survivor rejects it);
+        the stream then holds no slot, and its future resolves failed.
+        """
+        self._redriving = True
+        self._cluster._ledger["redrives"].inc()
+        target = None
+        try:
+            self._place()
+            target = self.shard_id
+        finally:
+            self._cluster.event_log.emit(
+                "redrive", trace_id=self.request.trace_id,
+                source=dead.shard_id, target=target, frames=self._delivered,
+            )
+
+
+class _LedgerEntry:
+    """One accepted submission's line in the exactly-once ledger.
+
+    Opened (``accepted``) when a streamed future is constructed and
+    closed (``resolved{outcome}``) exactly once, however the future
+    ends: consumed to the end, failed, closed by its consumer, or
+    garbage-collected (counted failed: the work's outcome was thrown
+    away). A second resolution on a consumed path is a bug in the
+    router and raises; on the abandonment paths it is expected — a
+    future dropped mid-iteration is settled by whichever of its dying
+    generator and its finalizer runs first — and ignored.
+    """
+
+    def __init__(self, cluster: "ClusterEngine", future):
+        self._resolved = cluster._ledger["resolved"]
+        self._request_id = future.request.request_id
+        self.closed = False
+        cluster._ledger["accepted"].inc()
+        weakref.finalize(future, self.resolve, False, abandoned=True)
+
+    def resolve(self, completed: bool, abandoned: bool = False) -> None:
+        if self.closed:
+            if abandoned:
+                return
+            raise AssertionError(
+                f"request {self._request_id} resolved twice "
+                f"(exactly-once accounting violated)"
+            )
+        self.closed = True
+        self._resolved.inc(outcome=_outcome(completed))
+
+    @contextmanager
+    def settling(self):
+        """Resolve with how the enclosed block — the body of a future's
+        frame generator — ends."""
+        try:
+            yield
+        except BaseException as exc:
+            self.resolve(False, abandoned=isinstance(exc, GeneratorExit))
+            raise
+        self.resolve(True)
+
+
+class _ClusterTrainFuture(TrainFuture):
+    """A routed training job: the shard stays accounted busy until the
+    job resolves, and its outcome lands in the shard's ledger.
+
+    No failover — a redriven optimizer run is not idempotent — so this
+    is a thin accounting wrapper over the backend's future. Train jobs
+    live outside the exactly-once ledger, but abandonment still
+    releases the shard.
+    """
+
+    def __init__(self, shard: _Shard, inner: TrainFuture):
+        super().__init__(inner.request)
+        self._inner = inner
+        self._slot = _Slot(shard)
+        weakref.finalize(self, self._slot.release, False)
+
+    def result(self, timeout: float | None = None):
+        try:
+            outcome = self._inner.result(timeout=timeout)
+        except (TimeoutError, _FuturesTimeout):
+            raise  # still running; the shard stays busy
+        except BaseException:
+            self._slot.release(False)
+            raise
+        self._slot.release(True)
+        return outcome
 
     @property
     def done(self) -> bool:
-        return self._terminal
+        return self._inner.done
 
 
-class _ClusterEnsembleFuture(_Routed, EnsembleFuture):
+class _ClusterRolloutFuture(RolloutFuture):
+    """A routed rollout: one :class:`_RoutedStream`, re-numbered.
+
+    The consumer sees one uninterrupted, exactly-once trajectory
+    whatever happened to the shards underneath. Single-consumer, like
+    every future.
+    """
+
+    def __init__(self, cluster: "ClusterEngine", request: RolloutRequest):
+        super().__init__(request)
+        self._stream = _RoutedStream(cluster, request)
+        self._entry = _LedgerEntry(cluster, self)
+
+    def _frames(self, timeout: float | None) -> Iterator[StepFrame]:
+        with self._entry.settling():
+            for step, frame in enumerate(self._stream.frames(timeout)):
+                self._collected.append(frame.state)
+                yield StepFrame(step, frame.state)
+            self.metrics = self._stream.inner.metrics
+
+    @property
+    def done(self) -> bool:
+        return self._entry.closed
+
+
+class _ClusterEnsembleFuture(EnsembleFuture):
     """A fanned-out ensemble: member chunks on shards, reduced at the router.
 
     Submission splits the M members into contiguous chunks — one per UP
-    shard (never more chunks than members) — and places each chunk by
-    the salted ring key, so an ensemble's chunks spread instead of
-    piling on the asset's primary. Each shard streams its chunk's raw
-    member states; the router walks the chunk streams in lockstep
-    through the shared :class:`~repro.ensemble.driver.SummaryStream`,
-    so reduction, blow-up detection, and early-stop all happen exactly
-    once, over the whole ensemble, with the same bits every other
-    engine produces. Early-stop aborts the chunk streams (their
-    connections are discarded, not replayed).
-
-    No mid-stream redrive in v1: a shard dying mid-ensemble fails the
-    whole request (unlike single rollouts, a chunk replay would have to
-    re-synchronize M/n_shards member streams at the failed step; the
-    deterministic perturbation makes resubmission by the caller cheap
-    and exact). The accepted submission still resolves exactly once.
+    shard (never more chunks than members) — and places each chunk as
+    its own :class:`_RoutedStream` by the salted ring key, so an
+    ensemble's chunks spread instead of piling on the asset's primary,
+    and each chunk fails over and redrives exactly like a rollout
+    (members are deterministic, so a replayed chunk is bitwise the
+    same). Each shard streams its chunk's raw member states; the router
+    walks the chunk streams in lockstep through the shared
+    :class:`~repro.ensemble.driver.SummaryStream`, so reduction,
+    blow-up detection, and early-stop all happen exactly once, over the
+    whole ensemble, with the same bits every other engine produces.
+    Early-stop closes the chunk streams (their connections are
+    discarded, not replayed).
     """
 
     def __init__(self, cluster: "ClusterEngine", request):
         super().__init__(request)
-        #: (shard, inner future, absolute member indices) per chunk
-        self._chunks: list = []
+        self._cluster = cluster
+        #: one routed stream per member chunk, in member order
+        self._streams: list = []
         members = list(request.members)
         up = sum(
             1 for s in cluster._shards.values() if s.state is ShardState.UP
@@ -565,73 +629,61 @@ class _ClusterEnsembleFuture(_Routed, EnsembleFuture):
         ]
         try:
             for ci, (start, stop) in enumerate(bounds):
-                started = time.perf_counter()
-                shard, spilled = cluster._route(
-                    request.model, request.graph,
+                self._streams.append(_RoutedStream(
+                    cluster, request.chunk(start, stop),
                     salt=ci if len(bounds) > 1 else None,
-                )
-                inner = shard.submit(request.chunk(start, stop), spilled)
-                if cluster.trace.enabled:
-                    cluster.trace.record_span(
-                        request.trace_id, "route", "router",
-                        wall_from_perf(started),
-                        time.perf_counter() - started,
-                        status="ok", shard=shard.shard_id,
-                        spilled=spilled, chunk=ci, members=stop - start,
-                    )
-                self._chunks.append((shard, inner, tuple(range(start, stop))))
+                    chunk=ci, members=stop - start,
+                ))
         except BaseException:
             # unwind chunks already placed; nothing entered the ledger
-            for shard, _, _ in self._chunks:
-                shard.end()
-                shard.note_failed()
+            for stream in self._streams:
+                stream.close()
             raise
-        self._accept(cluster, [shard for shard, _, _ in self._chunks])
+        self._entry = _LedgerEntry(cluster, self)
 
     def _frames(self, timeout: float | None):
         from repro.ensemble.driver import MemberStream, SummaryStream
 
-        shards = self._disarm()
-        streams = []
-        for _, inner, indices in self._chunks:
-            gen = inner.frames(timeout=timeout)
-            streams.append(
+        chunks = [stream.frames(timeout) for stream in self._streams]
+        summary = SummaryStream(
+            self.request,
+            [
                 MemberStream(
-                    indices,
-                    (list(f.members) for f in gen),
-                    abort=gen.close,
+                    stream.request.members,
+                    (list(f.members) for f in chunk),
+                    abort=chunk.close,
                 )
-            )
-        stream = SummaryStream(
-            self.request, streams,
-            trace=self._cluster.trace if self._cluster.trace.enabled else None,
+                for stream, chunk in zip(self._streams, chunks)
+            ],
+            trace=self._cluster.trace,
             component="router",
         )
         try:
-            try:
-                for frame in stream.frames():
+            with self._entry.settling():
+                for frame in summary.frames():
                     self._collected.append(frame)
                     yield frame
-            except BaseException:
-                # which chunk stream failed is not attributable here;
-                # shard death is the health monitor's job — this path
-                # only settles the books (no mid-stream redrive, v1)
-                self._settle(shards, completed=False)
-                raise
+                if not summary.report.early_stopped:
+                    # the driver read every frame but not the chunks' end
+                    # of stream: run them out, so each gives its shard
+                    # back as completed and its connection to the pool
+                    for chunk in chunks:
+                        for _ in chunk:
+                            pass
+                self.stability = summary.report
+                self.metrics = {
+                    "members": len(list(self.request.members)),
+                    "chunks": len(self._streams),
+                    "shards": [stream.shard_id for stream in self._streams],
+                }
         finally:
-            for shard in shards:
-                shard.end()
-        self.stability = stream.report
-        self.metrics = {
-            "members": len(list(self.request.members)),
-            "chunks": len(self._chunks),
-            "shards": [s.shard_id for s in shards],
-        }
-        self._settle(shards, completed=True)
+            # a chunk the driver never got to start still holds its shard
+            for stream in self._streams:
+                stream.close()
 
     @property
     def done(self) -> bool:
-        return self._terminal
+        return self._entry.closed
 
 
 class ClusterEngine(Engine):
@@ -649,10 +701,6 @@ class ClusterEngine(Engine):
         backends: "Mapping[str, Engine] | Sequence[tuple[str, Engine]]",
         spill_threshold: int = 8,
         health_interval_s: float | None = 2.0,
-        failure_threshold: int = 2,
-        ring_replicas: int = 64,
-        trace_capacity: int = 2048,
-        event_capacity: int = 1024,
     ):
         items = (
             list(backends.items())
@@ -665,33 +713,22 @@ class ClusterEngine(Engine):
             raise ValueError("spill_threshold must be >= 1")
         #: router-side span ring (``route``/``attempt`` spans); shard
         #: spans are fetched on demand by :meth:`get_trace`
-        self.trace = TraceBuffer(trace_capacity)
+        self.trace = TraceBuffer(TRACE_CAPACITY)
         #: structured operational record: health transitions, spills,
         #: redrives — queryable via :meth:`events`
-        self.event_log = EventLog(event_capacity)
+        self.event_log = EventLog(EVENT_CAPACITY)
         self._metrics = MetricsRegistry()
-        self._health_transitions = self._metrics.counter(
-            "repro_cluster_health_transitions_total",
-            "shard health-state transitions, labeled shard and new state",
-        )
-        self._redrive_counter = self._metrics.counter(
-            "repro_cluster_redrives_total",
-            "in-flight rollouts salvaged off a dead shard",
-        )
-        self._spill_counter = self._metrics.counter(
-            "repro_cluster_spills_total",
-            "requests diverted off a saturated primary shard",
-        )
-        self._resolved_counter = self._metrics.counter(
-            "repro_cluster_requests_resolved_total",
-            "accepted submissions by terminal outcome",
-        )
+        #: the routing ledger: ``{field: counter}`` over :data:`_SERIES`
+        self._ledger = {
+            field: self._metrics.counter(name, help)
+            for field, (name, help) in _SERIES.items()
+        }
         self._shards: dict[str, _Shard] = {
-            sid: _Shard(sid, engine, on_transition=self._on_shard_transition)
+            sid: _Shard(sid, engine, self._ledger, self._on_shard_transition)
             for sid, engine in items
         }
         self._ring = HashRing(
-            [sid for sid, _ in items], replicas=ring_replicas
+            [sid for sid, _ in items], replicas=RING_REPLICAS
         )
         self._spill_threshold = spill_threshold
         self._member_caps = {
@@ -701,19 +738,11 @@ class ClusterEngine(Engine):
         self._caps = EngineCapabilities.intersection(
             "cluster", list(self._member_caps.values())
         )
-        self._lock = threading.Lock()
-        self._accepted = 0
-        self._completed = 0
-        self._failed = 0
-        self._redrives = 0
-        self._spills = 0
         self._closed = False
         self._monitor: HealthMonitor | None = None
         if health_interval_s is not None:
             self._monitor = HealthMonitor(
-                list(self._shards.values()),
-                interval_s=health_interval_s,
-                failure_threshold=failure_threshold,
+                list(self._shards.values()), interval_s=health_interval_s
             ).start()
 
     @classmethod
@@ -859,9 +888,7 @@ class ClusterEngine(Engine):
         if chosen.in_flight >= self._spill_threshold:
             least = min(candidates, key=lambda s: s.in_flight)
             if least.in_flight < chosen.in_flight:
-                with self._lock:
-                    self._spills += 1
-                self._spill_counter.inc(
+                self._ledger["spills"].inc(
                     source=chosen.shard_id, target=least.shard_id
                 )
                 self.event_log.emit(
@@ -873,31 +900,9 @@ class ClusterEngine(Engine):
                 return least, True
         return chosen, False
 
-    # -- ledger --------------------------------------------------------------
-
-    def _note_accepted(self) -> None:
-        with self._lock:
-            self._accepted += 1
-
-    def _note_resolved(self, completed: bool) -> None:
-        with self._lock:
-            if completed:
-                self._completed += 1
-            else:
-                self._failed += 1
-        self._resolved_counter.inc(
-            outcome="completed" if completed else "failed"
-        )
-
-    def _note_redrive(self) -> None:
-        with self._lock:
-            self._redrives += 1
-        self._redrive_counter.inc()
-        self.event_log.emit("redrive")
-
     def _on_shard_transition(self, shard_id: str, state: ShardState) -> None:
         """Shard health observer (runs outside the shard lock)."""
-        self._health_transitions.inc(shard=shard_id, to=state.value)
+        self._ledger["transitions"].inc(shard=shard_id, to=state.value)
         self.event_log.emit("health_transition", shard=shard_id,
                             to=state.value)
 
@@ -976,26 +981,33 @@ class ClusterEngine(Engine):
             lambda e: e.register_graph_dir(key, directory),
         )
 
-    def _intersection_query(self, getter) -> list:
-        """Sorted intersection of a names query across UP shards."""
-        result: set | None = None
-        reachable = 0
-        for shard in self._shards.values():
-            if shard.state is not ShardState.UP:
+    def _ask_shards(self, call, skip=(ShardState.DOWN,)) -> Iterator[tuple]:
+        """``(shard_id, call(engine))`` for every shard not in a ``skip``
+        state; a shard whose transport dies answering is marked DOWN and
+        skipped, so the caller always sees the reachable cluster."""
+        for sid, shard in self._shards.items():
+            if shard.state in skip:
                 continue
             try:
-                names = set(getter(shard.engine))
+                answer = call(shard.engine)
             except TransportError:
                 shard.mark_down()
                 continue
-            reachable += 1
-            result = names if result is None else (result & names)
-        if result is None:
+            yield sid, answer
+
+    def _intersection_query(self, getter) -> list:
+        """Sorted intersection of a names query across UP shards."""
+        answers = [
+            set(names) for _, names in self._ask_shards(
+                getter, skip=(ShardState.DOWN, ShardState.DRAINING)
+            )
+        ]
+        if not answers:
             states = {sid: s.state.value for sid, s in self._shards.items()}
             raise NoShardAvailable(
                 f"no UP shard answered the asset query: states={states}"
             )
-        return sorted(result)
+        return sorted(set.intersection(*answers))
 
     def model_names(self) -> list:
         """Models registered on *every* UP shard (cluster-servable)."""
@@ -1019,31 +1031,44 @@ class ClusterEngine(Engine):
         the optimizer twice; let the caller decide). The shard counts
         as busy — visible to spill routing — until the job resolves.
         """
-        shard, spilled = self._route(request.model, request.graph)
-        return _ClusterTrainFuture(
-            self, shard, shard.submit(request, spilled)
-        )
+        shard, _ = self._route(request.model, request.graph)
+        return _ClusterTrainFuture(shard, shard.submit(request))
 
     # -- stats ---------------------------------------------------------------
 
     def cluster_stats(self) -> ClusterStats:
-        """The routing ledger + per-shard status table."""
-        with self._lock:
-            accepted = self._accepted
-            completed = self._completed
-            failed = self._failed
-            redrives = self._redrives
-            spills = self._spills
-        return ClusterStats(
-            shards=tuple(
-                self._shards[sid].status() for sid in self._ring.shard_ids
-            ),
-            accepted=accepted,
-            completed=completed,
-            failed=failed,
-            redrives=redrives,
-            spills=spills,
-        )
+        """The routing ledger + per-shard status table: the registry's
+        ``repro_cluster_*`` series read at one instant, next to each
+        shard's live state and ``in_flight``."""
+        ledger = self._ledger
+
+        def count(field: str, **labels) -> int:
+            return int(ledger[field].value(**labels))
+
+        with self._metrics.atomic():
+            spills = ledger["spills"].samples()
+            shards = tuple(
+                ShardStatus(
+                    shard_id=sid,
+                    state=shard.state.value,
+                    in_flight=shard.in_flight,
+                    routed=count("routed", shard=sid),
+                    spilled=int(sum(n for labels, n in spills.items()
+                                    if ("target", sid) in labels)),
+                    redriven=count("redriven", shard=sid),
+                    completed=count("outcomes", shard=sid, outcome="completed"),
+                    failed=count("outcomes", shard=sid, outcome="failed"),
+                )
+                for sid, shard in self._shards.items()
+            )
+            return ClusterStats(
+                shards=shards,
+                accepted=count("accepted"),
+                completed=count("resolved", outcome="completed"),
+                failed=count("resolved", outcome="failed"),
+                redrives=count("redrives"),
+                spills=int(sum(spills.values())),
+            )
 
     def stats_markdown(self) -> str:
         """The merged serve-stats table plus the per-shard table."""
@@ -1064,13 +1089,8 @@ class ClusterEngine(Engine):
         correlated by the one trace id.
         """
         spans = list(self.trace.trace(trace_id))
-        for shard in self._shards.values():
-            if shard.state is ShardState.DOWN:
-                continue
-            try:
-                spans.extend(shard.engine.get_trace(trace_id))
-            except TransportError:
-                shard.mark_down()
+        for _, shard_spans in self._ask_shards(lambda e: e.get_trace(trace_id)):
+            spans.extend(shard_spans)
         return sorted(spans, key=lambda s: (s.start_s, s.name))
 
     def events(self, kind: str | None = None) -> list[Event]:
@@ -1084,18 +1104,14 @@ class ClusterEngine(Engine):
         Each reachable shard's registry is relabeled ``shard=<id>``
         before merging, so per-shard series stay distinguishable in the
         combined Prometheus export; the cluster's own
-        ``repro_cluster_*`` counters carry no shard label (they are
-        router-side). DOWN shards are skipped (they cannot answer); a
+        ``repro_cluster_*`` counters are router-side (their ``shard``
+        label, where present, says which shard the router meant). DOWN
+        shards are skipped (they cannot answer); a
         shard that dies during the query is marked DOWN and skipped
         likewise, so the merge always reflects the reachable cluster —
         and so does :meth:`stats`, the label-blind view of it.
         """
         merged = MetricsRegistry.from_snapshot(self._metrics.snapshot())
-        for sid, shard in self._shards.items():
-            if shard.state is ShardState.DOWN:
-                continue
-            try:
-                merged.merge(shard.engine.metrics_registry().relabel(shard=sid))
-            except TransportError:
-                shard.mark_down()
+        for sid, registry in self._ask_shards(lambda e: e.metrics_registry()):
+            merged.merge(registry.relabel(shard=sid))
         return merged

@@ -8,7 +8,7 @@ A shard is in exactly one of three states:
   running but never change the state — leaving DRAINING is an operator
   decision (``undrain()``), not a liveness observation.
 * ``DOWN`` — unreachable; skipped by routing. Reached either by the
-  monitor counting ``failure_threshold`` consecutive probe failures, or
+  monitor counting :data:`FAILURE_THRESHOLD` consecutive probe failures, or
   *immediately* when a request hits a transport failure (demand-driven
   detection — failover must not wait out a probe interval). A
   successful probe recovers a DOWN shard to UP.
@@ -25,6 +25,10 @@ import threading
 from typing import Sequence
 
 
+#: consecutive failed probes that take an UP shard DOWN
+FAILURE_THRESHOLD = 2
+
+
 class ShardState(enum.Enum):
     """Routing state of one cluster shard (see module docstring)."""
 
@@ -39,8 +43,9 @@ class HealthMonitor:
     ``shards`` is any sequence of objects exposing the small protocol
     the cluster's shard records implement: ``state`` (a
     :class:`ShardState`), ``probe()`` (raises on an unreachable
-    backend), ``note_probe_ok()`` and ``note_probe_failed(threshold)``
-    (state transitions, internally locked).
+    backend), ``note_probe_ok()`` and ``note_probe_failed()`` (state
+    transitions, internally locked; the shard counts consecutive
+    failures against :data:`FAILURE_THRESHOLD`).
 
     Thread safety: ``start``/``stop`` are idempotent and callable from
     any thread; the probe loop only uses the shard protocol above.
@@ -48,19 +53,11 @@ class HealthMonitor:
     never affects computed bits, only *where* requests run.
     """
 
-    def __init__(
-        self,
-        shards: Sequence,
-        interval_s: float = 2.0,
-        failure_threshold: int = 2,
-    ):
+    def __init__(self, shards: Sequence, interval_s: float = 2.0):
         if interval_s <= 0:
             raise ValueError("interval_s must be > 0")
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
         self._shards = list(shards)
         self._interval_s = interval_s
-        self._threshold = failure_threshold
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -94,6 +91,6 @@ class HealthMonitor:
             try:
                 shard.probe()
             except Exception:  # noqa: BLE001 - any failure means unhealthy
-                shard.note_probe_failed(self._threshold)
+                shard.note_probe_failed()
             else:
                 shard.note_probe_ok()

@@ -6,6 +6,11 @@ them back to build the distributed graph. This module provides that
 interchange: one ``.npz`` per rank, containing everything a rank needs
 to run the consistent GNN — including its halo plan — with validation
 on load.
+
+A rank payload has one reader whatever carried it: the ``.npz`` loader
+here and the wire's graph upload (:func:`repro.serve.protocol.
+parse_graph_upload`) both hand their fields to :func:`build_local_graph`
+and their rank lists to :func:`check_rank_set`.
 """
 
 from __future__ import annotations
@@ -46,6 +51,62 @@ def save_local_graph(graph: LocalGraph, path: str | Path) -> None:
     np.savez(Path(path), **payload)
 
 
+def build_local_graph(
+    rank, size, pad_count, neighbors, recv_counts, send_indices, fields
+) -> LocalGraph:
+    """One rank's :class:`LocalGraph` from its stored fields, validated.
+
+    ``neighbors`` / ``recv_counts`` / ``send_indices`` are parallel
+    sequences (one entry per halo neighbor); ``fields`` maps the array
+    names (``global_ids``, ``pos``, ``edge_index``, ``edge_degree``,
+    ``node_degree``, ``halo_to_local``) to their arrays. Scalars are
+    coerced with ``int`` — they arrive as 0-d arrays from disk and as
+    JSON numbers from the wire. Raises ``ValueError`` on mismatched
+    neighbor metadata and ``AssertionError`` when the assembled graph
+    fails :meth:`LocalGraph.validate`.
+    """
+    neighbors = tuple(int(n) for n in neighbors)
+    recv_counts = list(recv_counts)
+    if len(recv_counts) != len(neighbors):
+        raise ValueError(
+            f"rank {rank}: {len(neighbors)} neighbors "
+            f"but {len(recv_counts)} recv counts"
+        )
+    spec = ExchangeSpec(
+        size=int(size),
+        neighbors=neighbors,
+        send_indices=dict(zip(neighbors, send_indices)),
+        recv_counts={n: int(c) for n, c in zip(neighbors, recv_counts)},
+        pad_count=int(pad_count),
+    )
+    graph = LocalGraph(
+        rank=int(rank),
+        size=int(size),
+        global_ids=fields["global_ids"],
+        pos=fields["pos"],
+        edge_index=fields["edge_index"],
+        edge_degree=fields["edge_degree"],
+        node_degree=fields["node_degree"],
+        halo=HaloPlan(spec=spec, halo_to_local=fields["halo_to_local"]),
+    )
+    graph.validate()
+    return graph
+
+
+def check_rank_set(graphs: list[LocalGraph]) -> None:
+    """Raise ``ValueError`` unless ``graphs`` are ranks ``0..R-1`` of one
+    ``R``-rank world, in order."""
+    ranks = [g.rank for g in graphs]
+    if ranks != list(range(len(graphs))):
+        raise ValueError(f"ranks are not a contiguous range: {ranks}")
+    sizes = {g.size for g in graphs}
+    if sizes != {len(graphs)}:
+        raise ValueError(
+            f"world-size mismatch across ranks: "
+            f"{sorted(sizes)} != {{{len(graphs)}}}"
+        )
+
+
 def load_local_graph(path: str | Path) -> LocalGraph:
     """Read a rank payload back; validates internal consistency."""
     with np.load(Path(path)) as data:
@@ -54,30 +115,12 @@ def load_local_graph(path: str | Path) -> LocalGraph:
             raise ValueError(
                 f"unsupported graph file version {version} (expected {_FORMAT_VERSION})"
             )
-        neighbors = tuple(int(n) for n in data["neighbors"])
-        recv_counts = {
-            n: int(c) for n, c in zip(neighbors, data["recv_counts"])
-        }
-        send_indices = {n: data[f"send_idx_{n}"] for n in neighbors}
-        spec = ExchangeSpec(
-            size=int(data["size"]),
-            neighbors=neighbors,
-            send_indices=send_indices,
-            recv_counts=recv_counts,
-            pad_count=int(data["pad_count"]),
+        return build_local_graph(
+            data["rank"], data["size"], data["pad_count"],
+            data["neighbors"], data["recv_counts"],
+            [data[f"send_idx_{int(n)}"] for n in data["neighbors"]],
+            data,
         )
-        graph = LocalGraph(
-            rank=int(data["rank"]),
-            size=int(data["size"]),
-            global_ids=data["global_ids"],
-            pos=data["pos"],
-            edge_index=data["edge_index"],
-            edge_degree=data["edge_degree"],
-            node_degree=data["node_degree"],
-            halo=HaloPlan(spec=spec, halo_to_local=data["halo_to_local"]),
-        )
-    graph.validate()
-    return graph
 
 
 def save_distributed_graph(dg: DistributedGraph, directory: str | Path) -> list[Path]:
@@ -99,10 +142,5 @@ def load_rank_graphs(directory: str | Path) -> list[LocalGraph]:
     if not files:
         raise FileNotFoundError(f"no graph_rank*.npz files in {directory}")
     graphs = [load_local_graph(f) for f in files]
-    ranks = [g.rank for g in graphs]
-    if ranks != list(range(len(graphs))):
-        raise ValueError(f"rank files are not a contiguous range: {ranks}")
-    sizes = {g.size for g in graphs}
-    if sizes != {len(graphs)}:
-        raise ValueError(f"world-size mismatch across files: {sizes}")
+    check_rank_set(graphs)
     return graphs

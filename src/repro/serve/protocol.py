@@ -410,9 +410,7 @@ def parse_graph_upload(header: dict, arrays: Sequence[np.ndarray]):
     consistency validation the disk loader applies — a peer cannot
     register a graph the server could not have loaded itself.
     """
-    from repro.comm.modes import ExchangeSpec
-    from repro.graph.distributed import LocalGraph
-    from repro.graph.halo import HaloPlan
+    from repro.graph.io import build_local_graph, check_rank_set
 
     key = require_str(header, "key")
     ranks_meta = require_field(header, "ranks")
@@ -431,57 +429,21 @@ def parse_graph_upload(header: dict, arrays: Sequence[np.ndarray]):
                 f"carried {len(arrays)}"
             )
         for meta in ranks_meta:
-            fields = {
-                name: arrays[cursor + i]
-                for i, name in enumerate(_GRAPH_ARRAY_FIELDS)
-            }
-            cursor += len(_GRAPH_ARRAY_FIELDS)
-            neighbors = tuple(int(n) for n in meta["neighbors"])
-            recv_counts_list = list(meta["recv_counts"])
-            if len(recv_counts_list) != len(neighbors):
-                raise ValueError(
-                    f"rank {meta.get('rank')}: {len(neighbors)} neighbors "
-                    f"but {len(recv_counts_list)} recv counts"
-                )
-            send_indices = {}
-            for n in neighbors:
-                send_indices[n] = arrays[cursor]
-                cursor += 1
-            spec = ExchangeSpec(
-                size=int(meta["size"]),
-                neighbors=neighbors,
-                send_indices=send_indices,
-                recv_counts={
-                    n: int(c) for n, c in zip(neighbors, recv_counts_list)
-                },
-                pad_count=int(meta["pad_count"]),
-            )
-            graph = LocalGraph(
-                rank=int(meta["rank"]),
-                size=int(meta["size"]),
-                global_ids=fields["global_ids"],
-                pos=fields["pos"],
-                edge_index=fields["edge_index"],
-                edge_degree=fields["edge_degree"],
-                node_degree=fields["node_degree"],
-                halo=HaloPlan(spec=spec, halo_to_local=fields["halo_to_local"]),
-            )
-            graph.validate()
-            graphs.append(graph)
+            sends = cursor + len(_GRAPH_ARRAY_FIELDS)
+            after = sends + len(meta["neighbors"])
+            graphs.append(build_local_graph(
+                meta["rank"], meta["size"], meta["pad_count"],
+                meta["neighbors"], meta["recv_counts"], arrays[sends:after],
+                dict(zip(_GRAPH_ARRAY_FIELDS, arrays[cursor:sends])),
+            ))
+            cursor = after
     except (KeyError, TypeError, IndexError, AttributeError,
             AssertionError) as exc:
         # everything a type-confused peer can trigger — a rank entry
         # that is not a dict, wrong-typed fields, short arrays, or a
         # payload failing graph validation — is the peer's bad request
         raise ValueError(f"malformed graph upload: {exc}") from None
-    ranks = [g.rank for g in graphs]
-    if ranks != list(range(len(graphs))):
-        raise ValueError(f"uploaded ranks are not a contiguous range: {ranks}")
-    if {g.size for g in graphs} != {len(graphs)}:
-        raise ValueError(
-            f"world-size mismatch across uploaded ranks: "
-            f"{sorted({g.size for g in graphs})} != {{{len(graphs)}}}"
-        )
+    check_rank_set(graphs)
     return str(key), graphs
 
 

@@ -121,6 +121,10 @@ class _Handler(socketserver.StreamRequestHandler):
             except ProtocolError as exc:
                 self._reply_error(protocol.ERR_BAD_REQUEST, str(exc))
                 return
+            except OSError:
+                # reset between messages — what a client that discards a
+                # mid-stream connection looks like from here; not an error
+                return
             if message is None:  # clean EOF: client closed the connection
                 return
             header, arrays = message

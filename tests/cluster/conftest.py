@@ -2,9 +2,11 @@
 
 The :class:`ScriptedEngine` implements just enough of the Engine
 protocol to exercise the cluster layer deterministically — frames are
-synthesized (``step``-valued arrays), and failure injection flags
-simulate a shard dying at submit time, mid-stream, or reporting a
-server-side error, without any sockets.
+synthesized (arrays that are functions of ``step``, and of the member
+for ensemble chunks), and failure injection flags simulate a shard
+dying at submit time, mid-stream, or reporting a server-side error,
+without any sockets. Rollouts and ensemble chunks share the one
+injection script (:func:`scripted_steps`).
 """
 
 from typing import Iterator
@@ -12,6 +14,7 @@ from typing import Iterator
 import numpy as np
 import pytest
 
+from repro.ensemble.api import EnsembleFuture, EnsembleRequest, SummaryFrame
 from repro.runtime.api import (
     Engine,
     EngineCapabilities,
@@ -31,40 +34,88 @@ def frame_value(step: int) -> np.ndarray:
     return np.full((4, 3), float(step))
 
 
-class ScriptedRolloutFuture(RolloutFuture):
-    def __init__(self, engine: "ScriptedEngine", request: RolloutRequest):
+def member_value(member: int, step: int) -> np.ndarray:
+    """The synthetic state of ensemble member ``member`` at ``step``."""
+    return np.full((4, 3), 0.5 * (member + 1) + step)
+
+
+def delivered(result) -> list:
+    """Every array a rollout / ensemble result delivered, as bytes, frame
+    by frame (what "bitwise equal to the fault-free run" compares)."""
+    if hasattr(result, "states"):
+        return [s.tobytes() for s in result.states]
+    return [
+        [m.tobytes() for m in f.members]
+        + [f.summaries[k].tobytes() for k in sorted(f.summaries)]
+        + [f.energy.tobytes(), np.float64(f.divergence).tobytes()]
+        for f in result.frames
+    ]
+
+
+def scripted_steps(engine: "ScriptedEngine", n_steps: int) -> Iterator[int]:
+    """Steps ``0..n_steps`` of one scripted stream, with the engine's
+    failure injection applied before each."""
+    for step in range(n_steps + 1):
+        if (
+            engine.fail_after_frames is not None
+            and step >= engine.fail_after_frames
+        ):
+            engine.fail_after_frames = None  # fail once
+            raise TransportError(f"{engine.name}: stream broke mid-rollout")
+        if engine.stream_error is not None:
+            error, engine.stream_error = engine.stream_error, None
+            raise error
+        gate = engine.frame_gate
+        if gate is not None:
+            gate.wait(timeout=10.0)
+        yield step
+
+
+class _ScriptedStream:
+    """Shared life-cycle of the scripted stream futures: ``done`` once
+    the frame generator ended (exhausted, failed or closed); ``closed``
+    records that it ended before its last frame."""
+
+    def __init__(self, engine: "ScriptedEngine", request):
         super().__init__(request)
         self._engine = engine
         self._finished = False
+        self.closed = False
 
-    def _frames(self, timeout) -> Iterator[StepFrame]:
+    def _frames(self, timeout) -> Iterator:
         try:
-            for step in range(self.request.n_steps + 1):
-                if (
-                    self._engine.fail_after_frames is not None
-                    and step >= self._engine.fail_after_frames
-                ):
-                    self._engine.fail_after_frames = None  # fail once
-                    raise TransportError(
-                        f"{self._engine.name}: stream broke mid-rollout"
-                    )
-                if self._engine.stream_error is not None:
-                    error, self._engine.stream_error = (
-                        self._engine.stream_error, None
-                    )
-                    raise error
-                gate = self._engine.frame_gate
-                if gate is not None:
-                    gate.wait(timeout=10.0)
-                state = frame_value(step)
-                self._collected.append(state)
-                yield StepFrame(step, state)
+            for step in scripted_steps(self._engine, self.request.n_steps):
+                yield self._frame(step)
+        except GeneratorExit:
+            self.closed = True
+            raise
         finally:
             self._finished = True
 
     @property
     def done(self) -> bool:
         return self._finished
+
+
+class ScriptedRolloutFuture(_ScriptedStream, RolloutFuture):
+    def _frame(self, step: int) -> StepFrame:
+        state = frame_value(step)
+        self._collected.append(state)
+        return StepFrame(step, state)
+
+
+class ScriptedEnsembleFuture(_ScriptedStream, EnsembleFuture):
+    """A chunk stream: raw member states, no reduction (the router's)."""
+
+    def _frame(self, step: int) -> SummaryFrame:
+        members = self.request.members
+        frame = SummaryFrame(
+            step=step, n_members=len(members), summaries={},
+            energy=np.zeros(3), divergence=0.0,
+            members=tuple(member_value(m, step) for m in members),
+        )
+        self._collected.append(frame)
+        return frame
 
 
 class ScriptedTrainFuture(TrainFuture):
@@ -92,6 +143,8 @@ class ScriptedEngine(Engine):
         float32: bool = True,
     ):
         self.name = name
+        #: every stream future handed out, in submission order
+        self.streams: list = []
         self.training = training
         self.in_memory_assets = in_memory_assets
         self.graph_upload = graph_upload
@@ -118,6 +171,7 @@ class ScriptedEngine(Engine):
             transport="scripted", training=self.training,
             streaming=True, in_memory_assets=self.in_memory_assets,
             graph_upload=self.graph_upload, float32=self.float32,
+            ensemble=True,
         )
 
     def ping(self) -> None:
@@ -153,13 +207,20 @@ class ScriptedEngine(Engine):
             raise TransportError(f"{self.name}: unreachable")
         return sorted(self.registered_graphs)
 
-    def _submit_rollout(self, request: RolloutRequest) -> RolloutFuture:
+    def _submit_stream(self, future_type, request):
         if self.dead or self.fail_submissions > 0:
             if self.fail_submissions > 0:
                 self.fail_submissions -= 1
             raise TransportError(f"{self.name}: cannot submit")
         self.submitted.append(request)
-        return ScriptedRolloutFuture(self, request)
+        self.streams.append(future_type(self, request))
+        return self.streams[-1]
+
+    def _submit_rollout(self, request: RolloutRequest) -> RolloutFuture:
+        return self._submit_stream(ScriptedRolloutFuture, request)
+
+    def _submit_ensemble(self, request: EnsembleRequest) -> EnsembleFuture:
+        return self._submit_stream(ScriptedEnsembleFuture, request)
 
     def _submit_train(self, request: TrainRequest) -> TrainFuture:
         self.submitted.append(request)

@@ -234,7 +234,7 @@ class TestObservability:
             result = future.result()
             assert result.stability.early_stopped
             assert result.n_frames < 7
-            chunks = [inner for _, inner, _ in future._chunks]
+            chunks = [stream.inner for stream in future._streams]
             assert len(chunks) == 2
             for inner in chunks:
                 assert inner.done

@@ -333,3 +333,58 @@ class TestConcurrentClients:
             client.ping()
         assert client.graph_keys() == ["g1", "g4"]
         assert client.pool_stats().dials == 1
+
+
+class TestPeerGoesAway:
+    def test_reset_between_messages_ends_the_connection_quietly(
+        self, server, monkeypatch
+    ):
+        """A client that discards a connection with a reply unread (what
+        an early-stopped or abandoned stream does) resets it; the
+        handler's next read fails with ``ConnectionResetError``, which
+        is the peer leaving, not a server fault: it must never reach
+        ``socketserver``'s ``handle_error`` traceback printer."""
+        import io
+        import socket
+        import struct
+        import time
+
+        from repro.serve import transport
+        from repro.serve.protocol import write_message
+
+        reported, handled = [], threading.Event()
+        monkeypatch.setattr(
+            transport._ServeTCPServer, "handle_error",
+            lambda self, request, address: reported.append(address),
+        )
+        original = transport._Handler.handle
+
+        def handle(self):
+            try:
+                original(self)
+            finally:
+                handled.set()
+
+        monkeypatch.setattr(transport._Handler, "handle", handle)
+        sock = socket.create_connection(server.address, timeout=10.0)
+        with sock.makefile("rwb") as stream:
+            write_message(stream, {"op": "ping"})
+            stream.flush()
+        # wait for the whole pong without consuming it: the handler is
+        # then back in read_message, which is where the reset must land
+        pong = io.BytesIO()
+        write_message(pong, {"type": "pong"})
+        expected = pong.getvalue()
+        deadline = time.monotonic() + 10.0
+        while sock.recv(len(expected), socket.MSG_PEEK) != expected:
+            assert time.monotonic() < deadline, "no pong"
+            time.sleep(0.001)
+        # linger 0: close() sends RST, with the pong still unread
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        sock.close()
+        assert handled.wait(10.0), "the handler never saw the reset"
+        client = RemoteEngine(*server.address)
+        client.ping()  # the server keeps serving
+        client.close()
+        assert reported == []
