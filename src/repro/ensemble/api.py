@@ -80,7 +80,7 @@ class PerturbationSpec:
 
     seed: int = 0
     noise_scale: float = 0.0
-    sweep: tuple = ()
+    sweep: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.noise_scale < 0:
@@ -90,21 +90,6 @@ class PerturbationSpec:
         object.__setattr__(self, "sweep", tuple(float(v) for v in self.sweep))
         if any(not np.isfinite(v) for v in self.sweep):
             raise ValueError("sweep factors must be finite")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "noise_scale": float(self.noise_scale),
-            "sweep": list(self.sweep),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PerturbationSpec":
-        return cls(
-            seed=int(d.get("seed", 0)),
-            noise_scale=float(d.get("noise_scale", 0.0)),
-            sweep=tuple(d.get("sweep", ())),
-        )
 
 
 @dataclass
@@ -135,11 +120,11 @@ class EnsembleRequest(StreamRequest):
     _: KW_ONLY
     n_members: int
     perturbation: PerturbationSpec = field(default_factory=PerturbationSpec)
-    summaries: tuple = DEFAULT_SUMMARIES
-    quantiles: tuple = DEFAULT_QUANTILES
+    summaries: tuple[str, ...] = DEFAULT_SUMMARIES
+    quantiles: tuple[float, ...] = DEFAULT_QUANTILES
     return_members: bool = False
     stability: StabilityConfig | None = None
-    member_range: tuple | None = None
+    member_range: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -55,21 +55,6 @@ class StabilityConfig:
         if self.max_value is not None and self.max_value <= 0:
             raise ValueError("max_value must be > 0 (or None)")
 
-    def to_dict(self) -> dict:
-        return {
-            "max_energy_ratio": self.max_energy_ratio,
-            "max_value": self.max_value,
-            "early_stop": self.early_stop,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StabilityConfig":
-        return cls(
-            max_energy_ratio=d.get("max_energy_ratio"),
-            max_value=d.get("max_value"),
-            early_stop=bool(d.get("early_stop", True)),
-        )
-
 
 @dataclass(frozen=True)
 class BlowUp:
@@ -86,19 +71,6 @@ class BlowUp:
     reason: str
     energy_ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step, "member": self.member,
-            "reason": self.reason, "energy_ratio": self.energy_ratio,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BlowUp":
-        return cls(
-            step=int(d["step"]), member=int(d["member"]),
-            reason=str(d["reason"]), energy_ratio=float(d["energy_ratio"]),
-        )
-
 
 @dataclass
 class StabilityReport:
@@ -107,8 +79,10 @@ class StabilityReport:
     ``energy`` is ``(n_frames, 3)`` — per-step ``[min, mean, max]``
     member kinetic energy; ``divergence`` is ``(n_frames,)`` — per-step
     RMS member spread. Both are O(steps), independent of ensemble size,
-    so the report crosses the wire bounded. ``early_stopped`` records
-    that the stream was truncated at ``blow_up.step``.
+    so the report crosses the wire bounded (as the ``stability`` field
+    of an ensemble's ``done`` message, arrays as nested lists).
+    ``early_stopped`` records that the stream was truncated at
+    ``blow_up.step``.
     """
 
     energy: np.ndarray = field(
@@ -120,6 +94,10 @@ class StabilityReport:
     blow_up: BlowUp | None = None
     early_stopped: bool = False
 
+    def __post_init__(self) -> None:
+        # the JSON form of an empty record is ``[]``: restore (0, 3)
+        self.energy = np.asarray(self.energy, dtype=np.float64).reshape(-1, 3)
+
     @property
     def n_frames(self) -> int:
         """Frames observed (frame 0 included)."""
@@ -129,29 +107,6 @@ class StabilityReport:
     def stable(self) -> bool:
         """Whether no member blew up over the observed horizon."""
         return self.blow_up is None
-
-    def to_dict(self) -> dict:
-        """JSON-able form (rides the ensemble ``done`` wire message)."""
-        return {
-            "energy": [[float(v) for v in row] for row in self.energy],
-            "divergence": [float(v) for v in self.divergence],
-            "blow_up": None if self.blow_up is None else self.blow_up.to_dict(),
-            "early_stopped": self.early_stopped,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StabilityReport":
-        energy = np.asarray(d.get("energy", []), dtype=np.float64)
-        return cls(
-            energy=energy.reshape(-1, 3) if energy.size else
-            np.empty((0, 3), dtype=np.float64),
-            divergence=np.asarray(d.get("divergence", []), dtype=np.float64),
-            blow_up=(
-                None if d.get("blow_up") is None
-                else BlowUp.from_dict(d["blow_up"])
-            ),
-            early_stopped=bool(d.get("early_stopped", False)),
-        )
 
 
 class StabilityTracker:
@@ -230,12 +185,8 @@ class StabilityTracker:
 
     def report(self) -> StabilityReport:
         """The final (immutable-by-convention) stability record."""
-        energy = (
-            np.stack(self._energy) if self._energy
-            else np.empty((0, 3), dtype=np.float64)
-        )
         return StabilityReport(
-            energy=energy,
+            energy=np.asarray(self._energy, dtype=np.float64),
             divergence=np.asarray(self._divergence, dtype=np.float64),
             blow_up=self._blow_up,
             early_stopped=self._early_stopped,

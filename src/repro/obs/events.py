@@ -27,18 +27,6 @@ class Event:
     wall_s: float
     attrs: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "wall_s": self.wall_s,
-                "attrs": dict(self.attrs)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Event":
-        return cls(
-            kind=str(doc["kind"]),
-            wall_s=float(doc["wall_s"]),
-            attrs=dict(doc.get("attrs", {})),
-        )
-
 
 class EventLog:
     """Bounded, lock-guarded ring of :class:`Event` (oldest evicted)."""

@@ -356,31 +356,38 @@ class MetricsRegistry:
 
     @classmethod
     def from_snapshot(cls, doc: dict) -> "MetricsRegistry":
+        """Invert :meth:`snapshot`; a document that is not one (it may
+        be a peer's reply) is a :class:`ValueError`."""
         out = cls()
-        for name, entry in doc.items():
-            kind = entry.get("kind", "counter")
-            if kind == "counter":
-                metric = out.counter(name, entry.get("help", ""))
-                for s in entry.get("samples", ()):
-                    metric.inc(float(s["value"]), **s.get("labels", {}))
-            elif kind == "gauge":
-                metric = out.gauge(
-                    name, entry.get("help", ""),
-                    merge=entry.get("merge", "sum"),
-                )
-                for s in entry.get("samples", ()):
-                    metric.set(float(s["value"]), **s.get("labels", {}))
-            elif kind == "histogram":
-                metric = out.histogram(
-                    name, entry.get("help", ""),
-                    bounds=entry.get("bounds", ()),
-                )
-                for s in entry.get("samples", ()):
-                    metric.load(
-                        s["counts"], float(s["sum"]), **s.get("labels", {})
+        try:
+            for name, entry in doc.items():
+                kind = entry.get("kind", "counter")
+                if kind == "counter":
+                    metric = out.counter(name, entry.get("help", ""))
+                    for s in entry.get("samples", ()):
+                        metric.inc(float(s["value"]), **s.get("labels", {}))
+                elif kind == "gauge":
+                    metric = out.gauge(
+                        name, entry.get("help", ""),
+                        merge=entry.get("merge", "sum"),
                     )
-            else:
-                raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
+                    for s in entry.get("samples", ()):
+                        metric.set(float(s["value"]), **s.get("labels", {}))
+                elif kind == "histogram":
+                    metric = out.histogram(
+                        name, entry.get("help", ""),
+                        bounds=entry.get("bounds", ()),
+                    )
+                    for s in entry.get("samples", ()):
+                        metric.load(
+                            s["counts"], float(s["sum"]), **s.get("labels", {})
+                        )
+                else:
+                    raise ValueError(
+                        f"unknown metric kind {kind!r} for {name!r}"
+                    )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed metrics snapshot: {exc!r}") from None
         return out
 
     # -- exposition ------------------------------------------------------------

@@ -56,6 +56,8 @@ class Span:
     comparable), ``duration_s`` perf-counter-derived elapsed seconds.
     ``component`` names the recording vantage point (``client``,
     ``server``, ``router``); ``status`` is ``"ok"`` or ``"failed"``.
+    Over the wire (the ``get_trace`` op) a span is its fields by name,
+    typed by these annotations (:mod:`repro.serve.protocol`).
     """
 
     trace_id: str
@@ -65,29 +67,6 @@ class Span:
     duration_s: float
     status: str = "ok"
     attrs: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "name": self.name,
-            "component": self.component,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "status": self.status,
-            "attrs": dict(self.attrs),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Span":
-        return cls(
-            trace_id=str(doc["trace_id"]),
-            name=str(doc["name"]),
-            component=str(doc["component"]),
-            start_s=float(doc["start_s"]),
-            duration_s=float(doc["duration_s"]),
-            status=str(doc.get("status", "ok")),
-            attrs=dict(doc.get("attrs", {})),
-        )
 
 
 class TraceBuffer:
@@ -191,14 +170,6 @@ class TraceBuffer:
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
-
-
-def spans_to_dicts(spans: Sequence[Span]) -> list:
-    return [s.to_dict() for s in spans]
-
-
-def spans_from_dicts(docs: Sequence[dict]) -> list:
-    return [Span.from_dict(d) for d in docs]
 
 
 def to_chrome(spans: Sequence[Span]) -> dict:

@@ -126,41 +126,20 @@ class EngineCapabilities:
     reduction with the ``ensemble`` wire op).
 
     :meth:`intersection` computes what a *group* of engines can all do
-    — the cluster engine's negotiated capability set.
+    — the cluster engine's negotiated capability set. Over the wire
+    (the ``capabilities`` op) the record is its own schema: encoded and
+    decoded by :func:`repro.serve.protocol.to_wire` / ``from_wire``.
     """
 
     transport: str
     training: bool
     streaming: bool = True
     in_memory_assets: bool = True
-    graph_upload: bool = True
+    #: like ``float32`` / ``ensemble``: off unless announced, so a peer
+    #: that predates the capability (and omits it) reads not-capable
+    graph_upload: bool = False
     float32: bool = False
     ensemble: bool = False
-
-    def to_dict(self) -> dict:
-        """JSON-able form (the ``capabilities`` wire message payload)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EngineCapabilities":
-        """Invert :meth:`to_dict`; ``d`` is a peer's reply, so anything
-        but a mapping is a :class:`ValueError`, not a ``TypeError``."""
-        if not isinstance(d, dict):
-            raise ValueError(
-                f"capabilities must be a mapping, got {type(d).__name__}"
-            )
-        return cls(
-            transport=str(d["transport"]),
-            training=bool(d["training"]),
-            streaming=bool(d.get("streaming", True)),
-            in_memory_assets=bool(d.get("in_memory_assets", True)),
-            # absent on peers that predate graph upload: assume not
-            graph_upload=bool(d.get("graph_upload", False)),
-            # absent on peers that predate the float32 tier: assume not
-            float32=bool(d.get("float32", False)),
-            # absent on peers that predate ensemble serving: assume not
-            ensemble=bool(d.get("ensemble", False)),
-        )
 
     @classmethod
     def intersection(
@@ -239,6 +218,11 @@ class StreamRequest:
     never tile together. Engines without the ``float32`` capability
     reject such requests with :class:`CapabilityError` at submission.
 
+    The dataclass is also the request's wire schema: the fields ride
+    the message header by name, typed by their annotations
+    (:mod:`repro.serve.protocol`), except those declared
+    ``metadata={"wire": False}``.
+
     Thread safety: treated as immutable after construction — queues and
     workers only read it; do not mutate a submitted request.
     Determinism: ``x0`` is canonicalized to ``float64`` once here, so
@@ -249,14 +233,20 @@ class StreamRequest:
 
     model: str
     graph: str
-    x0: np.ndarray
+    #: the state travels as the message's ``.npy`` blob, not in the JSON
+    x0: np.ndarray = field(metadata={"wire": False})
     n_steps: int
     halo_mode: str | None = None
     residual: bool = False
     precision: str = "float64"
     deadline_s: float | None = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-    submitted_at: float = field(default_factory=time.perf_counter)
+    #: process-local identity: the serving side stamps its own
+    request_id: int = field(
+        default_factory=lambda: next(_request_ids), metadata={"wire": False}
+    )
+    submitted_at: float = field(
+        default_factory=time.perf_counter, metadata={"wire": False}
+    )
     trace_id: str = field(default_factory=mint_trace_id)
 
     def __post_init__(self) -> None:

@@ -30,6 +30,7 @@ _CAPABILITIES = EngineCapabilities(
     training=True,
     streaming=False,  # frames are computed before the first yield
     in_memory_assets=True,
+    graph_upload=True,
     float32=True,
     ensemble=True,
 )

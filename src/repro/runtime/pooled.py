@@ -45,6 +45,7 @@ _CAPABILITIES = EngineCapabilities(
     training=True,
     streaming=True,
     in_memory_assets=True,
+    graph_upload=True,
     float32=True,
     ensemble=True,
 )

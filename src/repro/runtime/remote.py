@@ -37,7 +37,6 @@ unencrypted — localhost and trusted networks only (see
 
 from __future__ import annotations
 
-import dataclasses
 import socket
 import threading
 import time
@@ -53,7 +52,7 @@ from repro.gnn.architecture import MeshGNN
 from repro.gnn.config import GNNConfig
 from repro.graph.distributed import LocalGraph
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import Span, TraceBuffer, spans_from_dicts, wall_from_perf
+from repro.obs.trace import Span, TraceBuffer, wall_from_perf
 from repro.runtime.api import (
     CapabilityError,
     Engine,
@@ -77,6 +76,9 @@ _FALLBACK_CAPABILITIES = EngineCapabilities(
     graph_upload=False,
     float32=False,
 )
+#: bound on one TCP dial, and the size of the client-side span ring
+_CONNECT_TIMEOUT_S = 10.0
+_TRACE_CAPACITY = 2048
 
 
 def _error_fields(received: tuple | None) -> tuple[str, str] | None:
@@ -90,10 +92,31 @@ def _error_fields(received: tuple | None) -> tuple[str, str] | None:
     """
     if received is None or received[0].get("type") != "error":
         return None
-    code, text = received[0].get("code"), received[0].get("message")
-    if not (isinstance(code, str) and isinstance(text, str)):
-        raise ProtocolError(f"malformed error reply: {received[0]!r}")
-    return code, text
+    try:
+        return (
+            protocol.take(received[0], "code", str),
+            protocol.take(received[0], "message", str),
+        )
+    except ValueError:
+        raise ProtocolError(f"malformed error reply: {received[0]!r}") from None
+
+
+def _send(conn: _Conn, op: str, request) -> None:
+    """Write one streamed op's request message on ``conn``."""
+    write_message(conn.stream, *protocol.stream_message(op, request))
+
+
+def _field(reply: dict, key: str, tp, *default):
+    """The one way a reply field is read: typed by the wire codec
+    (:func:`repro.serve.protocol.take`), so a type-confused *server* is
+    a typed :class:`TransportError` — never the ``KeyError`` /
+    ``TypeError`` a bare subscript would leak."""
+    try:
+        return protocol.take(reply, key, tp, *default)
+    except ValueError as exc:
+        raise TransportError(
+            f"malformed {reply.get('type')!r} reply: {exc}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -151,7 +174,6 @@ class _ConnectionPool:
         host: str,
         port: int,
         size: int,
-        connect_timeout_s: float,
         request_timeout_s: float,
     ):
         if size < 1:
@@ -159,7 +181,6 @@ class _ConnectionPool:
         self.host = host
         self.port = port
         self.size = size
-        self.connect_timeout_s = connect_timeout_s
         self.request_timeout_s = request_timeout_s
         self._idle: list[_Conn] = []
         self._lock = threading.Lock()
@@ -186,7 +207,7 @@ class _ConnectionPool:
     def _dial(self) -> _Conn:
         try:
             sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout_s
+                (self.host, self.port), timeout=_CONNECT_TIMEOUT_S
             )
         except OSError as exc:
             raise TransportError(
@@ -234,17 +255,17 @@ class _WireStream:
     stream frames off a socket.
 
     Every streamed request kind is "send one message, read typed
-    frames, end on ``done``/``error``"; a kind supplies its message
-    builder (``_message``), the wire type of its data frames
-    (``_frame_type``), their decoder (``_decode``) and what its
-    ``done`` header carries (``_finish``), and mixes this class into
-    its public future type.
+    frames, end on ``done``/``error``"; a kind supplies its wire op
+    (``_kind``), the wire type of its data frames (``_frame_type``),
+    their decoder (``_decode``) and what its ``done`` header carries
+    (``_finish``), and mixes this class into its public future type.
 
     The request message is written at submission; frames are read off
     the socket lazily as the consumer iterates, so a slow consumer
     backpressures only its own stream. The connection returns to the
     pool after a clean ``done``/``error``; in every other ending —
-    the stream broke, or the consumer closed or dropped the iterator
+    the stream broke, ``done`` announced a different frame count than
+    was delivered, or the consumer closed or dropped the iterator
     before the end — it is discarded, because unread frames may still
     be in flight on it. If the connection dies before the *first* reply
     on a reused socket, the request is re-sent once on a fresh dial
@@ -318,12 +339,23 @@ class _WireStream:
                     try:
                         frame = self._decode(received, header, arrays)
                     except ValueError as exc:
-                        raise TransportError(str(exc)) from None
+                        raise TransportError(
+                            f"malformed {kind!r} message: {exc}"
+                        ) from None
                     yield frame
                     received += 1
                 elif kind == "done":
-                    at_boundary = True
+                    # a short stream must not read as a finished one:
+                    # the count the server announces is checked (and the
+                    # done fields typed) before the socket is re-poolable
+                    announced = _field(header, "n_frames", int)
+                    if announced != received:
+                        raise TransportError(
+                            f"{self._kind} stream ended after {received} "
+                            f"frames, server announced {announced}"
+                        )
                     self._finish(header)
+                    at_boundary = True
                     return
                 elif kind == "error":
                     # typed server rejection: the connection itself is
@@ -348,7 +380,7 @@ class _WireStream:
         self._conn = self._pool.redial()
         self._conn.sock.settimeout(timeout)
         try:
-            write_message(self._conn.stream, *self._message(self.request))
+            _send(self._conn, self._kind, self.request)
         except (OSError, ProtocolError) as exc:
             raise TransportError(
                 f"reconnect failed re-sending request: {exc}"
@@ -364,7 +396,6 @@ class _RemoteRolloutFuture(_WireStream, RolloutFuture):
 
     _kind = "rollout"
     _frame_type = "frame"
-    _message = staticmethod(protocol.rollout_message)
 
     def _decode(self, step: int, header: dict, arrays: list) -> StepFrame:
         if not arrays:
@@ -373,7 +404,7 @@ class _RemoteRolloutFuture(_WireStream, RolloutFuture):
         return StepFrame(step, arrays[0])
 
     def _finish(self, header: dict) -> None:
-        self.metrics = header.get("metrics")
+        self.metrics = _field(header, "metrics", dict | None, None)
 
 
 class _RemoteEnsembleFuture(_WireStream, EnsembleFuture):
@@ -384,7 +415,6 @@ class _RemoteEnsembleFuture(_WireStream, EnsembleFuture):
 
     _kind = "ensemble"
     _frame_type = "summary"
-    _message = staticmethod(protocol.ensemble_message)
 
     def _decode(self, index: int, header: dict, arrays: list) -> SummaryFrame:
         frame = protocol.parse_summary_frame(header, arrays)
@@ -392,11 +422,10 @@ class _RemoteEnsembleFuture(_WireStream, EnsembleFuture):
         return frame
 
     def _finish(self, header: dict) -> None:
-        report = header.get("stability")
-        self.stability = (
-            None if report is None else StabilityReport.from_dict(report)
+        self.stability = _field(
+            header, "stability", StabilityReport | None, None
         )
-        self.metrics = header.get("metrics")
+        self.metrics = _field(header, "metrics", dict | None, None)
 
 
 class RemoteEngine(Engine):
@@ -416,18 +445,14 @@ class RemoteEngine(Engine):
         port: int,
         pool_size: int = 4,
         request_timeout_s: float = 120.0,
-        connect_timeout_s: float = 10.0,
-        trace_capacity: int = 2048,
     ):
         self.host = host
         self.port = port
-        self._pool = _ConnectionPool(
-            host, port, pool_size, connect_timeout_s, request_timeout_s
-        )
+        self._pool = _ConnectionPool(host, port, pool_size, request_timeout_s)
         self._caps: EngineCapabilities | None = None
         #: client-side span ring: one ``network`` span per streamed
         #: rollout, merged with the server's spans by :meth:`get_trace`
-        self.trace = TraceBuffer(trace_capacity)
+        self.trace = TraceBuffer(_TRACE_CAPACITY)
 
     @classmethod
     def connect(
@@ -451,10 +476,13 @@ class RemoteEngine(Engine):
         if self._caps is None:
             try:
                 reply, _ = self._call({"op": "capabilities"})
-                self._caps = EngineCapabilities.from_dict(reply["capabilities"])
-            except (ValueError, KeyError):
+                self._caps = protocol.take(
+                    reply, "capabilities", EngineCapabilities
+                )
+            except ValueError:
                 # peer predates the op (it answers bad_request and hangs
-                # up); assume the historical wire feature set
+                # up) or its answer is not a capability record; assume
+                # the historical wire feature set
                 self._caps = _FALLBACK_CAPABILITIES
         return self._caps
 
@@ -571,7 +599,8 @@ class RemoteEngine(Engine):
                 "name": name,
                 "path": str(path),
                 "expect_config": (
-                    dataclasses.asdict(expect_config) if expect_config else None
+                    None if expect_config is None
+                    else protocol.to_wire(expect_config)
                 ),
                 "eager": eager,
             },
@@ -584,11 +613,16 @@ class RemoteEngine(Engine):
             {"op": "register_graph_dir", "key": key, "path": str(directory)}
         )
 
+    def _ask(self, op: str, key: str, tp, **fields):
+        """One unary op whose reply carries one typed field."""
+        reply, _ = self._call({"op": op, **fields})
+        return _field(reply, key, tp)
+
     def model_names(self) -> list:
-        return list(self._call({"op": "models"})[0]["names"])
+        return self._ask("models", "names", list[str])
 
     def graph_keys(self) -> list:
-        return list(self._call({"op": "graph_keys"})[0]["keys"])
+        return self._ask("graph_keys", "keys", list[str])
 
     # -- submission ----------------------------------------------------------
 
@@ -598,7 +632,7 @@ class RemoteEngine(Engine):
         conn = self._pool.acquire()
         while True:
             try:
-                write_message(conn.stream, *future_type._message(request))
+                _send(conn, future_type._kind, request)
             except (OSError, ProtocolError) as exc:
                 self._pool.discard(conn)
                 if not conn.reused:
@@ -633,8 +667,9 @@ class RemoteEngine(Engine):
         """
         spans = list(self.trace.trace(trace_id))
         try:
-            reply, _ = self._call({"op": "get_trace", "trace_id": trace_id})
-            spans.extend(spans_from_dicts(reply.get("spans", [])))
+            spans.extend(
+                self._ask("get_trace", "spans", list[Span], trace_id=trace_id)
+            )
         except (TransportError, ValueError):
             pass
         spans.sort(key=lambda s: (s.start_s, s.name))
@@ -642,5 +677,8 @@ class RemoteEngine(Engine):
 
     def metrics_registry(self) -> MetricsRegistry:
         """The server's metrics registry, rebuilt from its snapshot."""
-        reply, _ = self._call({"op": "metrics"})
-        return MetricsRegistry.from_snapshot(reply["snapshot"])
+        snapshot = self._ask("metrics", "snapshot", dict)
+        try:
+            return MetricsRegistry.from_snapshot(snapshot)
+        except ValueError as exc:
+            raise TransportError(f"malformed 'metrics' reply: {exc}") from None

@@ -30,8 +30,9 @@ trained model into a *service*:
   :class:`repro.runtime.pooled.PooledEngine` and, run inline, by
   :class:`repro.runtime.local.LocalEngine`);
 * :mod:`repro.serve.protocol` / :mod:`repro.serve.transport` — the
-  length-prefixed socket wire format (speaking the runtime layer's
-  typed dataclasses) and the :class:`ServeServer` front end (fronted
+  length-prefixed socket wire format, the one strict codec that types
+  every record crossing it by its own dataclass (:func:`to_wire` /
+  :func:`from_wire`), and the :class:`ServeServer` front end (fronted
   by :class:`repro.runtime.remote.RemoteEngine`);
 * :mod:`repro.serve.cli` — ``python -m repro serve`` (demo burst or
   ``--listen HOST:PORT`` network mode, ``--metrics-port`` scrape
@@ -68,7 +69,7 @@ from repro.serve.metrics import (
     WaitHistogram,
     stats_markdown,
 )
-from repro.serve.protocol import ProtocolError
+from repro.serve.protocol import ProtocolError, from_wire, to_wire
 from repro.serve.registry import IncompatibleModel, ModelNotFound, ModelRegistry
 from repro.serve.scheduler import ScheduledQueue, lane_label
 from repro.serve.service import InferenceService, ServeConfig
@@ -110,10 +111,12 @@ __all__ = [
     "WaitHistogram",
     "execute_batch",
     "execute_train_job",
+    "from_wire",
     "lane_label",
     "parse_endpoint",
     "split_states",
     "stack_states",
     "stats_markdown",
     "tile_local_graph",
+    "to_wire",
 ]

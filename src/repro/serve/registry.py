@@ -102,8 +102,8 @@ class ModelRegistry:
         ``eager``, else at first load).
         """
         path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"checkpoint {path} does not exist")
+        if not path.is_file():  # a directory would fail at load, untyped
+            raise FileNotFoundError(f"checkpoint file {path} does not exist")
         with self._lock:
             self._check_name_free(name)
             self._entries[name] = _Entry(

@@ -52,10 +52,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.gnn.config import GNNConfig
-from repro.obs.trace import spans_to_dicts, wall_from_perf
-from repro.runtime.api import EngineCapabilities
+from repro.obs.trace import wall_from_perf
+from repro.runtime.api import EngineCapabilities, RolloutRequest
 from repro.serve import protocol
-from repro.serve.protocol import ProtocolError, read_message, write_message
+from repro.serve.protocol import ProtocolError, read_message, take, to_wire, write_message
 from repro.serve.service import InferenceService
 
 #: What the wire supports, announced through the ``capabilities`` op.
@@ -137,23 +137,24 @@ class _Handler(socketserver.StreamRequestHandler):
     def _dispatch(self, header: dict, arrays: list[np.ndarray]) -> bool:
         """Serve one message; returns False to end the connection."""
         service: InferenceService = self.server.service  # type: ignore[attr-defined]
-        op = header.get("op")
         try:
+            op = take(header, "op", str)
             if op == "ping":
                 self._reply({"type": "pong"})
             elif op == "capabilities":
                 self._reply(
                     {
                         "type": "capabilities",
-                        "capabilities": WIRE_CAPABILITIES.to_dict(),
+                        "capabilities": to_wire(WIRE_CAPABILITIES),
                     }
                 )
             elif op in _STREAM_OPS:
                 self._stream(service, op, header, arrays)
             elif op == "get_trace":
-                trace_id = str(protocol.require_field(header, "trace_id"))
-                spans = service.get_trace(trace_id)
-                self._reply({"type": "trace", "spans": spans_to_dicts(spans)})
+                spans = service.get_trace(take(header, "trace_id", str))
+                self._reply(
+                    {"type": "trace", "spans": [to_wire(s) for s in spans]}
+                )
             elif op == "metrics":
                 self._reply(
                     {
@@ -166,22 +167,18 @@ class _Handler(socketserver.StreamRequestHandler):
             elif op == "models":
                 self._reply({"type": "models", "names": service.registry.names()})
             elif op == "register_checkpoint":
-                expect = header.get("expect_config")
-                try:
-                    expect_config = GNNConfig(**expect) if expect else None
-                except TypeError as exc:  # not a mapping / unknown field
-                    raise ValueError(f"malformed expect_config: {exc}") from None
                 service.register_checkpoint(
-                    protocol.require_str(header, "name"),
-                    protocol.require_str(header, "path"),
-                    expect_config=expect_config,
-                    eager=bool(header.get("eager", False)),
+                    take(header, "name", str),
+                    take(header, "path", str),
+                    expect_config=take(
+                        header, "expect_config", GNNConfig | None, None
+                    ),
+                    eager=take(header, "eager", bool, False),
                 )
                 self._reply({"type": "ok"})
             elif op == "register_graph_dir":
                 service.register_graph_dir(
-                    protocol.require_str(header, "key"),
-                    protocol.require_str(header, "path"),
+                    take(header, "key", str), take(header, "path", str)
                 )
                 self._reply({"type": "ok"})
             elif op == "register_graph":
@@ -209,12 +206,14 @@ class _Handler(socketserver.StreamRequestHandler):
         """Serve one streamed op: frames as they complete, then ``done``.
 
         The one routine that writes stream frames; :data:`_STREAM_OPS`
-        says how each kind parses, encodes a frame and fills its
-        ``done`` header.
+        names each kind's request record and says how it encodes a
+        frame and fills its ``done`` header.
         """
-        parse, encode, done_fields = _STREAM_OPS[op]
+        request_type, encode, done_fields = _STREAM_OPS[op]
         try:
-            request = parse(header, arrays)
+            request = protocol.parse_stream_message(
+                request_type(), header, arrays
+            )
         except ValueError as exc:
             self._reply_error(protocol.ERR_BAD_REQUEST, str(exc))
             return
@@ -278,13 +277,21 @@ class _Handler(socketserver.StreamRequestHandler):
             pass
 
 
-#: streamed op -> (parse message, encode one frame, extra ``done``
-#: header fields). Per-frame wire bytes of an ensemble are independent
-#: of M unless the client asked for raw members — the summaries/energy/
+def _ensemble_request_type() -> type:
+    # lazy: serve must not import ensemble at module load
+    from repro.ensemble.api import EnsembleRequest
+
+    return EnsembleRequest
+
+
+#: streamed op -> (the request record's class, behind a call so the
+#: ensemble's stays lazy; encode one frame; extra ``done`` header
+#: fields). Per-frame wire bytes of an ensemble are independent of M
+#: unless the client asked for raw members — the summaries/energy/
 #: divergence payload depends only on the mesh and the summary selection.
 _STREAM_OPS = {
     "rollout": (
-        protocol.parse_rollout_message,
+        lambda: RolloutRequest,
         lambda frame: ({"type": "frame", "step": frame.step}, [frame.state]),
         lambda handle: {
             "metrics": (
@@ -294,12 +301,12 @@ _STREAM_OPS = {
         },
     ),
     "ensemble": (
-        protocol.parse_ensemble_message,
+        _ensemble_request_type,
         protocol.summary_frame_message,
         lambda handle: {
             "stability": (
                 None if handle.stability is None
-                else handle.stability.to_dict()
+                else to_wire(handle.stability)
             ),
             "metrics": handle.metrics,
         },

@@ -1,9 +1,19 @@
 """Fixtures shared by every test directory."""
 
 import pytest
+from hypothesis import settings
 
 from repro.obs.registry import MetricsRegistry
 from repro.serve.metrics import SERIES, declare
+
+
+#: the CI ``fuzz`` job's corpus (``--hypothesis-profile=fuzz``): fixed
+#: seed, 50x the default examples. Only properties that leave
+#: ``max_examples`` to the profile scale with it — today
+#: ``tests/properties/test_wire_fuzz.py``.
+settings.register_profile(
+    "fuzz", max_examples=5000, derandomize=True, deadline=None
+)
 
 
 def _registry_of(fields: dict) -> MetricsRegistry:

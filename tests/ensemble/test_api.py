@@ -112,8 +112,8 @@ class TestMembersAndChunks:
 
 class TestWireRoundtrip:
     def roundtrip(self, r):
-        header, arrays = protocol.ensemble_message(r)
-        return protocol.parse_ensemble_message(header, arrays)
+        header, arrays = protocol.stream_message("ensemble", r)
+        return protocol.parse_stream_message(EnsembleRequest, header, arrays)
 
     def test_roundtrip_preserves_the_request(self):
         r = request(
@@ -146,21 +146,21 @@ class TestWireRoundtrip:
         assert self.roundtrip(request()).stability is None
 
     def test_degenerate_wire_header_is_value_error(self):
-        header, arrays = protocol.ensemble_message(request())
+        header, arrays = protocol.stream_message("ensemble", request())
         header["n_members"] = 0
         with pytest.raises(ValueError):
-            protocol.parse_ensemble_message(header, arrays)
+            protocol.parse_stream_message(EnsembleRequest, header, arrays)
 
     def test_missing_field_is_value_error(self):
-        header, arrays = protocol.ensemble_message(request())
+        header, arrays = protocol.stream_message("ensemble", request())
         del header["model"]
         with pytest.raises(ValueError):
-            protocol.parse_ensemble_message(header, arrays)
+            protocol.parse_stream_message(EnsembleRequest, header, arrays)
 
     def test_wrong_array_count_is_value_error(self):
-        header, _ = protocol.ensemble_message(request())
+        header, _ = protocol.stream_message("ensemble", request())
         with pytest.raises(ValueError, match="exactly one array"):
-            protocol.parse_ensemble_message(header, [])
+            protocol.parse_stream_message(EnsembleRequest, header, [])
 
     def test_summary_frame_roundtrip(self):
         frame = SummaryFrame(

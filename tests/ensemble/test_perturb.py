@@ -5,6 +5,7 @@ import pytest
 
 from repro.ensemble.api import PerturbationSpec
 from repro.ensemble.perturb import member_rng, perturb_member, perturb_members
+from repro.serve.protocol import from_wire, to_wire
 
 X0 = np.random.default_rng(5).standard_normal((6, 3))
 
@@ -78,4 +79,4 @@ class TestSpecValidation:
 
     def test_dict_roundtrip(self):
         spec = PerturbationSpec(seed=11, noise_scale=0.5, sweep=(1.0, 2.0))
-        assert PerturbationSpec.from_dict(spec.to_dict()) == spec
+        assert from_wire(PerturbationSpec, to_wire(spec)) == spec

@@ -10,6 +10,7 @@ from repro.ensemble.stability import (
     StabilityReport,
     StabilityTracker,
 )
+from repro.serve.protocol import from_wire, to_wire
 
 
 def observe(tracker, step, values):
@@ -37,7 +38,7 @@ class TestConfigValidation:
     def test_dict_roundtrip(self):
         cfg = StabilityConfig(max_energy_ratio=50.0, max_value=9.0,
                               early_stop=False)
-        assert StabilityConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_wire(StabilityConfig, to_wire(cfg)) == cfg
 
 
 class TestDetection:
@@ -114,14 +115,14 @@ class TestReport:
         observe(tracker, 0, members(1.0, 2.0))
         observe(tracker, 1, members(np.nan, 2.0))
         report = tracker.report()
-        back = StabilityReport.from_dict(report.to_dict())
+        back = from_wire(StabilityReport, to_wire(report))
         assert back.energy.tobytes() == report.energy.tobytes()
         assert back.divergence.tobytes() == report.divergence.tobytes()
         assert back.blow_up == report.blow_up
         assert back.early_stopped == report.early_stopped
 
     def test_empty_report_roundtrip(self):
-        back = StabilityReport.from_dict(StabilityReport().to_dict())
+        back = from_wire(StabilityReport, to_wire(StabilityReport()))
         assert back.energy.shape == (0, 3)
         assert back.n_frames == 0
         assert back.stable

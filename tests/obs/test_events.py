@@ -1,10 +1,8 @@
 """Unit tests of repro.obs.events: bounded structured event log."""
 
-import json
-
 import pytest
 
-from repro.obs.events import Event, EventLog, events_markdown
+from repro.obs.events import EventLog, events_markdown
 
 
 class TestEventLog:
@@ -40,18 +38,6 @@ class TestEventLog:
         log.emit("x")
         log.clear()
         assert log.events() == []
-
-
-class TestEventWireShape:
-    def test_dict_round_trip_through_json(self):
-        event = Event(kind="health_transition", wall_s=12.5,
-                      attrs={"shard": "s0", "to": "down"})
-        doc = json.loads(json.dumps(event.to_dict()))
-        assert Event.from_dict(doc) == event
-
-    def test_from_dict_defaults_missing_attrs(self):
-        event = Event.from_dict({"kind": "redrive", "wall_s": 1.0})
-        assert event.attrs == {}
 
 
 class TestMarkdown:

@@ -8,12 +8,11 @@ from repro.obs.trace import (
     Span,
     TraceBuffer,
     mint_trace_id,
-    spans_from_dicts,
-    spans_to_dicts,
     to_chrome,
     trace_markdown,
     wall_from_perf,
 )
+from repro.serve.protocol import from_wire, to_wire
 
 
 def span(trace_id="t1", name="execute", start=1.0, **kwargs):
@@ -87,8 +86,8 @@ class TestWireRoundTrip:
     def test_dicts_round_trip_through_json(self):
         spans = [span(name="a", status="failed", attrs={"frames": 3}),
                  span(name="b", start=2.5)]
-        docs = json.loads(json.dumps(spans_to_dicts(spans)))
-        assert spans_from_dicts(docs) == spans
+        docs = json.loads(json.dumps([to_wire(s) for s in spans]))
+        assert [from_wire(Span, d) for d in docs] == spans
 
 
 class TestChromeExport:

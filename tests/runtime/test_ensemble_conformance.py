@@ -137,7 +137,7 @@ class TestValidationEverywhere:
     def test_degenerate_wire_message_is_bad_request(self, asset_paths, x0):
         """A raw wire header with M=0 answers ``bad_request``, pre-queue."""
         with make_engine("tcp", asset_paths) as engine:
-            header, arrays = protocol.ensemble_message(request(x0))
+            header, arrays = protocol.stream_message("ensemble", request(x0))
             header["n_members"] = 0
             with socket.create_connection(
                 (engine.host, engine.port), timeout=10
@@ -164,10 +164,11 @@ class TestCapabilityNegotiation:
         caps = EngineCapabilities(
             transport="tcp", training=False, ensemble=True
         )
-        assert EngineCapabilities.from_dict(caps.to_dict()).ensemble
+        wire = protocol.to_wire(caps)
+        assert protocol.from_wire(EngineCapabilities, wire).ensemble
         # an old server's dict (no field) defaults to not-capable
-        legacy = {k: v for k, v in caps.to_dict().items() if k != "ensemble"}
-        assert not EngineCapabilities.from_dict(legacy).ensemble
+        legacy = {k: v for k, v in wire.items() if k != "ensemble"}
+        assert not protocol.from_wire(EngineCapabilities, legacy).ensemble
 
     def test_non_capable_server_rejects_client_side(
         self, asset_paths, x0, monkeypatch

@@ -11,6 +11,7 @@ from repro.runtime import (
     connect,
 )
 from repro.runtime.api import EngineCapabilities
+from repro.serve.protocol import from_wire, to_wire
 
 X0 = np.zeros((5, 3))
 
@@ -56,7 +57,7 @@ class TestCapabilitiesRoundTrip:
     def test_to_from_dict(self):
         caps = EngineCapabilities(transport="tcp", training=False,
                                   streaming=True, in_memory_assets=False)
-        assert EngineCapabilities.from_dict(caps.to_dict()) == caps
+        assert from_wire(EngineCapabilities, to_wire(caps)) == caps
 
 
 class TestRequestDataclasses:

@@ -27,6 +27,7 @@ import pytest
 
 from repro.runtime import CapabilityError, RolloutRequest
 from repro.runtime.api import BatchKey, EngineCapabilities
+from repro.serve.protocol import from_wire, to_wire
 from tests.runtime.conftest import ENGINE_KINDS, make_engine
 
 PRECISIONS = ("float64", "float32")
@@ -81,11 +82,11 @@ class TestRequestSurface:
     def test_float32_capability_survives_the_wire_dict(self):
         caps = EngineCapabilities(transport="tcp", training=False,
                                   float32=True)
-        assert EngineCapabilities.from_dict(caps.to_dict()).float32 is True
+        d = to_wire(caps)
+        assert from_wire(EngineCapabilities, d).float32 is True
         # a pre-tier peer that never heard of the field reads as off
-        d = caps.to_dict()
         del d["float32"]
-        assert EngineCapabilities.from_dict(d).float32 is False
+        assert from_wire(EngineCapabilities, d).float32 is False
 
 
 class TestFloat64Unchanged:

@@ -1,6 +1,6 @@
 """Transport edge cases the cluster's failover relies on.
 
-Five failure shapes a shard can present, each with a required client
+Six failure shapes a shard can present, each with a required client
 behavior:
 
 * **half-close mid-frame** — the server dies partway through writing a
@@ -14,7 +14,13 @@ behavior:
 * **wrong-typed reply fields** — a ``summary`` frame or a
   ``capabilities`` reply whose fields have the wrong JSON type is the
   same violation: :class:`TransportError` mid-stream, the fallback
-  capability set at negotiation, never a bare ``TypeError``;
+  capability set at negotiation, never a bare ``TypeError``; every
+  other reply field (``names``, ``keys``, ``snapshot``, ``spans``, a
+  ``done`` frame's ``stability``) likewise — a typed
+  :class:`TransportError`, or ``get_trace``'s documented degrade;
+* **short stream** — a ``done`` that announces a different frame count
+  than was delivered (or none) is a broken stream, never a truncated
+  success, and its connection is not re-pooled;
 * **oversized frame** — a peer announcing an array blob beyond the
   protocol bound gets a ``bad_request`` error reply, not an allocation;
 * **reconnect-after-redial** — an engine whose server went away (redial
@@ -37,6 +43,7 @@ from repro.serve.protocol import (
     MAX_ARRAY_BYTES,
     encode_array,
     read_message,
+    to_wire,
     write_message,
 )
 from repro.serve.transport import WIRE_CAPABILITIES, TransportError
@@ -53,7 +60,10 @@ class RogueServer:
     hard-closes the connection — the half-close-mid-frame shape a
     crashed shard presents. With ``error_reply`` set, every op but
     ``ping`` (``rollout`` included) is answered with that message;
-    ``replies`` scripts single ops (``{op: reply message}``) instead.
+    ``replies`` scripts single ops instead (``{op: reply}``, a reply
+    being one message or a list of them, a message a header or a
+    ``(header, arrays)`` pair; read per request, so a live server can be
+    re-scripted).
     """
 
     def __init__(self, prefix_bytes: int = 0, error_reply: dict | None = None,
@@ -84,7 +94,11 @@ class RogueServer:
                     if header.get("op") == "ping":
                         write_message(stream, {"type": "pong"})
                     elif header.get("op") in self.replies:
-                        write_message(stream, self.replies[header["op"]])
+                        reply = self.replies[header["op"]]
+                        for message in reply if isinstance(reply, list) else [reply]:
+                            if isinstance(message, dict):
+                                message = (message,)
+                            write_message(stream, *message)
                     elif self.error_reply is not None:
                         write_message(stream, self.error_reply)
                     elif header.get("op") == "rollout":
@@ -193,13 +207,13 @@ class TestWrongTypedReplyFields:
                    "divergence": 0.0, "summaries": [], "members": 0, **bad}
         server = RogueServer(replies={
             "capabilities": {"type": "capabilities",
-                             "capabilities": WIRE_CAPABILITIES.to_dict()},
+                             "capabilities": to_wire(WIRE_CAPABILITIES)},
             "ensemble": summary,
         })
         try:
             engine = RemoteEngine.connect(server.endpoint,
                                           request_timeout_s=10.0)
-            with pytest.raises(TransportError, match="malformed summary"):
+            with pytest.raises(TransportError, match="members|summaries"):
                 engine.ensemble(
                     EnsembleRequest("m", "g", np.zeros((4, 3)), n_steps=1,
                                     n_members=2)
@@ -220,6 +234,131 @@ class TestWrongTypedReplyFields:
             caps = engine.capabilities()
             assert caps.transport == "tcp"
             assert not caps.graph_upload and not caps.ensemble
+            engine.close()
+        finally:
+            server.close()
+
+
+CAPABLE = {"type": "capabilities", "capabilities": to_wire(WIRE_CAPABILITIES)}
+ROLLOUT = RolloutRequest(model="m", graph="g", x0=np.zeros((4, 3)), n_steps=3)
+ENSEMBLE = EnsembleRequest("m", "g", np.zeros((4, 3)), n_steps=3, n_members=2)
+
+
+class TestMalformedReplyFields:
+    """Every reply field is read through the wire codec: a missing or
+    mistyped one is the peer's protocol violation — a typed
+    :class:`TransportError` — never the ``KeyError`` (this repo's
+    spelling of *graph not found*), ``TypeError`` or ``AttributeError``
+    a bare ``reply[key]`` leaks."""
+
+    @pytest.mark.parametrize("call, reply", [
+        ("model_names", {"type": "models"}),
+        ("model_names", {"type": "models", "names": "m"}),
+        ("model_names", {"type": "models", "names": [1]}),
+        ("graph_keys", {"type": "graph_keys"}),
+        ("graph_keys", {"type": "graph_keys", "keys": {"g": 1}}),
+        ("metrics_registry", {"type": "metrics"}),
+        ("metrics_registry", {"type": "metrics", "snapshot": [1]}),
+        ("metrics_registry", {"type": "metrics", "snapshot": {"x": 5}}),
+        ("metrics_registry",
+         {"type": "metrics",
+          "snapshot": {"x": {"kind": "counter", "samples": [{}]}}}),
+    ])
+    def test_unary_reply_is_transport_error(self, call, reply):
+        ops = {"model_names": "models", "graph_keys": "graph_keys",
+               "metrics_registry": "metrics"}
+        server = RogueServer(replies={ops[call]: reply})
+        try:
+            engine = RemoteEngine.connect(server.endpoint,
+                                          request_timeout_s=10.0)
+            with pytest.raises(TransportError, match="malformed"):
+                getattr(engine, call)()
+            engine.close()
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("reply", [
+        {"type": "trace"},
+        {"type": "trace", "spans": 7},
+        {"type": "trace", "spans": [{"trace_id": "t"}]},
+    ])
+    def test_get_trace_degrades_to_the_local_spans(self, reply):
+        server = RogueServer(replies={"get_trace": reply})
+        try:
+            engine = RemoteEngine.connect(server.endpoint,
+                                          request_timeout_s=10.0)
+            engine.trace.record_span("t", "network", "client", 1.0, 0.5)
+            assert [s.name for s in engine.get_trace("t")] == ["network"]
+            engine.close()
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("stability", [
+        "stable", {"energy": "x"}, {"blow_up": {"step": 1}},
+        {"early_stopped": "no"},
+    ])
+    def test_malformed_stability_on_done_is_transport_error(self, stability):
+        server = RogueServer(replies={
+            "capabilities": CAPABLE,
+            "ensemble": {"type": "done", "n_frames": 0,
+                         "stability": stability},
+        })
+        try:
+            engine = RemoteEngine.connect(server.endpoint,
+                                          request_timeout_s=10.0)
+            with pytest.raises(TransportError, match="stability"):
+                engine.ensemble(ENSEMBLE)
+            assert engine.pool_stats().idle == 0  # violating: discarded
+            engine.close()
+        finally:
+            server.close()
+
+
+class TestShortStream:
+    """``done`` announces how many frames preceded it; the client holds
+    the server to it, so a stream cut short *cleanly* is as typed a
+    failure as one cut mid-frame (the cluster marks the shard DOWN and
+    redrives, skipping the delivered prefix)."""
+
+    FRAME = ({"type": "frame", "step": 0}, [np.zeros((4, 3))])
+    SUMMARY = ({"type": "summary", "step": 0, "n_members": 2,
+                "divergence": 0.0, "summaries": [], "members": 0},
+               [np.zeros(3)])
+
+    @pytest.mark.parametrize("request_, op, reply", [
+        (ROLLOUT, "rollout", [{"type": "done"}]),
+        (ROLLOUT, "rollout", [{"type": "done", "n_frames": 4}]),
+        (ROLLOUT, "rollout", [FRAME, {"type": "done", "n_frames": 4}]),
+        (ROLLOUT, "rollout", [FRAME, FRAME, {"type": "done", "n_frames": 1}]),
+        (ROLLOUT, "rollout", [FRAME, {"type": "done", "n_frames": True}]),
+        (ENSEMBLE, "ensemble", [{"type": "done"}]),
+        (ENSEMBLE, "ensemble", [SUMMARY, {"type": "done", "n_frames": 4}]),
+    ])
+    def test_done_must_match_the_frames_delivered(self, request_, op, reply):
+        server = RogueServer(replies={"capabilities": CAPABLE, op: reply})
+        try:
+            engine = RemoteEngine.connect(server.endpoint,
+                                          request_timeout_s=10.0)
+            future = engine.submit(request_)
+            with pytest.raises(TransportError, match="n_frames|announced"):
+                future.result()
+            # the failure is sticky, and the connection is not re-pooled
+            with pytest.raises(TransportError):
+                future.result()
+            assert engine.pool_stats().idle == 0
+            engine.close()
+        finally:
+            server.close()
+
+    def test_matching_done_is_a_success_and_repools(self):
+        server = RogueServer(replies={
+            "rollout": [self.FRAME, {"type": "done", "n_frames": 1}],
+        })
+        try:
+            engine = RemoteEngine.connect(server.endpoint,
+                                          request_timeout_s=10.0)
+            assert len(engine.rollout(ROLLOUT).states) == 1
+            assert engine.pool_stats().idle == 1
             engine.close()
         finally:
             server.close()

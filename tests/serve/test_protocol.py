@@ -13,6 +13,7 @@ from repro.runtime.api import RolloutRequest, StreamRequest
 from repro.serve import protocol
 from repro.serve.protocol import (
     MAX_ARRAY_BYTES,
+    MAX_ARRAYS,
     MAX_HEADER_BYTES,
     ProtocolError,
     decode_array,
@@ -160,19 +161,83 @@ class TestMalformedStreams:
             read_message(io.BytesIO(framed))
 
 
+    @pytest.mark.parametrize("count", ["true", "1.0", '"1"', "null", "[1]"])
+    def test_non_integer_array_count_rejected(self, count):
+        """``isinstance(True, int)``: a boolean used to read one blob."""
+        payload = b'{"arrays":%s}' % count.encode()
+        framed = struct.pack(">I", len(payload)) + payload
+        blob = encode_array(np.zeros(2))
+        with pytest.raises(ProtocolError, match="array count"):
+            read_message(io.BytesIO(
+                framed + struct.pack(">Q", len(blob)) + blob
+            ))
+
+    def test_array_count_cap_enforced_before_any_blob_is_read(self):
+        """Each blob is bounded by MAX_ARRAY_BYTES; their number is
+        bounded too, and the refusal needs no byte past the header."""
+        payload = b'{"arrays":%d}' % (MAX_ARRAYS + 1)
+        framed = struct.pack(">I", len(payload)) + payload
+        stream = io.BytesIO(framed)
+        with pytest.raises(ProtocolError, match="array count"):
+            read_message(stream)
+        assert stream.tell() == len(framed)
+        # ...and exactly MAX_ARRAYS is a count, not a violation
+        payload = b'{"arrays":%d}' % MAX_ARRAYS
+        framed = struct.pack(">I", len(payload)) + payload
+        with pytest.raises(ProtocolError, match="truncated"):
+            read_message(io.BytesIO(framed))
+
+    def test_writer_refuses_more_than_the_array_cap(self):
+        buf = io.BytesIO()
+        with pytest.raises(ProtocolError, match="too many arrays"):
+            write_message(buf, {}, [np.zeros(0)] * (MAX_ARRAYS + 1))
+        assert buf.getvalue() == b""
+
+    @staticmethod
+    def npy(header: bytes, data: bytes = b"") -> bytes:
+        """A version-1.0 ``.npy`` blob with a hand-written header."""
+        header = header.ljust(-(len(header) + 11) % 64 + len(header)) + b"\n"
+        return (b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header))
+                + header + data)
+
+    @pytest.mark.parametrize("blob", [
+        b"",                                    # np.load: EOFError
+        b"PK\x03\x04 not a zip",                # np.load: BadZipFile
+        b"PK\x05\x06" + b"\x00" * 18,           # np.load: an NpzFile object
+        # 8 TiB announced, none sent: MemoryError inside numpy
+        npy(b"{'descr': '<f8', 'fortran_order': False, "
+            b"'shape': (1099511627776,), }"),
+        # a dimension no C long holds: OverflowError inside numpy
+        npy(b"{'descr': '<f8', 'fortran_order': False, "
+            b"'shape': (1000000000000000000000000000000,), }"),
+        # unbalanced header: tokenize.TokenError out of numpy's fallback
+        npy(b"{'descr': '<f8', 'fortran_order': False, 'shape': (2,), "),
+        npy(b"{'descr': '|O', 'fortran_order': False, 'shape': (1,), }"),
+    ])
+    def test_blob_that_is_not_npy_is_protocol_error(self, blob):
+        with pytest.raises(ProtocolError, match="npy"):
+            decode_array(blob)
+
+    @pytest.mark.parametrize("payload", [
+        b'{"a":' + b"[" * 100_000,              # RecursionError in json
+        b'{"a":' + b"1" * 5_000 + b"}",         # int digit limit: ValueError
+    ])
+    def test_header_json_the_interpreter_refuses(self, payload):
+        framed = struct.pack(">I", len(payload)) + payload
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            read_message(io.BytesIO(framed))
+
+
 class TestTypedRequestMessages:
     """The protocol speaks the runtime layer's shared dataclasses."""
 
     def test_rollout_request_round_trips(self):
-        from repro.runtime.api import RolloutRequest
-        from repro.serve.protocol import parse_rollout_message, rollout_message
-
         request = RolloutRequest(model="m", graph="g",
                                  x0=np.zeros((4, 3)), n_steps=2,
                                  halo_mode="a2a", residual=True,
                                  deadline_s=0.5)
-        header, arrays = rollout_message(request)
-        parsed = parse_rollout_message(header, arrays)
+        header, arrays = protocol.stream_message("rollout", request)
+        parsed = protocol.parse_stream_message(RolloutRequest, header, arrays)
         assert (parsed.model, parsed.graph, parsed.n_steps) == ("m", "g", 2)
         assert parsed.halo_mode == "a2a" and parsed.residual
         assert parsed.deadline_s == 0.5
@@ -180,30 +245,88 @@ class TestTypedRequestMessages:
         # server-side identity is re-stamped, not trusted from the wire
         assert parsed.request_id != request.request_id
 
-    def test_missing_field_is_value_error(self):
-        from repro.serve.protocol import parse_rollout_message
+    def test_canonical_request_headers_are_pinned_byte_for_byte(self):
+        """The codec replaced the hand-written builders; a peer of the
+        previous revision must see the very same bytes. These strings
+        were produced by that revision's ``rollout_message`` /
+        ``ensemble_message`` for the same requests."""
+        from repro.ensemble.api import PerturbationSpec, StabilityConfig
 
+        shared = dict(model="tgv-surrogate", graph="tgv-box",
+                      x0=np.zeros((4, 3)), n_steps=7, residual=True,
+                      precision="float32", trace_id="00ff00ff00ff00ff")
+        rollout = RolloutRequest(**shared, halo_mode="a2a", deadline_s=0.5)
+        ensemble = EnsembleRequest(
+            **shared, halo_mode="n-a2a", deadline_s=2.5, n_members=4,
+            perturbation=PerturbationSpec(seed=3, noise_scale=0.25,
+                                          sweep=(1.0, 0.5, 2.0, 1.5)),
+            summaries=("mean", "quantiles", "energy"),
+            quantiles=(0.1, 0.5, 0.9), return_members=True,
+            stability=StabilityConfig(max_energy_ratio=10.0, max_value=4.0,
+                                      early_stop=False),
+            member_range=(1, 3),
+        )
+        bare = dict(model="m", graph="g", x0=np.zeros((4, 3)), n_steps=1,
+                    trace_id="t")
+        golden = [
+            ("rollout", rollout,
+             b'{"arrays":1,"deadline_s":0.5,"graph":"tgv-box",'
+             b'"halo_mode":"a2a","model":"tgv-surrogate","n_steps":7,'
+             b'"op":"rollout","precision":"float32","residual":true,'
+             b'"trace_id":"00ff00ff00ff00ff"}'),
+            ("ensemble", ensemble,
+             b'{"arrays":1,"deadline_s":2.5,"graph":"tgv-box",'
+             b'"halo_mode":"n-a2a","member_range":[1,3],'
+             b'"model":"tgv-surrogate","n_members":4,"n_steps":7,'
+             b'"op":"ensemble","perturbation":{"noise_scale":0.25,"seed":3,'
+             b'"sweep":[1.0,0.5,2.0,1.5]},"precision":"float32",'
+             b'"quantiles":[0.1,0.5,0.9],"residual":true,'
+             b'"return_members":true,"stability":{"early_stop":false,'
+             b'"max_energy_ratio":10.0,"max_value":4.0},'
+             b'"summaries":["mean","quantiles","energy"],'
+             b'"trace_id":"00ff00ff00ff00ff"}'),
+            ("rollout", RolloutRequest(**bare),
+             b'{"arrays":1,"deadline_s":null,"graph":"g","halo_mode":null,'
+             b'"model":"m","n_steps":1,"op":"rollout","precision":"float64",'
+             b'"residual":false,"trace_id":"t"}'),
+            ("ensemble", EnsembleRequest(**bare, n_members=2),
+             b'{"arrays":1,"deadline_s":null,"graph":"g","halo_mode":null,'
+             b'"member_range":null,"model":"m","n_members":2,"n_steps":1,'
+             b'"op":"ensemble","perturbation":{"noise_scale":0.0,"seed":0,'
+             b'"sweep":[]},"precision":"float64","quantiles":[0.1,0.5,0.9],'
+             b'"residual":false,"return_members":false,"stability":null,'
+             b'"summaries":["mean","variance","min","max"],"trace_id":"t"}'),
+        ]
+        for op, request, expected in golden:
+            buf = io.BytesIO()
+            write_message(buf, *protocol.stream_message(op, request))
+            framed = buf.getvalue()
+            (length,) = struct.unpack(">I", framed[:4])
+            assert framed[4:4 + length] == expected
+
+    def test_missing_field_is_value_error(self):
         with pytest.raises(ValueError, match="model"):
-            parse_rollout_message({"op": "rollout", "graph": "g",
-                                   "n_steps": 1}, [np.zeros((4, 3))])
+            protocol.parse_stream_message(
+                RolloutRequest, {"op": "rollout", "graph": "g", "n_steps": 1},
+                [np.zeros((4, 3))],
+            )
 
     def test_wrong_typed_field_is_value_error_not_internal(self):
         """n_steps: null must classify as bad_request, not internal."""
-        from repro.serve.protocol import error_code, parse_rollout_message
-
-        with pytest.raises(ValueError, match="malformed") as exc_info:
-            parse_rollout_message(
+        with pytest.raises(ValueError, match="n_steps must be int") as exc_info:
+            protocol.parse_stream_message(
+                RolloutRequest,
                 {"op": "rollout", "model": "m", "graph": "g",
                  "n_steps": None}, [np.zeros((4, 3))],
             )
-        assert error_code(exc_info.value) == "bad_request"
+        assert protocol.error_code(exc_info.value) == "bad_request"
 
     def test_wrong_array_count_is_value_error(self):
-        from repro.serve.protocol import parse_rollout_message
-
         with pytest.raises(ValueError, match="exactly one array"):
-            parse_rollout_message({"op": "rollout", "model": "m",
-                                   "graph": "g", "n_steps": 1}, [])
+            protocol.parse_stream_message(
+                RolloutRequest,
+                {"op": "rollout", "model": "m", "graph": "g", "n_steps": 1}, [],
+            )
 
 
 class TestSharedFieldsRoundTrip:
@@ -212,10 +335,8 @@ class TestSharedFieldsRoundTrip:
     is re-stamped for both)."""
 
     KINDS = {
-        "rollout": (RolloutRequest, protocol.rollout_message,
-                    protocol.parse_rollout_message, {}),
-        "ensemble": (EnsembleRequest, protocol.ensemble_message,
-                     protocol.parse_ensemble_message, {"n_members": 3}),
+        "rollout": (RolloutRequest, {}),
+        "ensemble": (EnsembleRequest, {"n_members": 3}),
     }
     REQUIRED = dict(model="m", graph="g", x0=np.zeros((4, 3)), n_steps=1)
     #: a non-default value for every shared field; a field added to
@@ -230,9 +351,10 @@ class TestSharedFieldsRoundTrip:
     SHARED = [f.name for f in dataclasses.fields(StreamRequest)]
 
     def through_the_wire(self, kind, **fields):
-        cls, to_wire, from_wire, extra = self.KINDS[kind]
+        cls, extra = self.KINDS[kind]
         request = cls(**{**self.REQUIRED, **extra, **fields})
-        return request, from_wire(*roundtrip(*to_wire(request)))
+        message = roundtrip(*protocol.stream_message(kind, request))
+        return request, protocol.parse_stream_message(cls, *message)
 
     @pytest.mark.parametrize("kind", list(KINDS))
     @pytest.mark.parametrize("name", SHARED)

@@ -55,6 +55,16 @@ def test_checkpoint_missing_file_rejected(tmp_path):
         reg.register_checkpoint("m", tmp_path / "missing.npz")
 
 
+def test_checkpoint_path_that_is_a_directory_rejected(tmp_path):
+    """A directory passes ``exists()``; it must be refused like a
+    missing file (typed), not surface as ``IsADirectoryError`` at load
+    — and must not squat on the name."""
+    reg = ModelRegistry()
+    with pytest.raises(FileNotFoundError, match="checkpoint file"):
+        reg.register_checkpoint("m", tmp_path, eager=True)
+    assert reg.names() == []
+
+
 def test_expect_config_mismatch_raises(tmp_path):
     path = tmp_path / "m.npz"
     save_checkpoint(MeshGNN(CFG), path)

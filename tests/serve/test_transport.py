@@ -199,13 +199,126 @@ class TestErrorPropagation:
         assert header["code"] == "bad_request"
         assert names in header["message"]
 
+    def test_checkpoint_path_that_is_a_directory_is_bad_request(
+        self, server, tmp_path
+    ):
+        """``IsADirectoryError`` at an eager load used to answer
+        ``internal``; a path that is not a regular file is the peer's
+        bad request, like a missing one."""
+        reply = raw_exchange(server, {
+            "op": "register_checkpoint", "name": "m9",
+            "path": str(tmp_path), "eager": True,
+        })
+        assert (reply["type"], reply["code"]) == ("error", "bad_request")
+        assert "checkpoint file" in reply["message"]
+
     def test_unreachable_endpoint(self):
         with pytest.raises(TransportError, match="cannot reach"):
-            RemoteEngine("127.0.0.1", 1, connect_timeout_s=0.5).ping()
+            RemoteEngine("127.0.0.1", 1).ping()
 
     def test_in_memory_model_registration_refused(self, client, serve_model):
         with pytest.raises(CapabilityError, match="checkpoint"):
             client.register_model("m2", serve_model)
+
+
+INF = "@1e999@"  # spliced into the JSON text as the literal 1e999
+
+
+def raw_exchange(server, header: dict, blobs=(), **envelope) -> dict:
+    """Send one hand-framed message, return the first reply's header.
+
+    Frames by hand so the JSON can carry what ``write_message`` never
+    would: the overflowing literal ``1e999`` (:data:`INF`) and (via
+    ``envelope``) an ``arrays`` count that is not the number of blobs.
+    """
+    import json
+    import socket
+    import struct
+
+    from repro.serve.protocol import encode_array, read_message
+
+    body = {**header, "arrays": len(blobs), **envelope}
+    payload = json.dumps(body).replace(f'"{INF}"', "1e999").encode()
+    sock = socket.create_connection(server.address, timeout=10.0)
+    with sock, sock.makefile("rwb") as stream:
+        stream.write(struct.pack(">I", len(payload)) + payload)
+        for blob in map(encode_array, blobs):
+            stream.write(struct.pack(">Q", len(blob)) + blob)
+        stream.flush()
+        reply, _ = read_message(stream)
+    return reply
+
+
+class TestStrictHeaderTyping:
+    """A header field of the wrong JSON kind is the peer's bad request
+    naming the field — never coerced into a *different* question
+    (``bool("no")``, ``int(2.7)``, ``int(True)``) and served, never an
+    ``internal`` failure (``int(inf)``)."""
+
+    ROLLOUT = {"op": "rollout", "model": "m", "graph": "g1", "n_steps": 1}
+    ENSEMBLE = {**ROLLOUT, "op": "ensemble", "n_members": 2}
+
+    @pytest.mark.parametrize("base, field, value", [
+        (ROLLOUT, "residual", "no"),
+        (ROLLOUT, "residual", 0),
+        (ROLLOUT, "n_steps", 2.7),
+        (ROLLOUT, "n_steps", True),
+        (ROLLOUT, "n_steps", "3"),
+        (ROLLOUT, "n_steps", INF),
+        (ROLLOUT, "deadline_s", True),
+        (ROLLOUT, "deadline_s", "soon"),
+        (ROLLOUT, "trace_id", 7),
+        (ROLLOUT, "halo_mode", ["a2a"]),
+        (ROLLOUT, "bogus", 1),
+        (ENSEMBLE, "n_members", INF),
+        (ENSEMBLE, "return_members", "yes"),
+        (ENSEMBLE, "perturbation", {"seed": INF}),
+        (ENSEMBLE, "perturbation", None),
+        (ENSEMBLE, "perturbation", {"sweep": {"0": 1.0}}),
+        (ENSEMBLE, "quantiles", {"0": 0.5}),
+        (ENSEMBLE, "summaries", "mean"),
+        (ENSEMBLE, "stability", {"early_stop": "no"}),
+        (ENSEMBLE, "member_range", [0, 1, 2]),
+    ])
+    def test_mistyped_stream_field_is_bad_request(self, server, base, field,
+                                                  value):
+        reply = raw_exchange(server, {**base, field: value},
+                             [np.zeros((75, 3))])
+        assert (reply["type"], reply["code"]) == ("error", "bad_request")
+        assert field in reply["message"]
+
+    def test_well_typed_twin_is_served(self, server):
+        """The control: the same headers, correctly typed, stream."""
+        for header in (self.ROLLOUT, self.ENSEMBLE):
+            reply = raw_exchange(server, header, [np.zeros((75, 3))])
+            assert reply["type"] in ("frame", "summary")
+
+    @pytest.mark.parametrize("header, names", [
+        ({"op": "register_checkpoint", "name": "m9", "path": "/x.npz",
+          "eager": "yes"}, "eager"),
+        ({"op": "register_checkpoint", "name": "m9", "path": 5}, "path"),
+        ({"op": "register_checkpoint", "name": "m9", "path": "/x.npz",
+          "expect_config": {"hidden": "8"}}, "expect_config.hidden"),
+        ({"op": "get_trace", "trace_id": 5}, "trace_id"),
+        ({"op": "get_trace"}, "trace_id"),
+        ({"op": "register_graph", "key": "g", "ranks": [{
+            "rank": 0, "size": INF, "pad_count": 0, "neighbors": [],
+            "recv_counts": []}]}, "ranks[0].size"),
+        ({"op": "register_graph", "key": "g", "ranks": {"0": {}}}, "ranks"),
+    ])
+    def test_mistyped_unary_field_is_bad_request(self, server, header, names):
+        reply = raw_exchange(server, header)
+        assert (reply["type"], reply["code"]) == ("error", "bad_request")
+        assert names in reply["message"]
+
+    @pytest.mark.parametrize("n_arrays", [True, 1.0, "1", None, [1]])
+    def test_array_count_must_be_an_integer(self, server, n_arrays):
+        """``isinstance(True, int)``: a boolean count used to read one
+        blob."""
+        reply = raw_exchange(server, self.ROLLOUT, [np.zeros((75, 3))],
+                             arrays=n_arrays)
+        assert (reply["type"], reply["code"]) == ("error", "bad_request")
+        assert "array count" in reply["message"]
 
 
 class TestAdmissionOverTheWire:

@@ -41,7 +41,7 @@ PACKAGES = (
 #: committed ceiling, in code lines by this file's rule (re-based from
 #: 5290 to 7767 when ``tensor``, ``gnn`` and ``comm`` joined the
 #: packages and from 7649 to 8383 when ``ensemble`` did, then lowered)
-CEILING = 8099
+CEILING = 8012
 
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
