@@ -136,11 +136,6 @@ def workspace_steps(
     borrowed: np.ndarray | None = None  # pool buffer x references
     with inference_mode(arena) as arena, fast_math():
         encoded_edge: np.ndarray | None = None
-        if static_attr is not None:
-            # geometric edge features do not depend on the state, so
-            # their encoding is identical every step — compute it once
-            # (bitwise-unchanged; the reference path recomputes it)
-            encoded_edge = fused_mlp(static_attr, model.edge_encoder.kernel())
         for step in range(1, n_steps + 1):
             arena.reset()
             # two clock reads per step are cheaper than a second copy
@@ -156,6 +151,13 @@ def workspace_steps(
                 arena.recycle(edge_attr)
                 edge_attr = cast
             t1 = time.perf_counter()
+            if static_attr is not None and encoded_edge is None:
+                # geometric edge features do not depend on the state, so
+                # their encoding is identical every step — compute it once
+                # (bitwise-unchanged; the reference path recomputes it),
+                # inside the first step's forward span: the kernels it
+                # runs are profiled, so the span they sum against holds it
+                encoded_edge = fused_mlp(static_attr, model.edge_encoder.kernel())
             y = model(
                 Tensor(x), edge_attr, graph, comm, halo_mode,
                 encoded_edge_attr=encoded_edge,

@@ -111,6 +111,17 @@ class LocalGraph:
             self.__dict__["_inv_edge_degree"] = cached
         return cached
 
+    @property
+    def unit_edge_degree(self) -> bool:
+        """Whether every ``d_ij`` is 1 — no edge is replicated on another
+        rank (always so on an un-partitioned graph), so Eq. 4b's scaling
+        is the identity. Cached per instance."""
+        cached = self.__dict__.get("_unit_edge_degree")
+        if cached is None:
+            cached = bool(np.all(self.edge_degree == 1))
+            self.__dict__["_unit_edge_degree"] = cached
+        return cached
+
     def edge_attr(self, node_features: np.ndarray | None = None,
                   kind: str = EDGE_FEATURES_GEOMETRIC) -> np.ndarray:
         """Input edge features of this sub-graph (see

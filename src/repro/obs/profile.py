@@ -1,17 +1,32 @@
 """Opt-in per-op timing for the NMP hot loop.
 
-The hot loop (:func:`repro.gnn.rollout.workspace_steps` per step,
-:meth:`repro.tensor.aggregation.AggregationPlan.scatter_add` per op)
-runs thousands of times per rollout, so the instrumentation contract
-is strict: with no profiler installed, the only cost the hot path pays
-is loading one module global and an ``is None`` branch — no attribute
-lookups on live objects, no closures, no context managers. The CI
-``obs-overhead`` job (``tools/check_obs_overhead.py``) asserts this
-off-path costs <1% against the committed ``BENCH_inference.json``.
+The hot loop runs thousands of kernel calls per rollout, so the
+instrumentation contract is strict: with no profiler installed, the
+only cost a site pays is loading one module global (once per kernel
+call) and an ``is None`` branch — no attribute lookups on live objects,
+no closures, no context managers. The CI ``obs-overhead`` job
+(``tools/check_obs_overhead.py``) asserts this off-path costs <1%
+against the committed ``BENCH_inference.json``.
+
+Sites: :func:`repro.gnn.rollout.workspace_steps` per step
+(``rollout.step`` = ``rollout.edge_features`` +
+``rollout.model_forward``); inside the model forward, one lap per block
+of the fused kernels (:mod:`repro.tensor.fused`:
+``fused.gather_concat``, ``fused_gemm``, ``fused.bias``, ``fused.elu``,
+``fused.layer_norm``, ``fused.residual``, ``fused.degree_scale``), of
+the layer's halo sync (:mod:`repro.gnn.message_passing`:
+``halo.exchange``, ``halo.sync``) and of
+:meth:`repro.tensor.aggregation.AggregationPlan.scatter_add`
+(``plan.scatter_add``). Laps are laid end to end and **never nested**:
+over a rollout every name outside ``rollout.*`` is a disjoint slice of
+``rollout.model_forward``, so their sum over it is a coverage figure
+that cannot pass 1 (``tests/obs/test_profile_coverage.py`` holds it in
+``[0.90, 1.0]``). A new site inside the forward must keep that — time
+a block that calls a timed block by restarting the clock after it.
 
 With a profiler installed (:func:`install_profiler`), each
 instrumented site calls ``prof.add(name, dt)`` with a perf-counter
-delta; the profiler accumulates ``(count, total seconds)`` per op
+delta (:func:`lap` is that call plus the next block's start); the profiler accumulates ``(count, total seconds)`` per op
 name under a lock (the threaded multi-rank backends feed one profiler
 from every rank).
 
@@ -28,6 +43,7 @@ Usage::
 from __future__ import annotations
 
 import threading
+import time
 
 #: the single installed profiler, or None (module global: the hot path
 #: reads this once per call and branches on ``is None``)
@@ -81,6 +97,15 @@ class HotLoopProfiler:
                 f"| {s['mean_s'] * 1e6:.1f} |"
             )
         return "\n".join([header, rule, *rows])
+
+
+def lap(prof: HotLoopProfiler, name: str, t0: float) -> float:
+    """Close the profiled block ``name`` begun at ``t0``; return the
+    next block's start (``t0 = lap(prof, name, t0)`` behind the site's
+    ``if prof is not None``). Blocks are laid end to end, never nested."""
+    now = time.perf_counter()
+    prof.add(name, now - t0)
+    return now
 
 
 def install_profiler(profiler: HotLoopProfiler | None = None) -> HotLoopProfiler:

@@ -181,15 +181,15 @@ class AggregationPlan:
         (it is zero-filled here); otherwise the active inference arena
         (if any) or a fresh allocation provides it.
         """
-        # per-op profiling gate: one global read + `is None` branch on
-        # the off-path (the obs-overhead CI job asserts this is <1%)
+        # per-op profiling gate, lap-style like the fused kernels': one
+        # global read + `is None` branches on the off-path (the
+        # obs-overhead CI job asserts this is <1%)
         prof = _profile.current_profiler()
+        t0 = time.perf_counter() if prof is not None else 0.0
+        out = self._scatter_add(src, out)
         if prof is not None:
-            t0 = time.perf_counter()
-            out = self._scatter_add(src, out)
-            prof.add("plan.scatter_add", time.perf_counter() - t0)
-            return out
-        return self._scatter_add(src, out)
+            _profile.lap(prof, "plan.scatter_add", t0)
+        return out
 
     def _scatter_add(
         self, src: np.ndarray, out: np.ndarray | None = None

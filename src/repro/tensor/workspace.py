@@ -59,16 +59,14 @@ class InferenceArena:
         #: (shape, dtype): constant after warmup means zero-alloc
         self.reallocations = 0
 
-    @staticmethod
-    def _key(shape, dtype) -> tuple:
-        return (tuple(int(s) for s in shape), np.dtype(dtype).str)
-
     def out(self, shape, dtype) -> np.ndarray:
         """A buffer of the requested shape/dtype (pooled or fresh).
 
         Contents are unspecified; callers fully overwrite.
         """
-        free = self._free.get(self._key(shape, dtype))
+        # O(1) key: np.int64 dims hash and compare as ints, and every
+        # dtype spelling normalises to the one np.dtype ``recycle`` sees
+        free = self._free.get((tuple(shape), np.dtype(dtype)))
         if free:
             return free.pop()
         self.reallocations += 1
@@ -83,7 +81,7 @@ class InferenceArena:
         when the bound is hit, the stalest variants are dropped — their
         buffers return to the normal allocator, never to a caller.
         """
-        key = self._key(buf.shape, buf.dtype)
+        key = (buf.shape, buf.dtype)
         free = self._free.get(key)
         if free is None:
             if len(self._free) >= MAX_SHAPE_VARIANTS:

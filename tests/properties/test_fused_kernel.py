@@ -12,8 +12,14 @@ autograd-recording forwards must never route through the fused kernels
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.comm import ThreadWorld
+from repro.gnn import GNNConfig, MeshGNN
+from repro.gnn.architecture import cast_replica
+from repro.graph import build_distributed_graph, build_full_graph
+from repro.mesh import BoxMesh, RandomPartitioner
 from repro.nn import MLP
 from repro.tensor import (
     Tensor,
@@ -27,6 +33,7 @@ from repro.tensor import (
 )
 from repro.tensor.aggregation import AggregationPlan
 from repro.tensor.fused import (
+    _elu_inplace,
     fast_elu,
     fused_aggregate,
     fused_edge_mlp,
@@ -35,6 +42,7 @@ from repro.tensor.fused import (
     fused_node_mlp,
 )
 from repro.tensor.ops import elu, layer_norm
+from repro.tensor.workspace import InferenceArena
 
 
 def assert_bitwise(a, b):
@@ -125,6 +133,50 @@ class TestElementwiseKernels:
         with no_grad(), fast_math(False):
             reference = elu(Tensor(a.copy())).data
         assert_bitwise(fast_elu(a.copy()), reference)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_elu_on_special_values(self, dtype, alpha):
+        """The full-array chain ``max(h, 0) + (alpha * exp(min(h, 0)) -
+        alpha)`` against the reference's ``np.where`` select where the
+        two could part: signed zeros, subnormals, infinities, the
+        ``exp`` overflow/underflow edges and arguments so small that
+        ``exp(a) - 1`` rounds. Non-NaN results agree bit for bit; a NaN
+        input gives a NaN in the same position (its sign bit is not part
+        of the contract: the float32 chain flips it)."""
+        tiny = np.finfo(dtype).tiny
+        a = np.array(
+            [0.0, -0.0, tiny / 4, -tiny / 4, tiny, -tiny, np.inf, -np.inf,
+             710.0, -710.0, -745.2, -800.0, 1e-20, -1e-20, 1.5e-8, -1.5e-8,
+             88.0, -88.0, -104.0, 1.0, -1.0, np.nan, -np.nan],
+            dtype=dtype,
+        ).reshape(-1, 1)
+        with no_grad(), fast_math(False), np.errstate(all="ignore"):
+            reference = elu(Tensor(a.copy()), alpha).data
+            copied = fast_elu(a, alpha)
+            inplace = a.copy()
+            _elu_inplace(inplace, alpha)
+        nan = np.isnan(reference)
+        assert nan.sum() == 2
+        for got in (copied, inplace):
+            assert got.dtype == reference.dtype == dtype
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert_bitwise(got[~nan], reference[~nan])
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=feature_arrays(), dtype=st.sampled_from([np.float64, np.float32]))
+    def test_non_destructive_kernels_leave_their_input_intact(self, a, dtype):
+        """The ELU runs in place on a buffer ``fused_mlp`` drew — never
+        on the caller's rows (``recycle_input=False`` is the default and
+        what the encoders' callers rely on)."""
+        a = a.astype(dtype)
+        before = a.copy()
+        fast_elu(a)
+        assert_bitwise(a, before)
+        mlp = MLP(a.shape[1], 4, 4, n_hidden=1, final_norm=True, seed=5,
+                  name="prop.intact", dtype=dtype)
+        fused_mlp(a, mlp.kernel())
+        assert_bitwise(a, before)
 
     @settings(max_examples=80, deadline=None)
     @given(a=feature_arrays())
@@ -268,6 +320,86 @@ class TestFusedEdgeAndNodeKernels:
         assert (a == 0.0).all()
         x_new = fused_node_mlp(x, a, node_mlp_for(h).kernel())
         assert_bitwise(x_new, reference_node_chain(x, a, node_mlp_for(h)))
+
+
+class TestUnitEdgeDegree:
+    """Eq. 4b's ``e * (1 / d_ij)`` is the identity when every ``d_ij``
+    is 1: the fused layer skips the multiply on such graphs and stays
+    bit for bit the reference chain, which still multiplies."""
+
+    CONFIG = GNNConfig(hidden=4, n_message_passing=1, n_mlp_hidden=1, seed=9)
+
+    @staticmethod
+    def _layer_outputs(layer, graph, x, e, comm, enabled):
+        with no_grad(), fast_math(enabled):
+            x_new, e_new = layer(Tensor(x.copy()), Tensor(e.copy()), graph,
+                                 comm, "n-a2a")
+        return x_new.data.copy(), e_new.data.copy()
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        nx=st.integers(2, 3),
+        p=st.integers(1, 2),
+        size=st.integers(2, 3),
+        seed=st.integers(0, 1000),
+    )
+    def test_partitioned_graphs_keep_the_multiply(self, nx, p, size, seed):
+        mesh = BoxMesh(nx, 2, 2, p=p)
+        part = RandomPartitioner(seed=seed).partition(mesh, size)
+        dg = build_distributed_graph(mesh, part)
+        assume(any((lg.edge_degree > 1).any() for lg in dg.locals))
+        layer = MeshGNN(self.CONFIG).processor[0]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((mesh.n_unique_nodes, 4))
+
+        def program(comm):
+            lg = dg.local(comm.rank)
+            assert lg.unit_edge_degree is not bool((lg.edge_degree > 1).any())
+            e = np.random.default_rng(seed + comm.rank).standard_normal((lg.n_edges, 4))
+            args = (layer, lg, x[lg.global_ids], e, comm)
+            return self._layer_outputs(*args, True), self._layer_outputs(*args, False)
+
+        for fused, reference in ThreadWorld(size).run(program):
+            assert_bitwise(fused[0], reference[0])
+            assert_bitwise(fused[1], reference[1])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        nx=st.integers(1, 3),
+        p=st.integers(1, 2),
+        seed=st.integers(0, 1000),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    def test_unpartitioned_graphs_skip_it_bitwise(self, nx, p, seed, dtype):
+        graph = build_full_graph(BoxMesh(nx, 2, 1, p=p))
+        assert graph.unit_edge_degree is True
+        layer = cast_replica(MeshGNN(self.CONFIG), dtype).processor[0]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((graph.n_local, 4)).astype(dtype)
+        e = rng.standard_normal((graph.n_edges, 4)).astype(dtype)
+        e.reshape(-1)[0] = -0.0
+        fused = self._layer_outputs(layer, graph, x, e, None, True)
+        reference = self._layer_outputs(layer, graph, x, e, None, False)
+        assert fused[0].dtype == reference[0].dtype == dtype
+        assert_bitwise(fused[0], reference[0])
+        assert_bitwise(fused[1], reference[1])
+
+
+def test_arena_key_is_one_freelist_per_shape_and_dtype():
+    """However a caller spells ``(shape, dtype)`` — tuple or list,
+    Python or numpy ints, type object, string or ``np.dtype`` — it is
+    the freelist ``recycle`` filed the buffer under."""
+    arena = InferenceArena()
+    buf = arena.out((3, 4), np.float64)
+    for shape, dtype in [
+        ((3, 4), np.float64),
+        ([3, 4], "<f8"),
+        ((np.int64(3), 4), np.dtype("float64")),
+    ]:
+        arena.recycle(buf)
+        assert arena.out(shape, dtype) is buf
+    assert arena.reallocations == 1
+    assert arena.out((3, 4), np.float32) is not buf
 
 
 class TestTrainingNeverRoutesFused:

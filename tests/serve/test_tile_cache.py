@@ -5,7 +5,7 @@ import pytest
 
 from repro.runtime.api import RolloutRequest
 from repro.serve.cache import MAX_TILE_VARIANTS, GraphAsset
-from repro.serve.executor import execute_batch
+from repro.serve.executor import WorkerArenas, execute_batch
 from repro.serve.tiling import tile_local_graph
 
 
@@ -98,3 +98,34 @@ def test_execute_batch_reports_hits_after_first_batch(
     )
     assert third.tile_hits == asset.size
     assert len(frames) == 6  # 3 requests x (x0 + 1 step)
+
+
+@pytest.mark.parametrize("partitioned", [False, True])
+def test_persistent_arenas_allocate_only_on_a_new_batch_shape(
+    serve_model, asset, full_graph, x0, partitioned
+):
+    """What "allocation-free" means for a serve worker: one persistent
+    ``WorkerArenas`` pays a warm-up once per (key, batch size) — every
+    buffer of the tiled shapes — and nothing on any revisit, however the
+    sizes interleave. A short run's reallocations-per-batch average is
+    that warm-up amortised, not a leak."""
+    if not partitioned:
+        asset = GraphAsset(key="g1", graphs=(full_graph,))
+    arenas = WorkerArenas()
+    seen, revisits = set(), []
+    for size in (1, 4, 1, 4, 2, 3, 1, 4):
+        requests = [
+            RolloutRequest(model="m", graph=asset.key, x0=x0, n_steps=2,
+                           halo_mode="n-a2a")
+            for _ in range(size)
+        ]
+        execution = execute_batch(
+            serve_model, asset, requests, lambda i, step, state: None,
+            arenas=arenas,
+        )
+        if size in seen:
+            revisits.append(execution.arena_reallocations)
+        else:
+            assert execution.arena_reallocations > 0
+        seen.add(size)
+    assert revisits == [0, 0, 0, 0]

@@ -40,8 +40,10 @@ PACKAGES = (
 
 #: committed ceiling, in code lines by this file's rule (re-based from
 #: 5290 to 7767 when ``tensor``, ``gnn`` and ``comm`` joined the
-#: packages and from 7649 to 8383 when ``ensemble`` did, then lowered)
-CEILING = 8012
+#: packages and from 7649 to 8383 when ``ensemble`` did, then lowered;
+#: raised from 8012 to 8040 for the hot-loop profiler's lap gates on
+#: every block of the fused forward — two lines per named block)
+CEILING = 8040
 
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
