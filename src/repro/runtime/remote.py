@@ -14,6 +14,15 @@ error. ``pool_stats()`` exposes dials vs. reuses;
 ``benchmarks/test_serve_overload.py`` asserts that sustained serving
 performs no per-request connects.
 
+Every dialled socket carries ``TCP_NODELAY`` (``_ConnectionPool._dial``,
+the one place a socket is opened — ``acquire`` and ``redial`` share
+it). A request is one message and ``write_message`` hands the stream
+one buffer, so the client does not write small-after-small today; the
+option makes "no write waits ~40 ms for the peer's delayed ACK" a
+property of the socket rather than of how a message happens to be
+written. The server sets it on accept, where every reply needed it (see
+:mod:`repro.serve.transport`: write-write-read on Nagle + delayed ACK).
+
 Capability negotiation is explicit: at :meth:`capabilities` the engine
 asks the server what the wire supports (the ``capabilities`` op) —
 training jobs and in-memory assets do not cross the socket, so
@@ -213,6 +222,9 @@ class _ConnectionPool:
             raise TransportError(
                 f"cannot reach serve endpoint {self.host}:{self.port}: {exc}"
             ) from None
+        # no write waits on the peer's delayed ACK (module docstring);
+        # here, so acquire() and redial() both get it
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(self.request_timeout_s)
         return _Conn(sock)
 

@@ -148,14 +148,15 @@ def write_message(
     payload = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_HEADER_BYTES:
         raise ProtocolError(f"header too large ({len(payload)} bytes)")
-    stream.write(_HEADER_LEN.pack(len(payload)))
-    stream.write(payload)
+    parts = [_HEADER_LEN.pack(len(payload)), payload]
     for array in arrays:
         blob = encode_array(array)
         if len(blob) > MAX_ARRAY_BYTES:
             raise ProtocolError(f"array too large ({len(blob)} bytes)")
-        stream.write(_BLOB_LEN.pack(len(blob)))
-        stream.write(blob)
+        parts += (_BLOB_LEN.pack(len(blob)), blob)
+    # one write: on an unbuffered socket file every write is a send (and
+    # a segment, under TCP_NODELAY), and every send a GIL hand-off
+    stream.write(b"".join(parts))
     stream.flush()
 
 

@@ -15,6 +15,38 @@ Everything is stdlib (``socketserver`` + ``socket``): one thread per
 connection on the server (``ThreadingTCPServer``); a streaming rollout
 owns its connection until the final ``done``/``error`` message.
 
+**No reply waits on a kernel timer.** Two socket settings and one
+deliberate non-setting, hard-coded (there is nothing to tune):
+
+* ``TCP_NODELAY`` on every accepted connection
+  (``_Handler.disable_nagle_algorithm``, applied by
+  ``StreamRequestHandler.setup()``). The handler's ``wfile`` is
+  unbuffered, so every ``write`` is a ``send``. Under Nagle the first
+  small segment goes out at once and the next is held until the first
+  is ACKed; the client, which has nothing to send, delays that ACK
+  ~40 ms — write-write-read on Nagle + delayed ACK. Every reply used
+  to pay it once (a message was four writes, a stream is several
+  messages): 44 ms for a ``models`` call that takes 0.05 ms, 44 ms for
+  a rollout that takes 5. ``protocol.write_message`` now also hands the
+  socket one buffer per message — one ``send``, one segment and, in a
+  threaded server, one GIL hand-off instead of four.
+  :class:`~repro.runtime.remote.RemoteEngine` sets the same option on
+  the sockets it dials.
+* ``wfile`` **stays unbuffered** (``wbufsize`` is not set). A buffered
+  writer is no faster once Nagle is off (measured, ROADMAP item 1(ii))
+  and it breaks the quiet handling of a peer that leaves mid-reply: the
+  ``BufferedWriter`` keeps the unsent bytes, ``finish()`` flushes them
+  into the dead socket and ``BrokenPipeError`` escapes the handler as a
+  ``socketserver`` traceback.
+* A listen backlog of 128 (``_ServeTCPServer.request_queue_size``;
+  ``socketserver``'s default is 5). A burst of dials longer than the
+  backlog — a fresh engine's first concurrent checkouts, a cluster
+  fan-out — has its overflow SYNs dropped, and a dropped SYN is
+  retransmitted by the dialler's kernel after ~1 s.
+
+``tests/serve/test_transport.py`` (``TestNoKernelTimerOnTheRequestPath``,
+``TestBurstDial``, ``TestPeerGoesAway``) holds all three.
+
 Observability: every rollout carries its client-minted ``trace_id`` in
 the message header; the server's spans for that request (admission,
 queue, tile, execute, and the ``serialize`` span this module records
@@ -113,6 +145,10 @@ class _Handler(socketserver.StreamRequestHandler):
     touches on the service is the service's own thread-safe API, so any
     number of connections may be in flight concurrently.
     """
+
+    #: TCP_NODELAY on every accepted socket (applied in ``setup()``); see
+    #: the module docstring's "No reply waits on a kernel timer"
+    disable_nagle_algorithm = True
 
     def handle(self) -> None:  # noqa: D102 - socketserver hook
         while True:
@@ -317,6 +353,8 @@ _STREAM_OPS = {
 class _ServeTCPServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
+    #: listen backlog; socketserver's 5 drops the SYNs of a burst dial
+    request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], service: InferenceService):
         super().__init__(address, _Handler)

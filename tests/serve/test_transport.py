@@ -8,15 +8,23 @@ real ``ServeServer`` on an ephemeral port and speak to it through
 connections.
 """
 
+import io
+import json
+import socket
+import statistics
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.gnn import save_checkpoint
+from repro.gnn import GNNConfig, MeshGNN, rollout, save_checkpoint
+from repro.graph import build_full_graph
 from repro.graph.io import save_distributed_graph
+from repro.mesh import BoxMesh, taylor_green_velocity
 from repro.runtime.api import CapabilityError, RolloutRequest
-from repro.runtime.remote import RemoteEngine
+from repro.runtime.remote import RemoteEngine, _ConnectionPool
 from repro.serve import (
     InferenceService,
     QueueFull,
@@ -26,6 +34,8 @@ from repro.serve import (
     TransportError,
     parse_endpoint,
 )
+from repro.serve import protocol, transport
+from repro.serve.protocol import encode_array, read_message, write_message
 from repro.serve.registry import IncompatibleModel, ModelNotFound
 from tests.serve.conftest import SERVE_CONFIG
 
@@ -156,10 +166,6 @@ class TestErrorPropagation:
 
     def test_missing_header_field_is_bad_request(self, server):
         """A malformed message must not masquerade as graph-not-found."""
-        import socket
-
-        from repro.serve.protocol import read_message, write_message
-
         sock = socket.create_connection(server.address, timeout=10.0)
         with sock, sock.makefile("rwb") as stream:
             write_message(
@@ -186,10 +192,6 @@ class TestErrorPropagation:
         """Outside input of the wrong type is the peer's bad request,
         never an ``internal`` failure (``unhashable type`` in a registry
         lookup, ``TypeError`` constructing a config)."""
-        import socket
-
-        from repro.serve.protocol import read_message, write_message
-
         arrays = [np.zeros((75, 3))] if message["op"] == "rollout" else []
         sock = socket.create_connection(server.address, timeout=10.0)
         with sock, sock.makefile("rwb") as stream:
@@ -231,12 +233,6 @@ def raw_exchange(server, header: dict, blobs=(), **envelope) -> dict:
     would: the overflowing literal ``1e999`` (:data:`INF`) and (via
     ``envelope``) an ``arrays`` count that is not the number of blobs.
     """
-    import json
-    import socket
-    import struct
-
-    from repro.serve.protocol import encode_array, read_message
-
     body = {**header, "arrays": len(blobs), **envelope}
     payload = json.dumps(body).replace(f'"{INF}"', "1e999").encode()
     sock = socket.create_connection(server.address, timeout=10.0)
@@ -448,37 +444,55 @@ class TestConcurrentClients:
         assert client.pool_stats().dials == 1
 
 
+@pytest.fixture()
+def quiet_handlers(monkeypatch):
+    """``(reported, handled)``: every ``handle_error`` call ``socketserver``
+    would have printed a traceback for, and an event set each time a
+    handler returns."""
+    reported, handled = [], threading.Event()
+    monkeypatch.setattr(
+        transport._ServeTCPServer, "handle_error",
+        lambda self, request, address: reported.append(address),
+    )
+    original = transport._Handler.handle
+
+    def handle(self):
+        try:
+            original(self)
+        finally:
+            handled.set()
+
+    monkeypatch.setattr(transport._Handler, "handle", handle)
+    return reported, handled
+
+
+def close_with_reset(sock) -> None:
+    """Linger 0: ``close()`` sends RST, whatever is still unread."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def assert_left_quietly(server, quiet_handlers) -> None:
+    """The handler returned, the server keeps serving, nothing was reported."""
+    reported, handled = quiet_handlers
+    assert handled.wait(10.0), "the handler never saw the peer leave"
+    client = RemoteEngine(*server.address)
+    client.ping()
+    client.close()
+    assert reported == []
+
+
 class TestPeerGoesAway:
+    """A peer leaving is not a server fault: it must never reach
+    ``socketserver``'s ``handle_error`` traceback printer, and the
+    server keeps serving."""
+
     def test_reset_between_messages_ends_the_connection_quietly(
-        self, server, monkeypatch
+        self, server, quiet_handlers
     ):
         """A client that discards a connection with a reply unread (what
         an early-stopped or abandoned stream does) resets it; the
-        handler's next read fails with ``ConnectionResetError``, which
-        is the peer leaving, not a server fault: it must never reach
-        ``socketserver``'s ``handle_error`` traceback printer."""
-        import io
-        import socket
-        import struct
-        import time
-
-        from repro.serve import transport
-        from repro.serve.protocol import write_message
-
-        reported, handled = [], threading.Event()
-        monkeypatch.setattr(
-            transport._ServeTCPServer, "handle_error",
-            lambda self, request, address: reported.append(address),
-        )
-        original = transport._Handler.handle
-
-        def handle(self):
-            try:
-                original(self)
-            finally:
-                handled.set()
-
-        monkeypatch.setattr(transport._Handler, "handle", handle)
+        handler's next read fails with ``ConnectionResetError``."""
         sock = socket.create_connection(server.address, timeout=10.0)
         with sock.makefile("rwb") as stream:
             write_message(stream, {"op": "ping"})
@@ -492,12 +506,152 @@ class TestPeerGoesAway:
         while sock.recv(len(expected), socket.MSG_PEEK) != expected:
             assert time.monotonic() < deadline, "no pong"
             time.sleep(0.001)
-        # linger 0: close() sends RST, with the pong still unread
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                        struct.pack("ii", 1, 0))
-        sock.close()
-        assert handled.wait(10.0), "the handler never saw the reset"
+        close_with_reset(sock)
+        assert_left_quietly(server, quiet_handlers)
+
+    def test_discard_mid_stream_ends_the_connection_quietly(
+        self, server, quiet_handlers, x0
+    ):
+        """The client leaves after the first frame of a 4-step rollout:
+        the handler's next frame write fails. ``wfile`` is unbuffered,
+        so nothing is left for ``finish()`` to flush into the dead
+        socket — the case a buffered ``wfile`` turns into a traceback."""
+        sock = socket.create_connection(server.address, timeout=10.0)
+        stream = sock.makefile("rwb")
+        write_message(stream, *protocol.stream_message("rollout", req("m", "g1", x0, 4)))
+        header, _ = read_message(stream)
+        assert header["type"] == "frame" and header["step"] == 0
+        stream.close()
+        close_with_reset(sock)
+        assert_left_quietly(server, quiet_handlers)
+
+
+class TestBurstDial:
+    def test_sixteen_simultaneous_connects_none_waits_for_a_syn_retransmit(
+        self, server
+    ):
+        """A listen backlog shorter than the burst drops SYNs, and a
+        dropped SYN is retried by the dialler's kernel after ~1 s."""
+        n = 16
+        barrier = threading.Barrier(n)
+        seconds: list = [None] * n
+        socks: list = []
+
+        def dial(i):
+            barrier.wait()
+            t0 = time.perf_counter()
+            socks.append(socket.create_connection(server.address, timeout=10.0))
+            seconds[i] = time.perf_counter() - t0
+
+        threads = [threading.Thread(target=dial, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for sock in socks:
+            sock.close()
+        assert max(seconds) < 0.5, sorted(seconds)
+
+
+def union_length(intervals) -> float:
+    """Total length covered by ``(start, end)`` intervals, overlaps once."""
+    covered, edge = 0.0, float("-inf")
+    for start, end in sorted(intervals):
+        if end > max(start, edge):
+            covered += end - max(start, edge)
+            edge = end
+    return covered
+
+
+class TestNoKernelTimerOnTheRequestPath:
+    """No reply waits on Nagle + delayed ACK (~40 ms each): both ends of
+    every socket carry ``TCP_NODELAY``, so a ``tcp://`` request costs its
+    work plus a round trip, and the server's spans account for it."""
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        """The e2e ``serve_tcp`` shape: tiny model, one worker, no
+        batching window; the direct trajectory and the request."""
+        mesh = BoxMesh(2, 2, 2, p=2)
+        model = MeshGNN(GNNConfig(hidden=8, n_message_passing=2, n_mlp_hidden=1, seed=3))
+        graph = build_full_graph(mesh)
+        state = taylor_green_velocity(mesh.all_positions())
+        config = ServeConfig(max_batch_size=8, max_wait_s=0.0)
+        with InferenceService(config) as svc, ServeServer(svc) as srv:
+            svc.register_model("m", model)
+            svc.register_graph("g", [graph])
+            engine = RemoteEngine.connect(srv.endpoint, request_timeout_s=60.0)
+            direct = lambda: rollout(model, graph, state, 4)
+            request = lambda: req("m", "g", state, 4)
+            yield engine, direct, request
+            engine.close()
+
+    def test_nodelay_is_set_on_accept(self, server, monkeypatch):
+        seen, original = [], transport._Handler.setup
+
+        def setup(self):
+            original(self)
+            seen.append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(transport._Handler, "setup", setup)
         client = RemoteEngine(*server.address)
-        client.ping()  # the server keeps serving
+        client.ping()
         client.close()
-        assert reported == []
+        assert seen and all(seen)
+
+    def test_nodelay_is_set_on_dial_and_on_redial(self, server):
+        pool = _ConnectionPool(*server.address, size=1, request_timeout_s=10.0)
+        for conn in (pool.acquire(), pool.redial()):
+            assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            conn.close()
+        assert pool.stats().dials == 2
+
+    def test_unary_round_trip_is_far_below_a_delayed_ack(self, bench):
+        engine = bench[0]
+        engine.model_names()
+        seconds = []
+        for _ in range(30):
+            t0 = time.perf_counter()
+            engine.model_names()
+            seconds.append(time.perf_counter() - t0)
+        # ~44 ms with the timer, ~0.05 ms without
+        assert statistics.median(seconds) < 0.010, sorted(seconds)
+
+    @pytest.fixture(scope="class")
+    def rollouts(self, bench):
+        """20 four-step rollouts, direct and over ``tcp://`` in turn:
+        seconds of each, and the share of the client's wall time the
+        de-overlapped ``server`` spans of the request's trace cover."""
+        engine, direct, request = bench
+        assert_bitwise_equal(engine.rollout(request()).states, direct())
+        direct_s, wire_s, shares = [], [], []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            direct()
+            direct_s.append(time.perf_counter() - t0)
+            sent = request()
+            t0 = time.perf_counter()
+            engine.rollout(sent)
+            wall = time.perf_counter() - t0
+            wire_s.append(wall)
+            spans = [
+                s for s in engine.get_trace(sent.trace_id) if s.component == "server"
+            ]
+            shares.append(
+                union_length((s.start_s, s.start_s + s.duration_s) for s in spans) / wall
+            )
+        return direct_s, wire_s, shares
+
+    def test_rollout_costs_its_work_plus_a_round_trip(self, rollouts):
+        direct_s, wire_s, _ = rollouts
+        # +40 ms with the timer (one per reply), +2.5 ms without
+        assert statistics.median(wire_s) < statistics.median(direct_s) + 0.015
+
+    def test_server_spans_add_up_to_the_client_wall_time(self, rollouts):
+        """The budget adds up: 0.13 with the timer (the unnamed share WAS
+        the timer), ~0.9 without — and spans never cover more than the wall."""
+        shares = rollouts[2]
+        assert statistics.median(shares) >= 0.80, sorted(shares)
+        assert max(shares) <= 1.0, sorted(shares)
