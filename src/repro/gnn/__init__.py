@@ -15,7 +15,6 @@
 from repro.gnn.config import GNNConfig, SMALL_CONFIG, LARGE_CONFIG
 from repro.gnn.message_passing import ConsistentNMPLayer
 from repro.gnn.architecture import MeshGNN
-from repro.gnn.attention import ConsistentAttentionLayer
 from repro.gnn.loss import consistent_mse_loss, local_mse_loss
 from repro.gnn.ddp import DistributedDataParallel
 from repro.gnn.trainer import (
@@ -26,11 +25,6 @@ from repro.gnn.trainer import (
 )
 from repro.gnn.rollout import rollout, rollout_error
 from repro.gnn.checkpoint import load_checkpoint, save_checkpoint
-from repro.gnn.multiscale import (
-    CoarseContext,
-    MultiscaleNMPBlock,
-    build_coarse_contexts,
-)
 from repro.gnn.normalization import DistributedStandardScaler
 
 __all__ = [
@@ -38,7 +32,6 @@ __all__ = [
     "SMALL_CONFIG",
     "LARGE_CONFIG",
     "ConsistentNMPLayer",
-    "ConsistentAttentionLayer",
     "MeshGNN",
     "consistent_mse_loss",
     "local_mse_loss",
@@ -51,8 +44,5 @@ __all__ = [
     "rollout_error",
     "load_checkpoint",
     "save_checkpoint",
-    "CoarseContext",
-    "MultiscaleNMPBlock",
-    "build_coarse_contexts",
     "DistributedStandardScaler",
 ]

@@ -227,13 +227,6 @@ class DistributedGraph:
             raise AssertionError("some global nodes received no value")
         return out
 
-    def global_input_features(self, field_fn) -> np.ndarray:
-        """Evaluate ``field_fn(positions)`` on all unique nodes (by ID)."""
-        return field_fn(self.mesh.all_positions())
-
-    def local_input_features(self, rank: int, field_fn) -> np.ndarray:
-        return field_fn(self.locals[rank].pos)
-
 
 def build_full_graph(mesh: BoxMesh) -> LocalGraph:
     """The un-partitioned ``R = 1`` graph (paper's consistency target)."""

@@ -52,11 +52,6 @@ def csv_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def scaling_series_rows(series: dict, value_key: str) -> list:
-    """Flatten a Fig. 7/8 curve dict into (rank, value) rows."""
-    return list(zip(series["ranks"], series[value_key]))
-
-
 def fig7_markdown(data: dict, loading: str = "512k") -> str:
     """Markdown rendering of one loading's Fig. 7 efficiency block."""
     curves = data[loading]

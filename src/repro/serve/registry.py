@@ -184,13 +184,6 @@ class ModelRegistry:
                 entry.model = None
             self._m["registry.evictions"].inc()
 
-    def unregister(self, name: str) -> None:
-        """Remove an entry entirely (thread-safe)."""
-        with self._lock:
-            if name not in self._entries:
-                raise ModelNotFound(f"no model {name!r}")
-            del self._entries[name]
-
     # -- validation ----------------------------------------------------------
 
     @staticmethod

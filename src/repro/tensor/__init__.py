@@ -43,7 +43,6 @@ from repro.tensor.ops import (
     add,
     concatenate,
     elu,
-    exp,
     gather_rows,
     layer_norm,
     log,
@@ -59,7 +58,6 @@ from repro.tensor.ops import (
     stack,
     sub,
     sum as tsum,
-    tanh,
     transpose,
     where,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "add",
     "concatenate",
     "elu",
-    "exp",
     "gather_rows",
     "layer_norm",
     "log",
@@ -102,7 +99,6 @@ __all__ = [
     "stack",
     "sub",
     "tsum",
-    "tanh",
     "transpose",
     "where",
     "gradcheck",

@@ -2,7 +2,7 @@
 
 Used by the test suite to validate every op, and available to users to
 sanity-check custom ops (e.g. new differentiable communication
-routines, the paper's suggested extension to attention layers).
+routines).
 """
 
 from __future__ import annotations

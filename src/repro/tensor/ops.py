@@ -180,17 +180,6 @@ def power(a, exponent: float) -> Tensor:
     return _make(out, parents, backward)
 
 
-def exp(a) -> Tensor:
-    a = astensor(a)
-    out = np.exp(a.data)
-    parents = collect_parents(a)
-
-    def backward(g):
-        accumulate_parent_grad(a, g * out)
-
-    return _make(out, parents, backward)
-
-
 def log(a) -> Tensor:
     a = astensor(a)
     parents = collect_parents(a)
@@ -208,17 +197,6 @@ def sqrt(a) -> Tensor:
 
     def backward(g):
         accumulate_parent_grad(a, g * (0.5 / out))
-
-    return _make(out, parents, backward)
-
-
-def tanh(a) -> Tensor:
-    a = astensor(a)
-    out = np.tanh(a.data)
-    parents = collect_parents(a)
-
-    def backward(g):
-        accumulate_parent_grad(a, g * (1.0 - out * out))
 
     return _make(out, parents, backward)
 

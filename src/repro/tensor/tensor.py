@@ -158,10 +158,6 @@ class Tensor:
     def ones(shape, dtype=_DEFAULT_DTYPE, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 
-    @staticmethod
-    def from_numpy(arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        return Tensor(arr, requires_grad=requires_grad)
-
     # -- basic introspection ---------------------------------------------------
 
     @property

@@ -159,11 +159,14 @@ class TestGradientConsistency:
 
     @pytest.mark.parametrize("size", [2, 4])
     @pytest.mark.parametrize("grad_reduction", ["all_reduce", "sum"])
-    def test_gradients_match_r1(self, size, grad_reduction):
+    @pytest.mark.parametrize(
+        "mode",
+        [HaloMode.A2A, HaloMode.NEIGHBOR_A2A, HaloMode.SEND_RECV],
+        ids=lambda m: m.value,
+    )
+    def test_gradients_match_r1(self, mode, size, grad_reduction):
         ref = self._r1_grads(MESH, grad_reduction)
-        per_rank = self._distributed_grads(
-            MESH, size, HaloMode.NEIGHBOR_A2A, grad_reduction
-        )
+        per_rank = self._distributed_grads(MESH, size, mode, grad_reduction)
         for grads in per_rank:
             assert set(grads) == set(ref)
             for name in ref:

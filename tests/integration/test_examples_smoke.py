@@ -29,7 +29,6 @@ FAST_EXAMPLES = [
     "partitioning_walkthrough.py",
     "solver_in_the_loop.py",
     "complex_geometry.py",
-    "multiscale_gnn.py",
     "serving_demo.py",
     "serving_network_demo.py",
 ]

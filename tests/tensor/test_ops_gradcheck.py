@@ -55,17 +55,11 @@ class TestElementwise:
         with pytest.raises(TypeError):
             ops.power(t([1.0]), t([2.0]))
 
-    def test_exp(self):
-        gradcheck(lambda a: ops.exp(a).sum(), [t(RNG.normal(size=(3, 2)))])
-
     def test_log(self):
         gradcheck(lambda a: ops.log(a).sum(), [t(1.0 + RNG.random(size=(4,)))])
 
     def test_sqrt(self):
         gradcheck(lambda a: ops.sqrt(a).sum(), [t(1.0 + RNG.random(size=(4,)))])
-
-    def test_tanh(self):
-        gradcheck(lambda a: ops.tanh(a).sum(), [t(RNG.normal(size=(3, 3)))])
 
     def test_maximum(self):
         a = t(RNG.normal(size=(4, 4)))

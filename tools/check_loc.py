@@ -45,8 +45,11 @@ PACKAGES = (
 #: every block of the fused forward — two lines per named block, and
 #: from 8040 to 8042 for the three socket settings that take the kernel
 #: timers off the wire — TCP_NODELAY on accept and on dial, the backlog —
-#: less the line ``write_message`` gave back by writing a message once)
-CEILING = 8042
+#: less the line ``write_message`` gave back by writing a message once;
+#: lowered from 8042 to 7871 when the unmeasured attention and multiscale
+#: layers, ``unregister``, ``Tensor.from_numpy`` and the ``exp``/``tanh``
+#: ops were deleted)
+CEILING = 7871
 
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
