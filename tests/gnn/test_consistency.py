@@ -14,6 +14,7 @@ from tests.gnn.conftest import TINY_CONFIG, distributed_forward, full_reference_
 
 
 MESH = BoxMesh(4, 4, 2, p=1)
+EXCHANGING_MODES = [HaloMode.A2A, HaloMode.NEIGHBOR_A2A, HaloMode.SEND_RECV]
 
 
 class TestForwardConsistency:
@@ -25,10 +26,13 @@ class TestForwardConsistency:
         out = distributed_forward(MESH, size, TINY_CONFIG, HaloMode.NEIGHBOR_A2A)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("mode", [HaloMode.A2A, HaloMode.SEND_RECV])
-    def test_all_exchange_modes_equivalent(self, mode):
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "mode", [HaloMode.A2A, HaloMode.SEND_RECV], ids=lambda m: m.value
+    )
+    def test_all_exchange_modes_equivalent(self, mode, size):
         ref = full_reference_output(MESH, TINY_CONFIG)
-        out = distributed_forward(MESH, 4, TINY_CONFIG, mode)
+        out = distributed_forward(MESH, size, TINY_CONFIG, mode)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
     def test_standard_nmp_is_inconsistent(self):
@@ -38,34 +42,37 @@ class TestForwardConsistency:
         out = distributed_forward(MESH, 4, TINY_CONFIG, HaloMode.NONE)
         assert np.max(np.abs(out - ref)) > 1e-6
 
-    def test_consistency_invariant_to_partitioner(self):
+    @pytest.mark.parametrize("partitioner", ["slab-x", "slab-y", "morton"])
+    def test_consistency_invariant_to_partitioner(self, partitioner):
         """Eq. 2 holds for any partition shape (slab vs morton)."""
         from repro.mesh import MortonPartitioner, SlabPartitioner
-        from repro.comm import ThreadWorld
+        from repro.tensor import no_grad
 
         ref = full_reference_output(MESH, TINY_CONFIG)
-        for partitioner in (SlabPartitioner(axis=0), MortonPartitioner()):
-            part = partitioner.partition(MESH, 4)
-            dg = build_distributed_graph(MESH, part)
+        partitioner = {
+            "slab-x": SlabPartitioner(axis=0),
+            "slab-y": SlabPartitioner(axis=1),
+            "morton": MortonPartitioner(),
+        }[partitioner]
+        dg = build_distributed_graph(MESH, partitioner.partition(MESH, 4))
 
-            def prog(comm):
-                from repro.tensor import no_grad
+        def prog(comm):
+            g = dg.local(comm.rank)
+            x = taylor_green_velocity(g.pos)
+            model = MeshGNN(TINY_CONFIG)
+            with no_grad():
+                return model(
+                    x, g.edge_attr(node_features=x), g, comm, HaloMode.NEIGHBOR_A2A
+                ).data
 
-                g = dg.local(comm.rank)
-                x = taylor_green_velocity(g.pos)
-                model = MeshGNN(TINY_CONFIG)
-                with no_grad():
-                    return model(
-                        x, g.edge_attr(node_features=x), g, comm, HaloMode.NEIGHBOR_A2A
-                    ).data
+        out = dg.assemble_global(ThreadWorld(4).run(prog))
+        np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
-            out = dg.assemble_global(ThreadWorld(4).run(prog))
-            np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
-
-    def test_p2_mesh_consistency(self):
+    @pytest.mark.parametrize("mode", EXCHANGING_MODES, ids=lambda m: m.value)
+    def test_p2_mesh_consistency(self, mode):
         mesh = BoxMesh(2, 2, 2, p=2)
         ref = full_reference_output(mesh, TINY_CONFIG)
-        out = distributed_forward(mesh, 8, TINY_CONFIG, HaloMode.NEIGHBOR_A2A)
+        out = distributed_forward(mesh, 8, TINY_CONFIG, mode)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
 
@@ -95,14 +102,16 @@ class TestLossConsistency:
         return ThreadWorld(size).run(prog)
 
     @pytest.mark.parametrize("size", [2, 4, 8])
-    def test_loss_invariant_to_rank_count(self, size):
+    @pytest.mark.parametrize("mode", EXCHANGING_MODES, ids=lambda m: m.value)
+    def test_loss_invariant_to_rank_count(self, mode, size):
         ref = self._r1_loss(MESH)
-        losses = self._distributed_loss(MESH, size, HaloMode.NEIGHBOR_A2A)
+        losses = self._distributed_loss(MESH, size, mode)
         for l in losses:
             assert abs(l - ref) < 1e-12 * max(1.0, abs(ref))
 
-    def test_loss_identical_on_all_ranks(self):
-        losses = self._distributed_loss(MESH, 4, HaloMode.NEIGHBOR_A2A)
+    @pytest.mark.parametrize("mode", EXCHANGING_MODES, ids=lambda m: m.value)
+    def test_loss_identical_on_all_ranks(self, mode):
+        losses = self._distributed_loss(MESH, 4, mode)
         assert len(set(losses)) == 1
 
     def test_standard_nmp_loss_deviates_increasingly_with_r(self):
@@ -159,11 +168,7 @@ class TestGradientConsistency:
 
     @pytest.mark.parametrize("size", [2, 4])
     @pytest.mark.parametrize("grad_reduction", ["all_reduce", "sum"])
-    @pytest.mark.parametrize(
-        "mode",
-        [HaloMode.A2A, HaloMode.NEIGHBOR_A2A, HaloMode.SEND_RECV],
-        ids=lambda m: m.value,
-    )
+    @pytest.mark.parametrize("mode", EXCHANGING_MODES, ids=lambda m: m.value)
     def test_gradients_match_r1(self, mode, size, grad_reduction):
         ref = self._r1_grads(MESH, grad_reduction)
         per_rank = self._distributed_grads(MESH, size, mode, grad_reduction)
@@ -174,8 +179,9 @@ class TestGradientConsistency:
                     grads[name], ref[name], rtol=1e-8, atol=1e-12, err_msg=name
                 )
 
-    def test_gradients_identical_across_ranks_after_sync(self):
-        per_rank = self._distributed_grads(MESH, 4, HaloMode.NEIGHBOR_A2A, "all_reduce")
+    @pytest.mark.parametrize("mode", EXCHANGING_MODES, ids=lambda m: m.value)
+    def test_gradients_identical_across_ranks_after_sync(self, mode):
+        per_rank = self._distributed_grads(MESH, 4, mode, "all_reduce")
         for grads in per_rank[1:]:
             for name in per_rank[0]:
                 np.testing.assert_array_equal(grads[name], per_rank[0][name])
