@@ -9,9 +9,9 @@ burst at two ``pool://`` engine configurations — ``max_batch_size=1``
 (sequential) and ``max_batch_size=BURST`` (dynamic batching) — and
 reports wall time, throughput, cache hit rate, and queue metrics for
 each. The per-``(asset, batch_size)`` tiled-graph cache is visible in
-the same stats: sequential serving never tiles (every lookup is a
-batch-1 hit), and batched serving re-tiles only when a batch size first
-appears.
+the same stats: sequential serving never tiles (a multi-rank world is
+stitched once, then every lookup is a batch-1 hit), and batched serving
+re-tiles only when a batch size first appears.
 """
 
 import threading
@@ -178,15 +178,16 @@ def test_queue_metrics_reported(single_rank_results):
 
 
 def test_tile_cache_accounted_per_batch(single_rank_results, multi_rank_results):
-    """Every executed batch looked the tiled replica up exactly once per
-    rank; sequential configs (batch size 1) never miss — the base graph
-    is served as-is, so sustained single-request load does zero tiling."""
+    """Every executed batch looked its tiled replica up exactly once,
+    whatever the world size; sequential configs (batch size 1) miss only
+    to stitch a multi-rank world, once — sustained single-request load
+    does zero tiling."""
     for results, world in ((single_rank_results, 1), (multi_rank_results, 4)):
         for name in ("sequential", "batched"):
             _, stats = results[name]
-            assert stats.tile_hits + stats.tile_misses == stats.batches * world
+            assert stats.tile_hits + stats.tile_misses == stats.batches
         _, seq_stats = results["sequential"]
-        assert seq_stats.tile_misses == 0
+        assert seq_stats.tile_misses == (0 if world == 1 else 1)
 
 
 def test_plans_compiled_once_not_per_request(single_rank_results):

@@ -16,6 +16,7 @@ and their rank lists to :func:`check_rank_set`.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -93,9 +94,10 @@ def build_local_graph(
     return graph
 
 
-def check_rank_set(graphs: list[LocalGraph]) -> None:
-    """Raise ``ValueError`` unless ``graphs`` are ranks ``0..R-1`` of one
-    ``R``-rank world, in order."""
+def check_rank_set(graphs: Sequence[LocalGraph]) -> None:
+    """Raise ``ValueError`` unless ``graphs`` are a whole world: ranks
+    ``0..R-1`` of one ``R``-rank world, in order, whose global IDs
+    together cover ``0..n_global-1``."""
     ranks = [g.rank for g in graphs]
     if ranks != list(range(len(graphs))):
         raise ValueError(f"ranks are not a contiguous range: {ranks}")
@@ -104,6 +106,14 @@ def check_rank_set(graphs: list[LocalGraph]) -> None:
         raise ValueError(
             f"world-size mismatch across ranks: "
             f"{sorted(sizes)} != {{{len(graphs)}}}"
+        )
+    ids = np.concatenate([g.global_ids for g in graphs])
+    n_global = 1 + int(ids.max(initial=-1))
+    covered = np.count_nonzero(np.bincount(ids, minlength=n_global))
+    if covered < n_global or not n_global:
+        raise ValueError(
+            f"the ranks' global IDs cover {covered} of the {n_global} nodes "
+            f"0..{n_global - 1}: not a whole world"
         )
 
 

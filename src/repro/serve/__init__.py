@@ -19,9 +19,11 @@ trained model into a *service*:
   one batch), EDF dispatch with a starvation bound, one collector per
   key, sticky worker–key affinity with work stealing;
 * :mod:`repro.serve.tiling` — block-diagonal graph replication that
-  makes one batched forward bitwise-equal to per-request forwards;
-* :mod:`repro.serve.executor` — batch execution over the single and
-  threaded comm backends, streaming frames per step;
+  makes one batched forward bitwise-equal to per-request forwards, and
+  the stitching of a rank world into one graph;
+* :mod:`repro.serve.executor` — inference batches on the worker's own
+  thread, streaming frames per step; training jobs over the threaded
+  comm backend;
 * :mod:`repro.serve.metrics` — the one table of exported series,
   :class:`ServeStats` as a view over a metrics registry, the
   per-request record, and the stats table;

@@ -5,11 +5,12 @@ than a single surrogate step, so the serving layer loads each
 partitioned graph once — through :mod:`repro.graph.io` when the asset
 lives on disk — and keeps it resident. The cache is bounded both by
 entry count and by resident bytes (byte-accurate ``nbytes`` sums over
-every array an asset holds, including compiled aggregation plans and
-cached tiled replicas); eviction is least-recently-used. Every eviction
-logs — and the stats snapshot accumulates — the evicted asset's
-*reload cost* (loader wall time plus aggregation-plan build time), so a
-churning cache explains what re-admission will pay.
+every array an asset holds, including compiled aggregation plans, the
+stitched whole-world graph and cached tiled replicas); eviction is
+least-recently-used. Every eviction logs — and the stats snapshot
+accumulates — the evicted asset's *reload cost* (loader wall time plus
+aggregation-plan build time), so a churning cache explains what
+re-admission will pay.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.graph.distributed import LocalGraph
-from repro.graph.io import load_rank_graphs
+from repro.graph.io import check_rank_set, load_rank_graphs
 from repro.obs.registry import MetricsRegistry
 from repro.serve.metrics import CacheStats, ServeStats, declare
 
@@ -71,12 +75,15 @@ class GraphAsset:
     asset's :attr:`reload_cost_s` — what an eviction will make the next
     request on this key pay again.
 
-    The asset also owns the per-``(batch_size, rank)`` cache of
-    block-diagonal replicas (:meth:`tiled`): sustained-load serving
-    re-uses one tiled graph (with its composed aggregation plans)
-    per batch size instead of re-tiling and re-composing every batch.
-    The tile store is the only mutable state; it is lock-guarded and
-    pure-cache — a hit and a miss return bitwise-identical replicas.
+    The asset also owns the cache of block-diagonal replicas
+    (:meth:`tiled`): sustained-load serving steps one stitched whole-world
+    graph (:func:`repro.serve.tiling.stitch_rank_graphs` — built once,
+    on the first batch) tiled once per batch size, and training jobs tile
+    each rank graph; the replicas and their composed aggregation plans
+    are re-used instead of re-tiled and re-composed every batch. The tile
+    store (lock-guarded) and the two cached row maps are the only mutable
+    state, and pure cache — a hit and a miss return bitwise-identical
+    replicas, and a race computes the same row map twice.
     """
 
     key: str
@@ -88,6 +95,9 @@ class GraphAsset:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        check_rank_set(self.graphs)  # stitching and frames need a whole world
+
     @property
     def size(self) -> int:
         """World size ``R`` of the asset (pure read)."""
@@ -98,29 +108,57 @@ class GraphAsset:
         """Global node count (1 + the largest global ID present)."""
         return 1 + max(int(g.global_ids[-1]) for g in self.graphs)
 
-    def tiled(self, batch: int, rank: int) -> tuple[LocalGraph, bool]:
-        """Rank ``rank``'s ``batch``-fold replica, cached per asset.
+    @cached_property
+    def stitched_rows(self) -> np.ndarray:
+        """The global ID of every row of the stitched graph (rank after
+        rank): ``x0[stitched_rows]`` is a request's stitched state."""
+        return np.concatenate([g.global_ids for g in self.graphs])
 
-        Returns ``(tiled_graph, was_hit)``. ``batch == 1`` returns the
-        base graph itself (no replication happens, counted as a hit).
-        Thread safety: any number of workers may call concurrently; a
+    @cached_property
+    def frame_rows(self) -> np.ndarray:
+        """For every global node, the stitched row a frame reads: the
+        copy on the highest rank holding the node (rank order, later
+        ranks overwrite — the frame a per-rank world assembles)."""
+        rows = np.empty(self.n_global, dtype=np.int64)
+        rows[self.stitched_rows] = np.arange(len(self.stitched_rows))
+        return rows
+
+    def tiled(
+        self, batch: int, rank: int | None = None
+    ) -> tuple[LocalGraph, bool]:
+        """The ``batch``-fold replica of rank ``rank``'s graph, or of the
+        stitched whole world when ``rank`` is None; cached per asset.
+
+        Returns ``(tiled_graph, was_hit)``. A rank graph at ``batch == 1``
+        is returned itself (no replication happens, counted as a hit); a
+        one-rank world is its own stitch. The stitched graph is kept
+        under ``(1, None)`` and never evicted; its tiles are built from
+        it. Thread safety: any number of workers may call concurrently; a
         race on the same key builds twice and keeps the first (the
         replicas are bitwise identical, so which one wins is
         unobservable). Determinism: caching changes *when* tiling work
-        happens, never the replica's bits —
-        :func:`repro.serve.tiling.tile_local_graph` is a pure function
-        of ``(graph, batch)``.
+        happens, never the replica's bits — stitching and
+        :func:`repro.serve.tiling.tile_local_graph` are pure functions
+        of ``(graphs, batch)``.
         """
-        if batch == 1:
+        if rank is None and self.size == 1:
+            rank = 0  # a one-rank world is its own stitch
+        if batch == 1 and rank is not None:
             return self.graphs[rank], True
         key = (batch, rank)
         with self._tiles_lock:
             cached = self._tiles.get(key)
             if cached is not None:
                 return cached, True
-        from repro.serve.tiling import tile_local_graph  # cycle-free lazy import
+        # cycle-free lazy import
+        from repro.serve.tiling import stitch_rank_graphs, tile_local_graph
 
-        built = tile_local_graph(self.graphs[rank], batch)
+        if rank is not None:
+            built = tile_local_graph(self.graphs[rank], batch)
+        elif batch == 1:
+            built = stitch_rank_graphs(self.graphs)
+        else:
+            built = tile_local_graph(self.tiled(1)[0], batch)
         with self._tiles_lock:
             kept = self._tiles.setdefault(key, built)
             self._evict_stale_tiles(batch)
@@ -129,9 +167,10 @@ class GraphAsset:
     def _evict_stale_tiles(self, current_batch: int) -> None:
         # caller holds the tiles lock; drop oldest non-current batch
         # sizes until at most MAX_TILE_VARIANTS distinct sizes remain
+        # (batch 1 holds only the stitched graph, which stays)
         sizes: list[int] = []
         for b, _ in self._tiles:
-            if b not in sizes:
+            if b > 1 and b not in sizes:
                 sizes.append(b)
         while len(sizes) > MAX_TILE_VARIANTS:
             victim = next(b for b in sizes if b != current_batch)
@@ -150,11 +189,15 @@ class GraphAsset:
     def nbytes(self) -> int:
         """Resident bytes, byte-accurate: ``nbytes`` sums over the
         arrays of every rank payload, compiled aggregation plans,
-        per-graph cached features, and cached tiled replicas."""
+        per-graph cached features, the stitched graph with its row maps,
+        and cached tiled replicas."""
         total = sum(_graph_nbytes(g) for g in self.graphs)
         with self._tiles_lock:
             tiles = list(self._tiles.values())
         total += sum(_graph_nbytes(g) for g in tiles)
+        for name in ("stitched_rows", "frame_rows"):
+            rows = self.__dict__.get(name)
+            total += rows.nbytes if rows is not None else 0
         return total
 
 

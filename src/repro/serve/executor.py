@@ -2,27 +2,32 @@
 comm backends.
 
 One batch = requests sharing a ``(model, graph, halo_mode, residual)``
-key. The engine scatters each request's global initial state to ranks
-by global ID, fetches every rank's ``B``-fold block-diagonal replica
-from the asset's tile cache (:meth:`repro.serve.cache.GraphAsset.tiled`
-— tiled once per ``(asset, batch_size)``, re-used with its composed
-aggregation plans every subsequent batch), and steps all ``B``
-trajectories with a single model forward per step. Single-rank assets
-run inline on :class:`~repro.comm.single.SingleProcessComm`; multi-rank
-assets run SPMD over :class:`~repro.comm.threaded.ThreadWorld`, with
-each rank depositing its per-step states into a collector so frames
-stream to clients while later steps are still computing.
+key. The engine gathers each request's global initial state into the
+rows of the asset's stitched graph (the ``R`` rank graphs as one
+block-diagonal graph whose halo exchange is an in-process row gather,
+:func:`repro.serve.tiling.stitch_rank_graphs`), fetches its ``B``-fold
+replica from the asset's tile cache
+(:meth:`repro.serve.cache.GraphAsset.tiled` — stitched once per asset,
+tiled once per batch size, re-used with its composed aggregation plans
+every subsequent batch), and steps all ``B`` trajectories with a single
+model forward per step on the calling worker's thread, over
+:class:`~repro.comm.single.SingleProcessComm`. Frames stream to clients
+as each step completes. No batch starts a thread.
 
 The arithmetic is exactly that of :func:`repro.gnn.rollout.rollout` —
 edge features recomputed from the current state each step, residual or
-direct update — so a served trajectory is bitwise identical to a
-hand-wired rollout.
+direct update, every rank's rows accumulated in their rank world's
+order — so a served trajectory is bitwise identical to a hand-wired
+rollout.
 
 :func:`execute_train_job` is the gradient-side sibling: a
 :class:`~repro.runtime.api.TrainRequest` fine-tunes a *copy* of a
-registered model on the same tiled machinery (the tiling layer is
+registered model on per-rank tiled replicas, SPMD over
+:class:`~repro.comm.threaded.ThreadWorld` (the tiling layer is
 gradient-capable — the autograd ops treat a replica like any graph),
-with per-rank replicas kept bit-identical by DDP gradient sync.
+with per-rank replicas kept bit-identical by DDP gradient sync. It
+keeps the rank world: DDP averages per-rank gradients, which a stitched
+graph would sum in a different order.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.comm.backend import TrafficStats
 from repro.comm.modes import HaloMode
 from repro.comm.single import SingleProcessComm
 from repro.comm.threaded import ThreadWorld
@@ -77,21 +81,22 @@ def float32_replica(model: MeshGNN) -> MeshGNN:
         return replica
 
 
-class WorkerArenas:
-    """Persistent per-rank inference arenas owned by one serve worker.
+class WorkerArenas(InferenceArena):
+    """The persistent inference arena of one serve worker.
 
     Re-warming a fresh :class:`~repro.tensor.workspace.InferenceArena`
     per batch made every batch re-allocate its whole working set; a
-    worker that keeps one warmed arena per rank index serves sustained
-    load allocation-free — after the first couple of batches on a key,
-    every buffer the stepping loop needs already sits in the pool
-    (``tests/gnn/test_fast_rollout.py`` asserts this).
+    worker that keeps one warmed arena serves sustained load
+    allocation-free — after the first couple of batches on a key, every
+    buffer the stepping loop needs already sits in the pool
+    (``tests/gnn/test_fast_rollout.py`` asserts this). One arena is
+    enough: every batch, whatever its world size, steps on the worker's
+    own thread.
 
-    Thread safety: one worker executes one batch at a time, and a
-    multi-rank batch hands rank ``r``'s arena to exactly one rank
-    thread — arenas are never used by two loops at once. Do not share
-    one ``WorkerArenas`` across concurrent workers. Determinism: arenas
-    only recycle buffers; they never change the computed bits.
+    Thread safety: one worker executes one batch at a time, so the arena
+    is never used by two loops at once. Do not share one
+    ``WorkerArenas`` across concurrent workers. Determinism: arenas only
+    recycle buffers; they never change the computed bits.
     """
 
     #: bound on remembered keys; far above any realistic tenant mix,
@@ -99,14 +104,14 @@ class WorkerArenas:
     _MAX_KEYS = 128
 
     def __init__(self) -> None:
-        self._arenas: dict[int, InferenceArena] = {}
+        super().__init__()
         self._keys: dict = {}  # BatchKey -> None, insertion-ordered
 
     def note_key(self, key) -> bool:
         """Record that this worker serves ``key``; ``True`` if warm.
 
         "Warm" means the worker has executed this
-        :class:`~repro.runtime.api.BatchKey` before, so its arenas,
+        :class:`~repro.runtime.api.BatchKey` before, so its arena,
         tiled replicas and cast replicas were built by a previous batch
         — the quantity the scheduler's sticky affinity tries to
         maximize (surfaced as ``warm_key_batches``).
@@ -118,108 +123,39 @@ class WorkerArenas:
         self._keys[key] = None
         return False
 
-    def for_rank(self, rank: int) -> InferenceArena:
-        """Rank ``rank``'s arena (created on first use, then persistent)."""
-        arena = self._arenas.get(rank)
-        if arena is None:
-            arena = self._arenas.setdefault(rank, InferenceArena())
-        return arena
-
-    @property
-    def reallocations(self) -> int:
-        """Total pool-miss allocations across ranks (constant after
-        warmup means sustained serving allocates nothing large)."""
-        return sum(a.reallocations for a in self._arenas.values())
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes currently parked across every rank's freelist."""
-        return sum(a.nbytes for a in self._arenas.values())
-
-    def __len__(self) -> int:
-        return len(self._arenas)
-
 
 @dataclass(frozen=True)
 class BatchExecution:
     """What one batch cost (per-batch metrics input).
 
     Immutable record produced once per :func:`execute_batch`; safe to
-    share across threads. ``exec_s`` is wall time (nondeterministic);
-    the traffic counters are exact and deterministic for a given
-    ``(graph, batch, halo_mode, n_steps)``. ``tile_hits`` /
-    ``tile_misses`` count per-rank lookups in the asset's tiled-graph
-    cache for this batch (a miss means the replica was built now).
+    share across threads. ``exec_s`` is wall time (nondeterministic).
+    ``tile_hits`` / ``tile_misses`` count the batch's one lookup in the
+    asset's tiled-graph cache (a miss means the replica was built now).
     """
 
     batch_size: int
     world_size: int
     n_steps: int
     exec_s: float
-    comm: TrafficStats
     tile_hits: int = 0
     tile_misses: int = 0
-    #: slowest rank's wall seconds inside ``asset.tiled`` — the
-    #: tile-compile cost on a miss, a cache-lookup tick on a hit
-    #: (recorded as the per-batch ``tile`` span by the service)
+    #: wall seconds inside ``asset.tiled`` — the stitch / tile-compile
+    #: cost on a miss, a cache-lookup tick on a hit (recorded as the
+    #: per-batch ``tile`` span by the service)
     tile_s: float = 0.0
     #: pool-miss allocations this batch charged to the worker's
-    #: persistent arenas (0 when the batch ran without ``arenas``)
+    #: persistent arena (0 when the batch ran without ``arenas``)
     arena_reallocations: int = 0
-    #: bytes parked in the worker's arenas after this batch (0 without
+    #: bytes parked in the worker's arena after this batch (0 without
     #: ``arenas``) — the resident cost of allocation-free serving
     arena_nbytes: int = 0
     #: whether the batch ran on the float32 inference tier
     f32: bool = False
     #: whether the executing worker had served this batch's key before
-    #: (its arenas / tiled replicas / cast replicas were already warm —
+    #: (its arena / tiled replicas / cast replicas were already warm —
     #: the payoff the scheduler's sticky affinity optimizes for)
     warm_key: bool = False
-
-
-class _StepCollector:
-    """Rendezvous for per-step rank states (multi-rank streaming).
-
-    Thread-safe by construction: rank threads ``put``, one consumer
-    ``wait_step``s, a single condition variable guards the store.
-    """
-
-    def __init__(self, n_ranks: int):
-        self._n = n_ranks
-        self._cond = threading.Condition()
-        self._store: dict[int, dict[int, np.ndarray]] = {}
-        self._failure: BaseException | None = None
-
-    def put(self, rank: int, step: int, state: np.ndarray) -> None:
-        with self._cond:
-            self._store.setdefault(step, {})[rank] = state
-            self._cond.notify_all()
-
-    def fail(self, exc: BaseException) -> None:
-        with self._cond:
-            if self._failure is None:
-                self._failure = exc
-            self._cond.notify_all()
-
-    def failure(self) -> BaseException | None:
-        with self._cond:
-            return self._failure
-
-    def wait_step(self, step: int, timeout: float) -> list[np.ndarray]:
-        """Block until every rank deposited ``step``; returns rank order."""
-        deadline = time.perf_counter() + timeout
-        with self._cond:
-            while True:
-                if self._failure is not None:
-                    raise self._failure
-                ranks = self._store.get(step)
-                if ranks is not None and len(ranks) == self._n:
-                    del self._store[step]
-                    return [ranks[r] for r in range(self._n)]
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    raise TimeoutError(f"rank states for step {step} never arrived")
-                self._cond.wait(remaining)
 
 
 def _validate_batch(
@@ -236,22 +172,11 @@ def _validate_batch(
             )
 
 
-def _assemble(asset: GraphAsset, rank_states: list[np.ndarray], copy: int,
-              width: int) -> np.ndarray:
-    """Merge copy ``copy`` of each rank's tiled state into global order."""
-    out = np.empty((asset.n_global, width), dtype=rank_states[0].dtype)
-    for g, state in zip(asset.graphs, rank_states):
-        n = g.n_local
-        out[g.global_ids] = state[copy * n : (copy + 1) * n]
-    return out
-
-
 def execute_batch(
     model: MeshGNN,
     asset: GraphAsset,
     requests: Sequence[RolloutRequest],
     dispatch: FrameDispatch,
-    timeout: float = 120.0,
     arenas: WorkerArenas | None = None,
 ) -> BatchExecution:
     """Run one coalesced batch, streaming frames through ``dispatch``.
@@ -262,11 +187,25 @@ def execute_batch(
     early (their rows still ride along in the tiled state — the cost of
     a straggler-free batch shape).
 
+    The batch steps on the calling thread, whatever the asset's world
+    size: the asset's ``R`` rank graphs are stitched into one graph
+    whose halo exchange is an in-process row gather
+    (:func:`repro.serve.tiling.stitch_rank_graphs`), tiled ``B``-fold,
+    and stepped on :class:`~repro.comm.single.SingleProcessComm`. Every
+    exchanging halo mode moves the same rows, so they all run the
+    ``n-a2a`` engine; ``none`` stays ``none``. Each global node's frame
+    row is read from the highest rank holding it
+    (:attr:`~repro.serve.cache.GraphAsset.frame_rows`). The price: an
+    idle server no longer spreads one large multi-rank batch over
+    threads; a loaded one stops paying ``R`` rank threads and a
+    rendezvous per step (``docs/architecture.md``, "One thread per
+    batch").
+
     ``arenas`` optionally supplies the calling worker's persistent
-    :class:`WorkerArenas`; each rank then steps inside its warmed arena
-    instead of re-warming a fresh one, making sustained same-shape
-    serving allocation-free across batches (the batch's pool misses are
-    reported as ``arena_reallocations``).
+    :class:`WorkerArenas`; the batch then steps inside its warmed arena
+    instead of a fresh one, making sustained same-shape serving
+    allocation-free across batches (the batch's pool misses are reported
+    as ``arena_reallocations``).
 
     The stepping loop is the inference path (fused raw-array kernels,
     :mod:`repro.tensor.fused`) — bitwise identical to the reference op
@@ -277,19 +216,20 @@ def execute_batch(
     float32 cast of the stacked states; its frames — including frame 0
     — are dispatched in float32.
 
-    Thread safety: one call owns its batch — the function may run on
-    many worker threads concurrently (distinct batches), but a single
-    batch must not be executed twice. ``dispatch`` is invoked from this
-    thread in single-rank mode and from this thread (after the step
-    rendezvous) in multi-rank mode, never concurrently for one request.
-    The model and asset are only read; sharing them across concurrent
-    batches is safe.
+    Thread safety: one call owns its batch and starts no thread — the
+    function may run on many worker threads concurrently (distinct
+    batches), but a single batch must not be executed twice.
+    ``dispatch`` is invoked from the calling thread only. The model and
+    asset are only read; sharing them across concurrent batches is
+    safe.
 
     Determinism: the arithmetic is exactly
-    :func:`repro.gnn.rollout.rollout` on the tiled graph, and tiling
-    preserves per-copy accumulation order, so every dispatched frame is
-    bitwise identical to a hand-wired rollout of that request — batch
-    composition, worker count, and timing never change the bits.
+    :func:`repro.gnn.rollout.rollout` of every rank of a
+    :class:`~repro.comm.threaded.ThreadWorld` on its own graph —
+    stitching and tiling preserve every row's accumulation order — so
+    every dispatched frame is bitwise identical to a hand-wired rollout
+    of that request; batch composition, worker count, and timing never
+    change the bits.
     """
     if not requests:
         raise ValueError("empty batch")
@@ -300,13 +240,12 @@ def execute_batch(
         if requests[0].halo_mode is not None
         else HaloMode.NEIGHBOR_A2A
     )
+    if halo_mode is not HaloMode.NONE:
+        halo_mode = HaloMode.NEIGHBOR_A2A  # the one in-process engine
     residual = requests[0].residual
     f32 = requests[0].precision == "float32"
     run_model = float32_replica(model) if f32 else model
     max_steps = max(r.n_steps for r in requests)
-    width = model.config.node_out
-    tile_hits = [0] * asset.size
-    tile_times = [0.0] * asset.size
     reallocs_before = arenas.reallocations if arenas is not None else 0
     warm_key = arenas.note_key(requests[0].key) if arenas is not None else False
 
@@ -314,86 +253,41 @@ def execute_batch(
         dispatch(i, 0, req.x0.astype(np.float32) if f32 else req.x0)
 
     started = time.perf_counter()
+    # cached block-diagonal replica of the stitched world: stitched once
+    # per asset, tiled (with composed plans) once per batch size
+    tiled, hit = asset.tiled(batch)
+    tile_s = time.perf_counter() - started
+    rows, frame_rows = asset.stitched_rows, asset.frame_rows
+    n = len(rows)
+    x = stack_states([req.x0[rows] for req in requests])
+    if f32:
+        # one cast from the float64-canonical bits, at execution — the
+        # whole trajectory then stays float32
+        x = x.astype(np.float32)
 
-    def rank_program(comm, emit):
-        # cached block-diagonal replica: tiled (with composed plans)
-        # once per (asset, batch_size, rank), reused every later batch
-        tile_started = time.perf_counter()
-        tiled, hit = asset.tiled(batch, comm.rank)
-        tile_times[comm.rank] = time.perf_counter() - tile_started
-        tile_hits[comm.rank] = int(hit)
-        g = asset.graphs[comm.rank]
-        x = stack_states([req.x0[g.global_ids] for req in requests])
-        if f32:
-            # one cast from the float64-canonical bits, at execution —
-            # the whole trajectory then stays float32
-            x = x.astype(np.float32)
-        # the shared fast stepping loop (repro.gnn.rollout): each rank
-        # steps in the worker's persistent warmed arena (or a private
-        # single-batch one); buffers allocated on step 1 are reused by
-        # every later step — and, with a persistent arena, by every
-        # later batch — and the arithmetic is exactly that of a direct
-        # rollout
-        workspace_steps(
-            run_model, tiled, x, max_steps, comm, halo_mode, residual,
-            lambda step, state: emit(comm.rank, step, np.array(state, copy=True)),
-            arena=arenas.for_rank(comm.rank) if arenas is not None else None,
-        )
-        return comm.stats
-
-    def dispatch_step(step: int, rank_states: list[np.ndarray]) -> None:
+    def dispatch_step(step: int, state: np.ndarray) -> None:
+        # `state` is pool memory reused next step: each frame is a
+        # fresh gather of the request's copy, in global order
         for i, req in enumerate(requests):
             if step <= req.n_steps:
-                dispatch(i, step, _assemble(asset, rank_states, i, width))
+                dispatch(i, step, state[i * n : (i + 1) * n][frame_rows])
 
-    if asset.size == 1:
-        comm = SingleProcessComm()
-        stats = rank_program(
-            comm, lambda rank, step, state: dispatch_step(step, [state])
-        )
-        total = stats
-    else:
-        collector = _StepCollector(asset.size)
-        world = ThreadWorld(asset.size, timeout=timeout)
-        results: list = []
-
-        def run_world() -> None:
-            try:
-                results.extend(world.run(rank_program, collector.put))
-            except BaseException as exc:  # noqa: BLE001 - surfaced to consumer
-                collector.fail(exc)
-
-        runner = threading.Thread(target=run_world, name="serve-world", daemon=True)
-        runner.start()
-        for step in range(1, max_steps + 1):
-            dispatch_step(step, collector.wait_step(step, timeout))
-        runner.join(timeout=timeout)
-        if runner.is_alive():
-            raise TimeoutError("rank world failed to finish after last step")
-        # a failure after the last frames were collected (e.g. a rank
-        # dying at teardown) must not be reported as success
-        late_failure = collector.failure()
-        if late_failure is not None:
-            raise late_failure
-        if len(results) != asset.size:
-            raise RuntimeError(
-                f"rank world returned {len(results)} results for "
-                f"{asset.size} ranks"
-            )
-        total = TrafficStats()
-        for st in results:
-            total = total.merge(st)
-
-    hits = sum(tile_hits)
+    # the shared fast stepping loop (repro.gnn.rollout), in the worker's
+    # persistent warmed arena (or a private single-batch one): buffers
+    # allocated on step 1 are reused by every later step — and, with a
+    # persistent arena, by every later batch
+    workspace_steps(
+        run_model, tiled, x, max_steps, SingleProcessComm(), halo_mode,
+        residual, dispatch_step, arena=arenas,
+    )
     return BatchExecution(
         batch_size=batch,
         world_size=asset.size,
         n_steps=max_steps,
         exec_s=time.perf_counter() - started,
-        comm=total,
-        tile_hits=hits,
-        tile_misses=asset.size - hits,
-        tile_s=max(tile_times),
+        tile_hits=int(hit),
+        tile_misses=int(not hit),
+        tile_s=tile_s,
         arena_reallocations=(
             arenas.reallocations - reallocs_before if arenas is not None else 0
         ),

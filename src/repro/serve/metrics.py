@@ -46,13 +46,7 @@ WAIT_BUCKETS_S = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
 
 @dataclass(frozen=True)
 class RequestMetrics:
-    """Latency decomposition and context of one served request.
-
-    ``batch_comm_*`` describe the whole batch this request rode in
-    (the tiled pass is shared, so per-request attribution would be
-    arbitrary); aggregate traffic totals are summed per *batch* by the
-    service, not per request.
-    """
+    """Latency decomposition and context of one served request."""
 
     request_id: int
     model: str
@@ -63,8 +57,6 @@ class RequestMetrics:
     queue_wait_s: float
     exec_s: float
     latency_s: float
-    batch_comm_bytes: int
-    batch_comm_messages: int
 
 
 # -- the view types ------------------------------------------------------------
@@ -206,8 +198,6 @@ class ServeStats:
     mean_queue_wait_s: float = 0.0
     mean_latency_s: float = 0.0
     max_latency_s: float = 0.0
-    comm_bytes: int = 0
-    comm_messages: int = 0
     queue_depth: int = 0
     queue_depth_high_water: int = 0
     tile_hits: int = 0
@@ -361,8 +351,6 @@ SERIES: tuple = (
          "summed per-request batch sizes (mean_batch_size * requests)"),
         ("mean_queue_wait_s*requests", "repro_queue_wait_served_seconds_total",
          "summed queue wait of served requests (mean_queue_wait_s * requests)"),
-        ("comm_bytes", "repro_comm_bytes_total", "halo-exchange bytes"),
-        ("comm_messages", "repro_comm_messages_total", "halo-exchange messages"),
         ("tile_hits", "repro_tile_cache_hits_total", "tiled-graph cache hits"),
         ("tile_misses", "repro_tile_cache_misses_total",
          "tiled-graph cache misses"),
@@ -521,8 +509,6 @@ def stats_markdown(stats: ServeStats) -> str:
          _per_request(stats.mean_queue_wait_s, n, 1e3)],
         ["mean latency (ms)", _per_request(stats.mean_latency_s, n, 1e3)],
         ["max latency (ms)", _per_request(stats.max_latency_s, n, 1e3)],
-        ["comm bytes", stats.comm_bytes],
-        ["comm messages", stats.comm_messages],
         ["queue depth (now / high water)",
          f"{stats.queue_depth} / {stats.queue_depth_high_water}"],
         ["admission accepted / shed / expired",

@@ -27,7 +27,7 @@ from repro.comm.modes import HaloMode
 from repro.gnn.architecture import MeshGNN
 from repro.gnn.config import GNNConfig
 from repro.graph.distributed import LocalGraph
-from repro.graph.io import load_rank_graphs
+from repro.graph.io import check_rank_set, load_rank_graphs
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Span, TraceBuffer, wall_from_perf
 from repro.runtime.api import RolloutRequest, TrainRequest, TrainResult
@@ -213,11 +213,15 @@ class InferenceService:
     def register_graph(self, key: str, graphs: Sequence[LocalGraph]) -> None:
         """Pin an in-memory partitioned graph (e.g. ``dg.locals``).
 
+        The graphs must be a whole world (ranks ``0..R-1`` of one
+        ``R``-rank partition covering every global node) — anything
+        else raises ``ValueError`` here, not at the first request.
         Re-registering a key replaces the asset: any cached copy is
         evicted so subsequent requests see the new graph.
         """
         if not graphs:
             raise ValueError("graphs must be non-empty")
+        check_rank_set(graphs)
         self._graph_dirs.pop(key, None)
         self._pinned_graphs[key] = tuple(graphs)
         self.cache.evict(key)
@@ -225,15 +229,27 @@ class InferenceService:
     def register_graph_dir(self, key: str, directory: str | Path) -> None:
         """Register an on-disk graph directory (reloadable on eviction).
 
-        Re-registering a key replaces the asset: any cached copy is
-        evicted so subsequent requests see the new graph.
+        Rank payloads already in the directory are loaded and admitted
+        now, so a set that is not a whole world raises ``ValueError``
+        here (:func:`repro.graph.io.check_rank_set`); an empty directory
+        is read at the first request. Re-registering a key replaces the
+        asset: any cached copy is evicted so subsequent requests see the
+        new graph.
         """
         directory = Path(directory)
         if not directory.is_dir():
             raise FileNotFoundError(f"graph directory {directory} does not exist")
+        started = time.perf_counter()
+        graphs = (
+            load_rank_graphs(directory)
+            if any(directory.glob("graph_rank*.npz")) else None
+        )
+        load_s = time.perf_counter() - started
         self._pinned_graphs.pop(key, None)
         self._graph_dirs[key] = directory
         self.cache.evict(key)
+        if graphs is not None:
+            self.cache.put(key, graphs, load_s=load_s)
 
     def graph_keys(self) -> list[str]:
         return sorted(set(self._pinned_graphs) | set(self._graph_dirs))
@@ -379,8 +395,8 @@ class InferenceService:
     # -- worker pool ---------------------------------------------------------
 
     def _worker_loop(self, worker_id: int = 0) -> None:
-        # one persistent warmed arena set per worker: batches re-use
-        # the pooled buffers instead of re-warming a fresh arena each
+        # one persistent warmed arena per worker: batches re-use the
+        # pooled buffers instead of re-warming a fresh arena each
         arenas = WorkerArenas()
         while (batch := self._queue.next_batch(
             self.config.max_batch_size, self.config.max_wait_s,
@@ -404,12 +420,7 @@ class InferenceService:
                 handles[i]._push_frame(state)
 
             execution = execute_batch(
-                model,
-                asset,
-                requests,
-                dispatch,
-                timeout=self.config.request_timeout_s,
-                arenas=arenas,
+                model, asset, requests, dispatch, arenas=arenas
             )
         except BaseException as exc:  # noqa: BLE001 - failures go to clients
             if self.trace.enabled:
@@ -460,8 +471,6 @@ class InferenceService:
             m["mean_queue_wait_s*requests"].inc(sum(waits))
             m["mean_latency_s*requests"].inc(sum(latencies))
             m["max_latency_s"].set_max(max(latencies))
-            m["comm_bytes"].inc(execution.comm.bytes_sent)
-            m["comm_messages"].inc(execution.comm.messages)
             m["tile_hits"].inc(execution.tile_hits)
             m["tile_misses"].inc(execution.tile_misses)
             m["arena_reallocations"].inc(execution.arena_reallocations)
@@ -481,8 +490,6 @@ class InferenceService:
                 queue_wait_s=wait_s,
                 exec_s=execution.exec_s,
                 latency_s=latency_s,
-                batch_comm_bytes=execution.comm.bytes_sent,
-                batch_comm_messages=execution.comm.messages,
             )
             handle._finish()
         # a tile miss grew the asset's resident bytes after admission;

@@ -107,6 +107,63 @@ def tile_local_graph(graph: LocalGraph, batch: int) -> LocalGraph:
     return tiled
 
 
+def stitch_rank_graphs(graphs: Sequence[LocalGraph]) -> LocalGraph:
+    """The ranks of one world as ONE block-diagonal graph, stepped on
+    one thread.
+
+    Rank ``r``'s rows and edges follow rank ``r - 1``'s; ``d_ij`` and
+    ``d_i`` are kept, so Eq. 4b still scales replicated edges. The halo
+    exchange becomes an in-process row gather: a self-channel
+    ``ExchangeSpec`` (world size 1, neighbor 0) whose send rows are, for
+    each rank and each of its neighbors in order, the neighbor's stitched
+    rows that neighbor would have sent, and whose ``halo_to_local`` is
+    each rank's own map shifted to its block. Every received row lands
+    in the same place, in the same order, as under a rank world, so a
+    stitched forward on :class:`~repro.comm.single.SingleProcessComm`
+    with the ``n-a2a`` engine is bitwise the per-rank forwards. The
+    stitched graph keeps ``size = R`` (the layers exchange because
+    ``size > 1``); global IDs are shifted by ``r * n_global`` per rank so
+    they stay strictly increasing. A one-rank world is its own stitch.
+
+    Requires a whole world (:func:`repro.graph.io.check_rank_set`, held
+    by every :class:`~repro.serve.cache.GraphAsset`). Compiles the
+    stitched graph's aggregation plans unless plans are globally
+    disabled, so its tiles compose them. Pure function of ``graphs``.
+    """
+    if len(graphs) == 1:
+        return graphs[0]
+    offsets = np.cumsum([0] + [g.n_local for g in graphs])
+    n_global = 1 + max(int(g.global_ids[-1]) for g in graphs if g.n_local)
+    halo_src, halo_to_local = [], []
+    for r, g in enumerate(graphs):
+        for nbr in g.halo.spec.neighbors:
+            halo_src.append(offsets[nbr] + graphs[nbr].halo.spec.send_indices[r])
+        halo_to_local.append(offsets[r] + g.halo.halo_to_local)
+    empty = np.empty(0, dtype=np.int64)
+    halo_src = np.concatenate(halo_src) if halo_src else empty
+    halo_to_local = np.concatenate(halo_to_local)
+    spec = ExchangeSpec(
+        size=1, neighbors=(0,), send_indices={0: halo_src},
+        recv_counts={0: len(halo_src)}, pad_count=len(halo_src),
+    )
+    stitched = LocalGraph(
+        rank=0,
+        size=len(graphs),
+        global_ids=np.concatenate(
+            [g.global_ids + r * n_global for r, g in enumerate(graphs)]
+        ),
+        pos=np.concatenate([g.pos for g in graphs]),
+        edge_index=np.concatenate(
+            [g.edge_index + off for g, off in zip(graphs, offsets)], axis=1
+        ),
+        edge_degree=np.concatenate([g.edge_degree for g in graphs]),
+        node_degree=np.concatenate([g.node_degree for g in graphs]),
+        halo=HaloPlan(spec=spec, halo_to_local=halo_to_local),
+    )
+    _ = stitched.plans  # lazy compile; None while plans are disabled
+    return stitched
+
+
 def stack_states(states: Sequence[np.ndarray]) -> np.ndarray:
     """Stack per-request ``(n_local, F)`` states into ``(B·n_local, F)``.
 

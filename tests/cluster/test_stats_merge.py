@@ -26,8 +26,6 @@ def shard(registry_of):
             "mean_queue_wait_s": 0.001,
             "mean_latency_s": mean_latency_s,
             "max_latency_s": mean_latency_s * 2,
-            "comm_bytes": 100 * requests,
-            "comm_messages": requests,
             "queue_depth": 1,
             "queue_depth_high_water": requests,
             "tile_hits": requests,
@@ -57,14 +55,14 @@ class TestMergeStats:
         merged = merged_view(shard(4, 0.010))
         assert merged.requests == 4
         assert merged.mean_latency_s == pytest.approx(0.010)
-        assert merged.comm_bytes == 400
+        assert merged.tile_hits == 4
 
     def test_counters_sum_and_means_reweight(self, shard, merged_view):
         merged = merged_view(shard(1, 0.010), shard(3, 0.002))
         assert merged.requests == 4
         assert merged.batches == 4
         assert merged.steps == 8
-        assert merged.comm_bytes == 400
+        assert merged.tile_hits == 4
         assert merged.queue_depth == 2            # pending work sums
         assert merged.queue_depth_high_water == 3  # peaks take the max
         assert merged.max_latency_s == pytest.approx(0.020)

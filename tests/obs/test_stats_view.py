@@ -43,8 +43,6 @@ def shard_fields(seed: int) -> dict:
         "mean_queue_wait_s": 0.01 * (1 + seed),
         "mean_latency_s": 0.05 * (1 + seed),
         "max_latency_s": 0.2 * (1 + seed),
-        "comm_bytes": 1024 * (1 + seed),
-        "comm_messages": 8 * (1 + seed),
         "queue_depth": seed,
         "queue_depth_high_water": 3 + seed,
         "tile_hits": 5 + seed,
@@ -111,8 +109,8 @@ class TestViewOfAMerge:
         assert view.scheduler.lane_depth == fields["scheduler.lane_depth"]
 
     def test_counters_sum(self, shards, merged):
-        for path in ("requests", "batches", "steps", "comm_bytes",
-                     "tile_hits", "train_jobs", "f32_batches"):
+        for path in ("requests", "batches", "steps", "tile_hits",
+                     "train_jobs", "f32_batches"):
             assert getattr(merged, path) == sum(s[path] for s in shards)
         assert merged.cache.hits == sum(s["cache.hits"] for s in shards)
         assert merged.admission.expired_at_close == sum(
@@ -273,8 +271,6 @@ CATALOGUE = [
     ("repro_arena_reallocations_total", "counter", None,
      "worker-arena reallocations"),
     ("repro_batches_total", "counter", None, "executed batches"),
-    ("repro_comm_bytes_total", "counter", None, "halo-exchange bytes"),
-    ("repro_comm_messages_total", "counter", None, "halo-exchange messages"),
     ("repro_ensemble_blow_ups_total", "counter", None,
      "ensembles that tripped blow-up"),
     ("repro_ensemble_chunks_total", "counter", None,

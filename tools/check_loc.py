@@ -49,7 +49,7 @@ PACKAGES = (
 #: lowered from 8042 to 7871 when the unmeasured attention and multiscale
 #: layers, ``unregister``, ``Tensor.from_numpy`` and the ``exp``/``tanh``
 #: ops were deleted)
-CEILING = 7871
+CEILING = 7825
 
 _LAYOUT = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
