@@ -16,9 +16,10 @@ the serving-layer claims end to end:
   is still being computed;
 * connections are **pooled**: a burst of sequential requests reuses
   one TCP connection instead of dialing per call;
-* **capability negotiation**: the remote engine rejects a
-  ``TrainRequest`` (training does not cross the wire) with the typed
-  ``CapabilityError`` — client-side, before any bytes move;
+* **declared capabilities**: the remote engine's fixed record says
+  training does not cross the wire, and it rejects a ``TrainRequest``
+  with the typed ``CapabilityError`` — client-side, before any bytes
+  move;
 * **admission control** crosses the wire: with a queue cap, an
   overload burst is shed with a typed ``QueueFull`` rejection the
   client can catch, and the stats table reports the split;
@@ -78,7 +79,7 @@ def main() -> None:
                 ServeServer(pool.service) as server:
             print(f"serving on {server.endpoint}")
             remote = connect(f"tcp://{server.endpoint}")
-            print(f"negotiated capabilities: {remote.capabilities()}")
+            print(f"capabilities: {remote.capabilities()}")
 
             # assets register over the wire, by server-visible path
             remote.register_checkpoint("tgv", ckpt, expect_config=CONFIG)
@@ -110,7 +111,7 @@ def main() -> None:
             print(f"connection pool: {stats.dials} dials served "
                   f"{stats.reuses} reuses (no per-request connect)")
 
-            # 4) capability negotiation: training stays off the wire
+            # 4) declared capabilities: training stays off the wire
             try:
                 remote.train(TrainRequest(model="tgv", graph="box-r4",
                                           x=x0, target=x0))

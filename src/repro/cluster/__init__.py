@@ -21,7 +21,7 @@ aggregate throughput grows with the number of hosts:
   carries both) onto a survivor with exactly-once accounting, a
   routing ledger stored once in the cluster's metrics registry
   (:class:`ClusterStats` / :class:`ShardStatus` are views of it),
-  capability negotiation as the intersection of the backends',
+  capabilities as the intersection of the backends' declared records,
   broadcast asset registration (including graph *upload* for shards
   with disjoint filesystems), and per-shard serve metrics merged into
   one stats table.

@@ -35,9 +35,9 @@ typed request to a backend shard:
   :data:`_SERIES`, incremented where the thing happens), and
   :meth:`cluster_stats` is a read-only view of them. Accounting is
   asserted: every accepted submission resolves exactly once.
-* **Capabilities** are negotiated as the intersection of the backends'
-  (:meth:`~repro.runtime.api.EngineCapabilities.intersection`): the
-  cluster only claims what every shard it may route to can serve.
+* **Capabilities** are the intersection of the backends' declared
+  records (:meth:`~repro.runtime.api.EngineCapabilities.intersection`):
+  the cluster only claims what every shard it may route to can serve.
 * **Stats** merge: :meth:`stats` is the
   :class:`~repro.serve.metrics.ServeStats` view of the shards' merged
   metrics registries (:meth:`metrics_registry` — the one shard
@@ -731,12 +731,8 @@ class ClusterEngine(Engine):
             [sid for sid, _ in items], replicas=RING_REPLICAS
         )
         self._spill_threshold = spill_threshold
-        self._member_caps = {
-            sid: shard.engine.capabilities()
-            for sid, shard in self._shards.items()
-        }
         self._caps = EngineCapabilities.intersection(
-            "cluster", list(self._member_caps.values())
+            "cluster", [engine.capabilities() for _, engine in items]
         )
         self._closed = False
         self._monitor: HealthMonitor | None = None
@@ -790,7 +786,7 @@ class ClusterEngine(Engine):
     # -- lifecycle -----------------------------------------------------------
 
     def capabilities(self) -> EngineCapabilities:
-        """The negotiated intersection of every shard's capabilities."""
+        """The intersection of every shard's declared capabilities."""
         return self._caps
 
     def close(self) -> None:
@@ -953,23 +949,9 @@ class ClusterEngine(Engine):
     def register_graph(self, key: str, graphs: Sequence[LocalGraph]) -> None:
         """Broadcast an in-memory partitioned graph to every shard.
 
-        Remote shards receive it over the wire as ``.npy`` frames (the
-        ``graph_upload`` capability) — this is how assets reach shards
-        with disjoint filesystems. Rejected up front when some shard
-        supports neither in-memory registration nor upload — judged
-        per shard, so a heterogeneous cluster where every member has
-        *one* of the two paths still registers.
+        Remote shards receive it over the wire as ``.npy`` frames —
+        this is how assets reach shards with disjoint filesystems.
         """
-        unable = [
-            sid for sid, caps in self._member_caps.items()
-            if not (caps.in_memory_assets or caps.graph_upload)
-        ]
-        if unable:
-            raise CapabilityError(
-                f"shard(s) {unable} support neither in-memory graphs nor "
-                f"graph upload; use register_graph_dir(key, path) with a "
-                f"path every shard can see"
-            )
         self._broadcast(
             "register_graph", lambda e: e.register_graph(key, graphs)
         )

@@ -12,8 +12,8 @@ and the lockstep driver every engine kind shares
 (:mod:`~repro.ensemble.driver`).
 
 Entry point: build an :class:`EnsembleRequest` and call
-``engine.ensemble(request)`` on any engine whose capabilities include
-``ensemble`` (all built-in kinds). See ``examples/ensemble_demo.py``.
+``engine.ensemble(request)`` on any engine. See
+``examples/ensemble_demo.py``.
 """
 
 from repro.ensemble.api import (

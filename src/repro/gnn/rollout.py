@@ -103,7 +103,7 @@ def workspace_steps(
 
     ``arena`` optionally passes a persistent
     :class:`~repro.tensor.workspace.InferenceArena` (the serve workers
-    keep one warmed arena per rank across batches); ``None`` runs in a
+    keep one warmed arena each across batches); ``None`` runs in a
     fresh single-use arena. A caller-owned arena must not be used by
     two concurrent loops.
 

@@ -7,8 +7,8 @@ The unified engine API over the whole stack:
   (:class:`RolloutRequest` over the shared :class:`StreamRequest`
   shape, :class:`StepFrame`, :class:`RolloutResult`,
   :class:`TrainRequest`, :class:`TrainResult`), the :class:`Engine`
-  interface with its futures, :class:`EngineCapabilities`, and the
-  typed :class:`CapabilityError`;
+  interface with its futures, :class:`EngineCapabilities` (the fixed
+  record each engine declares), and the typed :class:`CapabilityError`;
 * :mod:`repro.runtime.pooled` — :class:`PooledEngine`, the batched
   in-process service plus the training-job path, and the engine body
   it shares with

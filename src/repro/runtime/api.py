@@ -17,9 +17,9 @@ layer, and one :class:`Engine` interface implemented by
   with persistent pooled connections.
 
 ``repro.runtime.connect("local://" | "pool://" | "tcp://host:port")``
-builds the right engine from a URL. Capability negotiation is explicit:
-:meth:`Engine.capabilities` reports what an engine can do, and
-unsupported requests are rejected with the typed
+builds the right engine from a URL. Each engine declares a fixed
+record, :meth:`Engine.capabilities`, of the two things that differ
+between engines, and unsupported requests are rejected with the typed
 :class:`CapabilityError` (e.g. a :class:`TrainRequest` against a remote
 engine — training does not cross the wire) instead of failing somewhere
 deep in a transport.
@@ -105,47 +105,29 @@ class NoShardAvailable(ShardError):
 
 @dataclass(frozen=True)
 class EngineCapabilities:
-    """What one engine can do (immutable; negotiated, not assumed).
+    """What one engine can do: a fixed record each engine declares.
 
     ``transport`` is the URL scheme of the engine (``local`` / ``pool``
     / ``tcp`` / ``cluster``). ``training`` gates :class:`TrainRequest`
-    submission; ``streaming`` is whether frames arrive while later
-    steps still compute (a local engine computes the trajectory inline
-    at submission, so its stream is replay, not overlap); ``in_memory_assets`` is
-    whether ``register_model`` / ``register_graph`` accept live objects
-    with no serialization (same process); ``graph_upload`` is whether
-    ``register_graph`` can alternatively *ship* a live partitioned
-    graph to the engine as ``.npy`` frames (a remote engine with the
-    upload-capable wire — required for clusters whose shards do not
-    share a filesystem); ``float32`` is whether the engine serves the
-    opt-in low-precision inference tier
-    (``RolloutRequest(precision="float32")`` — float64 stays the
-    canonical default and never needs a capability); ``ensemble`` is
-    whether the engine serves tiled ensemble requests
-    (:class:`repro.ensemble.api.EnsembleRequest` — streamed summary
-    reduction with the ``ensemble`` wire op).
+    submission; ``in_memory_assets`` is whether ``register_model``
+    accepts a live model with no serialization (same process).
+    Everything else — rollouts, ensembles, the float32 tier, in-memory
+    graph registration (a remote engine uploads the graph as ``.npy``
+    frames) — every engine serves, so it has no flag.
 
     :meth:`intersection` computes what a *group* of engines can all do
-    — the cluster engine's negotiated capability set. Over the wire
-    (the ``capabilities`` op) the record is its own schema: encoded and
-    decoded by :func:`repro.serve.protocol.to_wire` / ``from_wire``.
+    — a cluster's record.
     """
 
     transport: str
     training: bool
-    streaming: bool = True
-    in_memory_assets: bool = True
-    #: like ``float32`` / ``ensemble``: off unless announced, so a peer
-    #: that predates the capability (and omits it) reads not-capable
-    graph_upload: bool = False
-    float32: bool = False
-    ensemble: bool = False
+    in_memory_assets: bool
 
     @classmethod
     def intersection(
         cls, transport: str, members: "Sequence[EngineCapabilities]"
     ) -> "EngineCapabilities":
-        """The capability set every member supports (cluster negotiation).
+        """The capability set every member supports (a cluster's record).
 
         Pure function: a request is cluster-servable only if *any*
         shard it may be routed (or failed over) to can serve it, so
@@ -157,11 +139,7 @@ class EngineCapabilities:
         return cls(
             transport=transport,
             training=all(c.training for c in members),
-            streaming=all(c.streaming for c in members),
             in_memory_assets=all(c.in_memory_assets for c in members),
-            graph_upload=all(c.graph_upload for c in members),
-            float32=all(c.float32 for c in members),
-            ensemble=all(c.ensemble for c in members),
         )
 
 
@@ -215,8 +193,7 @@ class StreamRequest:
     the registered model; frames come back in float32). The field rides
     the wire header, the pooled queue, and cluster failover redrives
     unchanged, and is part of :attr:`key` so mixed-precision requests
-    never tile together. Engines without the ``float32`` capability
-    reject such requests with :class:`CapabilityError` at submission.
+    never tile together. Every engine serves both tiers.
 
     The dataclass is also the request's wire schema: the fields ride
     the message header by name, typed by their annotations
@@ -602,8 +579,9 @@ class Engine(ABC):
       :class:`TrainRequest` and returns the matching future;
       :meth:`rollout` / :meth:`stream` / :meth:`train` are synchronous
       conveniences over it.
-    * **Capability negotiation.** :meth:`capabilities` says what the
-      engine supports; unsupported submissions raise
+    * **Declared capabilities.** :meth:`capabilities` is the engine's
+      fixed record (training, in-memory models); unsupported
+      submissions raise
       :class:`CapabilityError` at the call site, never a transport
       error three layers down.
     * **Bitwise consistency.** The same :class:`RolloutRequest` yields
@@ -655,8 +633,8 @@ class Engine(ABC):
 
     @abstractmethod
     def register_graph(self, key: str, graphs: "Sequence[LocalGraph]") -> None:
-        """Register an in-memory partitioned graph (raises
-        :class:`CapabilityError` when in-memory assets are unsupported)."""
+        """Register an in-memory partitioned graph (a remote engine
+        uploads it)."""
 
     @abstractmethod
     def register_graph_dir(self, key: str, directory: "str | Path") -> None:
@@ -683,49 +661,25 @@ class Engine(ABC):
             f"training jobs"
         )
 
-    def _submit_ensemble(self, request) -> "object":
-        """Implementation hook for engines with ``ensemble`` capability.
-
-        Takes an :class:`repro.ensemble.api.EnsembleRequest`, returns
-        an :class:`repro.ensemble.api.EnsembleFuture`.
-        """
-        raise CapabilityError(
-            f"engine {self.capabilities().transport!r} does not support "
-            f"ensemble requests"
-        )
+    @abstractmethod
+    def _submit_ensemble(self, request: EnsembleRequest) -> EnsembleFuture:
+        """Implementation hook behind :meth:`submit` (request type checked)."""
 
     def submit(
         self, request: RolloutRequest | EnsembleRequest | TrainRequest
     ) -> RolloutFuture | EnsembleFuture | TrainFuture:
         """Submit a typed request; returns the matching future.
 
-        Raises :class:`CapabilityError` for request types the engine
-        does not support (see :meth:`capabilities`), and
+        Raises :class:`CapabilityError` for a :class:`TrainRequest` on
+        an engine without ``training`` (see :meth:`capabilities`), and
         :class:`TypeError` for objects that are not requests at all.
         """
         # lazy: ensemble.api imports this module at its top level
         from repro.ensemble.api import EnsembleRequest
 
-        if isinstance(request, (RolloutRequest, EnsembleRequest)):
-            caps = self.capabilities()
-            ensemble = isinstance(request, EnsembleRequest)
-            if ensemble and not caps.ensemble:
-                raise CapabilityError(
-                    f"engine {caps.transport!r} does not support ensemble "
-                    f"requests (capability 'ensemble' is off); submit "
-                    f"request {request.request_id} to an ensemble-capable "
-                    f"engine"
-                )
-            if request.precision != "float64" and not caps.float32:
-                raise CapabilityError(
-                    f"engine {caps.transport!r} does not support the "
-                    f"{request.precision!r} inference tier (capability "
-                    f"'float32' is off); resubmit request "
-                    f"{request.request_id} with precision='float64' or "
-                    f"target a float32-capable engine"
-                )
-            if ensemble:
-                return self._submit_ensemble(request)
+        if isinstance(request, EnsembleRequest):
+            return self._submit_ensemble(request)
+        if isinstance(request, RolloutRequest):
             return self._submit_rollout(request)
         if isinstance(request, TrainRequest):
             caps = self.capabilities()

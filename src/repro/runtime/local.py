@@ -26,13 +26,7 @@ from repro.runtime.pooled import _ExecutorTrainFuture, _ServiceEngine
 from repro.serve import InferenceService, ServeConfig
 
 _CAPABILITIES = EngineCapabilities(
-    transport="local",
-    training=True,
-    streaming=False,  # frames are computed before the first yield
-    in_memory_assets=True,
-    graph_upload=True,
-    float32=True,
-    ensemble=True,
+    transport="local", training=True, in_memory_assets=True
 )
 
 

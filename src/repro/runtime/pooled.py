@@ -41,13 +41,7 @@ from repro.runtime.api import (
 from repro.serve.service import InferenceService, ServeConfig
 
 _CAPABILITIES = EngineCapabilities(
-    transport="pool",
-    training=True,
-    streaming=True,
-    in_memory_assets=True,
-    graph_upload=True,
-    float32=True,
-    ensemble=True,
+    transport="pool", training=True, in_memory_assets=True
 )
 
 

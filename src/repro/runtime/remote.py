@@ -23,20 +23,21 @@ property of the socket rather than of how a message happens to be
 written. The server sets it on accept, where every reply needed it (see
 :mod:`repro.serve.transport`: write-write-read on Nagle + delayed ACK).
 
-Capability negotiation is explicit: at :meth:`capabilities` the engine
-asks the server what the wire supports (the ``capabilities`` op) —
-training jobs and in-memory assets do not cross the socket, so
+The engine declares what the wire serves (:data:`_CAPABILITIES`;
+client and server ship in one package, so there is nothing to ask the
+peer): training jobs and in-memory models do not cross the socket, so
 :class:`~repro.runtime.api.TrainRequest` submission and
-``register_model`` / ``register_graph`` raise the typed
+``register_model`` raise the typed
 :class:`~repro.runtime.api.CapabilityError` client-side instead of
-dying in a transport layer.
+dying in a transport layer. An in-memory *graph* is uploaded as
+``.npy`` frames.
 
 Observability: the request's client-minted ``trace_id`` crosses the
 wire in the rollout header, so the server's spans for it correlate
 with the ``network`` span this engine records around each stream.
 :meth:`get_trace` stitches both sides together (local client spans
-plus the peer's ``get_trace`` op, degrading to the local spans
-against a peer that predates it), and :meth:`metrics_registry` fetches
+plus the peer's ``get_trace`` op, degrading to the local spans when
+the peer cannot be reached), and :meth:`metrics_registry` fetches
 the server's mergeable metrics snapshot — the source of ``stats()``.
 
 **Trust model** unchanged from the transport: unauthenticated and
@@ -69,21 +70,13 @@ from repro.runtime.api import (
     RolloutFuture,
     RolloutRequest,
     StepFrame,
-    TrainRequest,
 )
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError, read_message, write_message
 from repro.serve.transport import TransportError, parse_endpoint
 
-#: What a remote peer is assumed to support when it predates the
-#: ``capabilities`` op (matches ``transport.WIRE_CAPABILITIES``).
-_FALLBACK_CAPABILITIES = EngineCapabilities(
-    transport="tcp",
-    training=False,
-    streaming=True,
-    in_memory_assets=False,
-    graph_upload=False,
-    float32=False,
+_CAPABILITIES = EngineCapabilities(
+    transport="tcp", training=False, in_memory_assets=False
 )
 #: bound on one TCP dial, and the size of the client-side span ring
 _CONNECT_TIMEOUT_S = 10.0
@@ -461,7 +454,6 @@ class RemoteEngine(Engine):
         self.host = host
         self.port = port
         self._pool = _ConnectionPool(host, port, pool_size, request_timeout_s)
-        self._caps: EngineCapabilities | None = None
         #: client-side span ring: one ``network`` span per streamed
         #: rollout, merged with the server's spans by :meth:`get_trace`
         self.trace = TraceBuffer(_TRACE_CAPACITY)
@@ -484,19 +476,7 @@ class RemoteEngine(Engine):
     # -- lifecycle -----------------------------------------------------------
 
     def capabilities(self) -> EngineCapabilities:
-        """The *negotiated* wire capabilities (asked once, then cached)."""
-        if self._caps is None:
-            try:
-                reply, _ = self._call({"op": "capabilities"})
-                self._caps = protocol.take(
-                    reply, "capabilities", EngineCapabilities
-                )
-            except ValueError:
-                # peer predates the op (it answers bad_request and hangs
-                # up) or its answer is not a capability record; assume
-                # the historical wire feature set
-                self._caps = _FALLBACK_CAPABILITIES
-        return self._caps
+        return _CAPABILITIES
 
     def close(self) -> None:
         """Close every pooled connection (idempotent); in-flight streams
@@ -574,20 +554,11 @@ class RemoteEngine(Engine):
         The registration path for servers with a disjoint filesystem
         (cluster shards on other hosts): the rank payloads cross the
         socket bit-exactly and the server pins them like any in-memory
-        registration. Requires the peer's ``graph_upload`` capability —
-        against an older server this raises the typed
-        :class:`~repro.runtime.api.CapabilityError` client-side.
-        ``register_graph_dir`` (a server-visible path) remains the fast
-        path when client and server share a filesystem. Safe to retry
-        on a dead pooled connection: re-registering a key replaces the
-        asset idempotently.
+        registration. ``register_graph_dir`` (a server-visible path)
+        remains the fast path when client and server share a
+        filesystem. Safe to retry on a dead pooled connection:
+        re-registering a key replaces the asset idempotently.
         """
-        if not self.capabilities().graph_upload:
-            raise CapabilityError(
-                "this server predates graph upload; "
-                "save_distributed_graph(...) and use "
-                "register_graph_dir(key, path) with a server-visible path"
-            )
         if not graphs:
             raise ValueError("graphs must be non-empty")
         self._call(*protocol.graph_upload_message(key, graphs))
@@ -661,28 +632,21 @@ class RemoteEngine(Engine):
     def _submit_ensemble(self, request):
         return self._open_stream(_RemoteEnsembleFuture, request)
 
-    def _submit_train(self, request: TrainRequest):
-        raise CapabilityError(
-            "training jobs do not cross the socket transport; submit "
-            "TrainRequest to a local:// or pool:// engine"
-        )
-
     # -- stats / observability ------------------------------------------------
 
     def get_trace(self, trace_id: str) -> list[Span]:
         """Client ``network`` spans merged with the server's spans.
 
-        A peer that predates the ``get_trace`` op answers
-        ``bad_request`` (surfacing as :class:`ValueError`) or drops the
-        connection; either way the local spans are still returned, so
-        tracing degrades instead of failing against old servers.
+        A peer that cannot be reached (or answers garbage) still leaves
+        the local spans to return, so tracing degrades instead of
+        failing.
         """
         spans = list(self.trace.trace(trace_id))
         try:
             spans.extend(
                 self._ask("get_trace", "spans", list[Span], trace_id=trace_id)
             )
-        except (TransportError, ValueError):
+        except TransportError:
             pass
         spans.sort(key=lambda s: (s.start_s, s.name))
         return spans

@@ -188,7 +188,7 @@ def run_cluster(args: argparse.Namespace) -> int:
     with connect(f"cluster://{args.cluster}") as engine:
         print(f"cluster of {len(engine.shard_ids)} shard(s): "
               f"{', '.join(engine.shard_ids)}")
-        print(f"negotiated capabilities: {engine.capabilities()}")
+        print(f"capabilities: {engine.capabilities()}")
         print(f"placement of ({DEMO_MODEL!r}, {DEMO_GRAPH!r}): "
               f"{engine.place(DEMO_MODEL, DEMO_GRAPH)}\n")
         _fire_burst(engine, args, x0, label="routed ")

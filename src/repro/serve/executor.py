@@ -111,10 +111,11 @@ class WorkerArenas(InferenceArena):
         """Record that this worker serves ``key``; ``True`` if warm.
 
         "Warm" means the worker has executed this
-        :class:`~repro.runtime.api.BatchKey` before, so its arena,
-        tiled replicas and cast replicas were built by a previous batch
-        — the quantity the scheduler's sticky affinity tries to
-        maximize (surfaced as ``warm_key_batches``).
+        :class:`~repro.runtime.api.BatchKey` before, so its arena holds
+        the key's buffers from a previous batch (tiled and float32
+        replicas are shared, not per worker) — the quantity the
+        scheduler's sticky affinity tries to maximize (surfaced as
+        ``warm_key_batches``).
         """
         if key in self._keys:
             return True
@@ -153,8 +154,8 @@ class BatchExecution:
     #: whether the batch ran on the float32 inference tier
     f32: bool = False
     #: whether the executing worker had served this batch's key before
-    #: (its arena / tiled replicas / cast replicas were already warm —
-    #: the payoff the scheduler's sticky affinity optimizes for)
+    #: (its arena was already warm — the payoff the scheduler's sticky
+    #: affinity optimizes for)
     warm_key: bool = False
 
 

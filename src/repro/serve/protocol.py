@@ -85,9 +85,6 @@ ERR_MODEL_NOT_FOUND = "model_not_found"
 ERR_GRAPH_NOT_FOUND = "graph_not_found"
 #: Model/graph/request shapes or configs disagree.
 ERR_INCOMPATIBLE = "incompatible"
-#: The request names a capability this server lacks (e.g. the float32
-#: inference tier on a server that only speaks float64).
-ERR_CAPABILITY = "capability"
 #: Request header failed validation before reaching the service.
 ERR_BAD_REQUEST = "bad_request"
 #: Anything else that escaped the worker (reported with its repr).
@@ -319,9 +316,9 @@ def parse_stream_message(cls, header: dict, arrays: Sequence[np.ndarray]):
 
     The rebuilt request gets a new ``request_id`` / ``submitted_at``
     but *keeps* the peer's ``trace_id`` so server-side spans join the
-    client's trace (a peer that predates tracing gets a freshly minted
-    ID, one that predates the float32 tier the canonical precision —
-    the dataclass defaults). Raises :class:`ValueError` (→
+    client's trace (a header without one gets a freshly minted ID,
+    one without ``precision`` the canonical float64 — the dataclass
+    defaults). Raises :class:`ValueError` (→
     ``bad_request``) for missing, unknown or wrong-typed fields, a
     wrong array count, AND for degenerate requests — M=0 members, zero
     steps, negative noise scale — because construction runs the
@@ -489,14 +486,12 @@ def _error_table() -> tuple:
     :func:`raise_for_code` by code, so adding a code is a one-row
     change. Built lazily so the framing half of this module stays
     dependency-free for unit tests."""
-    from repro.runtime.api import CapabilityError
     from repro.serve.admission import DeadlineExpired, QueueFull
     from repro.serve.registry import IncompatibleModel, ModelNotFound
 
     return (
         (QueueFull, QueueFull.code),
         (DeadlineExpired, DeadlineExpired.code),
-        (CapabilityError, ERR_CAPABILITY),
         (ModelNotFound, ERR_MODEL_NOT_FOUND),
         (KeyError, ERR_GRAPH_NOT_FOUND),
         (IncompatibleModel, ERR_INCOMPATIBLE),

@@ -21,13 +21,14 @@ therefore keeps **per-key pending lanes** and a policy loop that
 * picks the next lane by **earliest-deadline-first** over each lane's
   pending requests (lanes without deadlines sort last), with an
   arrival-order tiebreak and a **starvation bound**: a lane passed
-  over ``max_lane_skips`` times must be served before any non-overdue
-  lane;
+  over :data:`MAX_LANE_SKIPS` times must be served before any
+  non-overdue lane;
 * applies **sticky worker–key affinity**: a dispatched lane remembers
   its worker, and that worker prefers its own lanes on the next pull
-  (warm arenas / tiled replicas / cast replicas); when the preferred
-  worker is busy, any idle worker **steals** the lane (counted, and
-  affinity re-pins to the thief).
+  (its warm arena — tiled replicas are cached per asset and float32
+  replicas process-wide, so the arena is a worker's only warm state);
+  when the preferred worker is busy, any idle worker **steals** the
+  lane (counted, and affinity re-pins to the thief).
 
 Trajectory bits never depend on the scheduler: it only decides *which
 worker runs which batch when*; batch execution is unchanged
@@ -58,6 +59,9 @@ from repro.serve.metrics import SchedulerStats, ServeStats, declare
 #: how often an idle worker blocked in ``next_batch`` re-checks for a
 #: grantable lane (submissions and closes notify it sooner)
 _POLL_S = 1.0
+#: the starvation bound: how many times an eligible lane may be passed
+#: over before it must be served (tuning no caller ever varied)
+MAX_LANE_SKIPS = 4
 
 
 def lane_label(key: BatchKey) -> str:
@@ -105,12 +109,9 @@ class ScheduledQueue:
         admission: AdmissionController | None = None,
         trace: TraceBuffer | None = None,
         affinity: bool = True,
-        max_lane_skips: int = 4,
         metrics: MetricsRegistry | None = None,
         request_timeout_s: float = 60.0,
     ) -> None:
-        if max_lane_skips < 1:
-            raise ValueError("max_lane_skips must be >= 1")
         self._lanes: dict[BatchKey, _Lane] = {}
         self._cond = threading.Condition()
         self._closed = False
@@ -119,7 +120,6 @@ class ScheduledQueue:
         self._admission = admission
         self._trace = trace
         self._affinity_on = affinity
-        self._max_lane_skips = max_lane_skips
         self._request_timeout_s = request_timeout_s
         self._lane_seq = itertools.count()
         self._metrics, self._m = declare(metrics)
@@ -275,7 +275,7 @@ class ScheduledQueue:
             eligible, key=lambda la: (la.pending[0][0].submitted_at, la.seq)
         )
         overdue = [
-            lane for lane in eligible if lane.skips >= self._max_lane_skips
+            lane for lane in eligible if lane.skips >= MAX_LANE_SKIPS
         ]
         if overdue:
             chosen = min(overdue, key=edf_key)

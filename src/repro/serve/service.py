@@ -73,12 +73,12 @@ class ServeConfig:
     Dispatch is the per-key-lane scheduler
     (:mod:`repro.serve.scheduler`): disjoint keys overlap across
     workers, earliest-deadline-first lane choice with a starvation
-    bound, one collector per key. ``affinity`` makes a lane sticky to
-    the worker whose arenas/tile/cast caches it warmed, with
-    work-stealing when that worker is busy; ``max_lane_skips`` is the
-    starvation bound — how many times a pending lane may be passed
-    over before it must be served. Neither changes trajectory bits,
-    only which worker runs which batch when.
+    bound (:data:`~repro.serve.scheduler.MAX_LANE_SKIPS`), one collector
+    per key. ``affinity`` makes a lane sticky to the worker whose arena
+    it warmed (tiled replicas are cached per asset and float32 replicas
+    process-wide, so the arena is a worker's only warm state), with
+    work-stealing when that worker is busy. It never changes trajectory
+    bits, only which worker runs which batch when.
     """
 
     max_batch_size: int = 8
@@ -93,7 +93,6 @@ class ServeConfig:
     tracing: bool = True
     trace_capacity: int = 2048
     affinity: bool = True
-    max_lane_skips: int = 4
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -104,8 +103,6 @@ class ServeConfig:
             raise ValueError("max_wait_s must be >= 0")
         if self.trace_capacity < 1:
             raise ValueError("trace_capacity must be >= 1")
-        if self.max_lane_skips < 1:
-            raise ValueError("max_lane_skips must be >= 1")
         # delegate validation of the admission knobs
         AdmissionConfig(self.max_queue_depth, self.default_deadline_s)
 
@@ -156,7 +153,6 @@ class InferenceService:
             self._admission,
             trace=self.trace,
             affinity=self.config.affinity,
-            max_lane_skips=self.config.max_lane_skips,
             metrics=self._metrics,
             request_timeout_s=self.config.request_timeout_s,
         )

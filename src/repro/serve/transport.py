@@ -85,27 +85,10 @@ import numpy as np
 
 from repro.gnn.config import GNNConfig
 from repro.obs.trace import wall_from_perf
-from repro.runtime.api import EngineCapabilities, RolloutRequest
+from repro.runtime.api import RolloutRequest
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError, read_message, take, to_wire, write_message
 from repro.serve.service import InferenceService
-
-#: What the wire supports, announced through the ``capabilities`` op.
-#: Training jobs and in-memory *model* objects deliberately do not
-#: cross the socket — a remote engine negotiates this up front and
-#: rejects them with a typed :class:`~repro.runtime.api.CapabilityError`
-#: client-side. Partitioned graphs, however, can be *uploaded* as
-#: ``.npy`` frames (``graph_upload``) so clients can register assets on
-#: servers that cannot see their filesystem.
-WIRE_CAPABILITIES = EngineCapabilities(
-    transport="tcp",
-    training=False,
-    streaming=True,
-    in_memory_assets=False,
-    graph_upload=True,
-    float32=True,
-    ensemble=True,
-)
 
 
 class TransportError(RuntimeError):
@@ -177,13 +160,6 @@ class _Handler(socketserver.StreamRequestHandler):
             op = take(header, "op", str)
             if op == "ping":
                 self._reply({"type": "pong"})
-            elif op == "capabilities":
-                self._reply(
-                    {
-                        "type": "capabilities",
-                        "capabilities": to_wire(WIRE_CAPABILITIES),
-                    }
-                )
             elif op in _STREAM_OPS:
                 self._stream(service, op, header, arrays)
             elif op == "get_trace":
@@ -252,19 +228,6 @@ class _Handler(socketserver.StreamRequestHandler):
             )
         except ValueError as exc:
             self._reply_error(protocol.ERR_BAD_REQUEST, str(exc))
-            return
-        # enforce what we announce: a peer that skipped (or predates)
-        # capability negotiation still gets the typed rejection
-        refusal = None
-        if op == "ensemble" and not WIRE_CAPABILITIES.ensemble:
-            refusal = "this server does not serve ensemble requests"
-        elif request.precision != "float64" and not WIRE_CAPABILITIES.float32:
-            refusal = (
-                f"this server does not serve the {request.precision!r} "
-                f"inference tier"
-            )
-        if refusal is not None:
-            self._reply_error(protocol.ERR_CAPABILITY, refusal)
             return
         handle = service.submit(request)
         n = 0

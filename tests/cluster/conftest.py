@@ -139,16 +139,14 @@ class ScriptedEngine(Engine):
         name: str,
         training: bool = True,
         in_memory_assets: bool = True,
-        graph_upload: bool = True,
-        float32: bool = True,
     ):
         self.name = name
         #: every stream future handed out, in submission order
         self.streams: list = []
-        self.training = training
-        self.in_memory_assets = in_memory_assets
-        self.graph_upload = graph_upload
-        self.float32 = float32
+        self.caps = EngineCapabilities(
+            transport="scripted", training=training,
+            in_memory_assets=in_memory_assets,
+        )
         #: raise TransportError on the next ping/probe when True
         self.dead = False
         #: raise TransportError on the next N submissions
@@ -167,12 +165,7 @@ class ScriptedEngine(Engine):
     # -- protocol ------------------------------------------------------------
 
     def capabilities(self) -> EngineCapabilities:
-        return EngineCapabilities(
-            transport="scripted", training=self.training,
-            streaming=True, in_memory_assets=self.in_memory_assets,
-            graph_upload=self.graph_upload, float32=self.float32,
-            ensemble=True,
-        )
+        return self.caps
 
     def ping(self) -> None:
         self.pings += 1

@@ -377,31 +377,18 @@ class TestAssetsAndCapabilities:
         assert settled[primary].completed == 1
 
     def test_register_graph_allows_heterogeneous_paths(self):
-        """Every shard having ONE of {in-memory, upload} suffices —
-        the gate is per shard, not an AND over each flag."""
+        """An in-memory graph reaches every shard: an in-process one
+        takes the objects, a remote one uploads them — no shard is
+        asked whether it can."""
         backends = {
-            "mem-only": ScriptedEngine("mem-only", graph_upload=False),
-            "upload-only": ScriptedEngine("upload-only",
-                                          in_memory_assets=False),
+            "in-process": ScriptedEngine("in-process"),
+            "remote": ScriptedEngine("remote", in_memory_assets=False),
         }
         cluster = ClusterEngine(backends, health_interval_s=None)
         try:
             cluster.register_graph("g", ["rank0-payload"])
             for engine in backends.values():
                 assert engine.registered_graphs["g"] == ["rank0-payload"]
-        finally:
-            cluster.close()
-
-    def test_register_graph_names_the_incapable_shard(self):
-        backends = {
-            "ok": ScriptedEngine("ok"),
-            "neither": ScriptedEngine("neither", in_memory_assets=False,
-                                      graph_upload=False),
-        }
-        cluster = ClusterEngine(backends, health_interval_s=None)
-        try:
-            with pytest.raises(CapabilityError, match="neither"):
-                cluster.register_graph("g", ["rank0-payload"])
         finally:
             cluster.close()
 

@@ -52,11 +52,7 @@ from repro.graph import build_full_graph
 from repro.mesh import BoxMesh
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Span
-from repro.runtime.api import (
-    EngineCapabilities,
-    RolloutRequest,
-    StreamRequest,
-)
+from repro.runtime.api import RolloutRequest, StreamRequest
 from repro.runtime.remote import RemoteEngine
 from repro.serve import InferenceService, ServeConfig, ServeServer
 from repro.serve.protocol import (
@@ -74,9 +70,9 @@ from repro.serve.protocol import (
     to_wire,
     write_message,
 )
-from repro.serve.transport import WIRE_CAPABILITIES, TransportError
+from repro.serve.transport import TransportError
 
-from tests.runtime.test_transport_edges import CAPABLE, RogueServer
+from tests.runtime.test_transport_edges import RogueServer
 
 #: in-memory properties take the profile's example count; each example
 #: of a socket-bound one is a real round trip, so they take a tenth
@@ -295,8 +291,7 @@ def annotated_kinds(tp) -> set:
 RECORDS = [
     (cls, to_wire(record))
     for cls, record in [
-        (RolloutRequest, ROLLOUT), (EnsembleRequest, ENSEMBLE),
-        (EngineCapabilities, WIRE_CAPABILITIES), (Span, SPAN),
+        (RolloutRequest, ROLLOUT), (EnsembleRequest, ENSEMBLE), (Span, SPAN),
         (StabilityReport, REPORT), (GNNConfig, TINY),
         (_RankMeta, _RankMeta(0, 2, 1, [1], [4])),
     ]
@@ -319,7 +314,7 @@ def test_the_matrix_reaches_nested_fields_and_the_base_documents_decode():
         "RolloutRequest.n_steps", "EnsembleRequest.perturbation.sweep",
         "EnsembleRequest.stability.early_stop", "EnsembleRequest.member_range",
         "StabilityReport.energy", "StabilityReport.blow_up.energy_ratio",
-        "EngineCapabilities.graph_upload", "Span.attrs", "_RankMeta.neighbors",
+        "Span.attrs", "_RankMeta.neighbors",
     } <= dotted
     # what never rides the JSON is not a wire field
     assert not {d for d in dotted if d.endswith((".x0", ".request_id"))}
@@ -377,8 +372,11 @@ def test_a_number_no_float_can_hold_is_refused_not_overflowed():
 #: is the one a *typed* stack must never need
 TYPED_CODES = {
     "bad_request", "model_not_found", "graph_not_found", "incompatible",
-    "capability", "queue_full", "deadline_expired",
+    "queue_full", "deadline_expired",
 }
+#: ops the server does not speak — ``capabilities`` among them: an
+#: engine declares its record, it never asks the peer for one
+UNKNOWN_OPS = ("capabilities", "stats", "train", "")
 
 
 @pytest.fixture(scope="module")
@@ -459,6 +457,15 @@ def test_a_mutated_request_gets_a_typed_answer_and_the_server_lives(live, data):
     assert exchange(server, {"op": "ping"}, [])[-1] == {"type": "pong"}
 
 
+@pytest.mark.parametrize("op", UNKNOWN_OPS)
+def test_an_unknown_op_is_bad_request_and_the_server_lives(live, op):
+    server, _ = live
+    (reply,) = exchange(server, {"op": op}, [])
+    assert reply["type"] == "error" and reply["code"] == "bad_request"
+    assert f"unknown op {op!r}" in reply["message"]
+    assert exchange(server, {"op": "ping"}, [])[-1] == {"type": "pong"}
+
+
 # -- 4. a live client ---------------------------------------------------------
 
 SNAPSHOT_SOURCE = MetricsRegistry()
@@ -475,7 +482,6 @@ SUMMARY = summary_frame_message(SummaryFrame(
 #: reply kind -> (the op it answers, its well-formed script, the call
 #: that reads it); a script is a list of headers or (header, arrays)
 REPLIES = {
-    "capabilities": ("capabilities", [CAPABLE], lambda e: e.capabilities()),
     "models": ("models", [{"type": "models", "names": ["a", "b"]}],
                lambda e: e.model_names()),
     "graph_keys": ("graph_keys", [{"type": "graph_keys", "keys": ["g"]}],
@@ -524,7 +530,7 @@ def test_a_mutated_reply_is_a_transport_error_or_the_documented_degrade(
     if arrays and data.draw(st.booleans()):
         arrays = arrays[:-1]  # announce arrays the message does not carry
     script[index] = (header, arrays)
-    rogue.replies = {"capabilities": CAPABLE, op: script}
+    rogue.replies = {op: script}
     host, _, port = rogue.endpoint.partition(":")
     engine = RemoteEngine(host, int(port), request_timeout_s=10.0)
     try:

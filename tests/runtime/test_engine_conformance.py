@@ -16,6 +16,7 @@ The redesign's contract, asserted over ``LocalEngine`` /
   engine teardown is idempotent and leak-free.
 """
 
+import dataclasses
 import gc
 import os
 import threading
@@ -247,17 +248,39 @@ class TestTypedErrors:
     def test_remote_rejects_in_memory_models_with_capability_error(
         self, asset_paths, engine_model
     ):
-        """Models still register by checkpoint path only; graphs now
-        cross the wire via the graph_upload capability instead."""
+        """Models still register by checkpoint path only; graphs cross
+        the wire as an upload instead."""
         with make_engine("tcp", asset_paths) as engine:
             assert engine.capabilities().in_memory_assets is False
-            assert engine.capabilities().graph_upload is True
             with pytest.raises(CapabilityError, match="checkpoint"):
                 engine.register_model("m2", engine_model)
 
     def test_submit_rejects_non_requests(self, any_engine):
         with pytest.raises(TypeError, match="RolloutRequest, EnsembleRequest or TrainRequest"):
             any_engine.submit("not a request")
+
+
+class TestDeclaredCapabilities:
+    """Each engine declares one fixed record of the only fields that
+    differ between engines; everything else every engine serves."""
+
+    EXPECTED = {
+        "local": ("local", True, True),
+        "pool": ("pool", True, True),
+        "tcp": ("tcp", False, False),
+        "cluster": ("cluster", False, False),  # over tcp:// shards
+    }
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_declared_record(self, kind, asset_paths):
+        with make_engine(kind, asset_paths) as engine:
+            caps = engine.capabilities()
+        assert [f.name for f in dataclasses.fields(caps)] == [
+            "transport", "training", "in_memory_assets",
+        ]
+        assert (caps.transport, caps.training, caps.in_memory_assets) == (
+            self.EXPECTED[kind]
+        )
 
 
 class TestTraining:
@@ -439,10 +462,9 @@ class TestCluster:
             caps = engine.capabilities()
             assert caps.transport == "cluster"
             # every shard is a tcp backend: no training, no in-memory
-            # models, graph upload available
+            # models
             assert caps.training is False
             assert caps.in_memory_assets is False
-            assert caps.graph_upload is True
 
     def test_cluster_rejects_training_with_capability_error(self, asset_paths,
                                                             x0):

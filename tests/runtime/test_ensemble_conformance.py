@@ -14,13 +14,10 @@ The contract, asserted over ``local://``, ``pool://``, ``tcp://``, and
 * degenerate requests (M=0, zero steps, negative noise) are typed
   ``ValueError``\\ s at construction, and a degenerate *wire* message is
   a ``bad_request`` — on every engine kind, nothing reaches a queue;
-* a server that does not announce the ``ensemble`` capability rejects
-  client-side with :class:`~repro.runtime.api.CapabilityError`;
 * ensembles land in the stats table and metrics registry
   (``repro_ensemble_*``) wherever a service executed members.
 """
 
-import dataclasses
 import socket
 
 import numpy as np
@@ -28,9 +25,7 @@ import pytest
 
 from repro.ensemble.api import EnsembleRequest, PerturbationSpec
 from repro.ensemble.stability import StabilityConfig
-from repro.runtime.api import CapabilityError, EngineCapabilities
 from repro.serve import ServeConfig, protocol
-from repro.serve import transport
 from tests.runtime.conftest import ENGINE_KINDS, make_engine
 
 N_MEMBERS = 5
@@ -147,40 +142,6 @@ class TestValidationEverywhere:
                 reply, _ = protocol.read_message(stream)
             assert reply["type"] == "error"
             assert reply["code"] == protocol.ERR_BAD_REQUEST
-
-
-class TestCapabilityNegotiation:
-    def test_all_engine_kinds_announce_ensemble(self, asset_paths):
-        for kind in ENGINE_KINDS:
-            with make_engine(kind, asset_paths) as engine:
-                assert engine.capabilities().ensemble, kind
-
-    def test_intersection_ands_ensemble(self):
-        a = EngineCapabilities(transport="x", training=False, ensemble=True)
-        b = EngineCapabilities(transport="y", training=False, ensemble=False)
-        assert not EngineCapabilities.intersection("c", [a, b]).ensemble
-
-    def test_capability_survives_the_wire_dict(self):
-        caps = EngineCapabilities(
-            transport="tcp", training=False, ensemble=True
-        )
-        wire = protocol.to_wire(caps)
-        assert protocol.from_wire(EngineCapabilities, wire).ensemble
-        # an old server's dict (no field) defaults to not-capable
-        legacy = {k: v for k, v in wire.items() if k != "ensemble"}
-        assert not protocol.from_wire(EngineCapabilities, legacy).ensemble
-
-    def test_non_capable_server_rejects_client_side(
-        self, asset_paths, x0, monkeypatch
-    ):
-        monkeypatch.setattr(
-            transport, "WIRE_CAPABILITIES",
-            dataclasses.replace(transport.WIRE_CAPABILITIES, ensemble=False),
-        )
-        with make_engine("tcp", asset_paths) as engine:
-            assert not engine.capabilities().ensemble
-            with pytest.raises(CapabilityError, match="ensemble"):
-                engine.submit(request(x0))
 
 
 class TestObservability:

@@ -10,8 +10,6 @@ from repro.runtime import (
     TrainRequest,
     connect,
 )
-from repro.runtime.api import EngineCapabilities
-from repro.serve.protocol import from_wire, to_wire
 
 X0 = np.zeros((5, 3))
 
@@ -23,14 +21,13 @@ class TestConnect:
             caps = engine.capabilities()
             assert caps.transport == "local"
             assert caps.training and caps.in_memory_assets
-            assert not caps.streaming
 
     def test_pool_scheme(self):
         with connect("pool://") as engine:
             assert isinstance(engine, PooledEngine)
             caps = engine.capabilities()
             assert caps.transport == "pool"
-            assert caps.training and caps.streaming and caps.in_memory_assets
+            assert caps.training and caps.in_memory_assets
 
     def test_pool_mounts_existing_service(self):
         with connect("pool://") as owner:
@@ -51,13 +48,6 @@ class TestConnect:
     def test_pool_options_rejected_elsewhere(self):
         with pytest.raises(ValueError, match="pool://"):
             connect("local://", config=object())
-
-
-class TestCapabilitiesRoundTrip:
-    def test_to_from_dict(self):
-        caps = EngineCapabilities(transport="tcp", training=False,
-                                  streaming=True, in_memory_assets=False)
-        assert from_wire(EngineCapabilities, to_wire(caps)) == caps
 
 
 class TestRequestDataclasses:

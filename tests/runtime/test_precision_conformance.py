@@ -10,10 +10,7 @@ path-identical assets:
 * ``precision="float32"`` produces float32 frames end-to-end (the wire
   preserves dtype) that are **bitwise identical across engines** —
   bounded error vs float64, but still deterministic;
-* a float32 request to an engine that does not announce the
-  ``float32`` capability fails with a typed
-  :class:`~repro.runtime.api.CapabilityError`, client-side, before any
-  work is queued;
+* every engine serves the tier (there is no capability to ask for);
 * cluster failover redrives a float32 request *at the same precision*
   and replays the already-streamed frames bitwise;
 * mixed-precision requests never tile into one batch:
@@ -25,9 +22,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.runtime import CapabilityError, RolloutRequest
-from repro.runtime.api import BatchKey, EngineCapabilities
-from repro.serve.protocol import from_wire, to_wire
+from repro.runtime import RolloutRequest
+from repro.runtime.api import BatchKey
 from tests.runtime.conftest import ENGINE_KINDS, make_engine
 
 PRECISIONS = ("float64", "float32")
@@ -69,25 +65,6 @@ class TestRequestSurface:
         assert f64.key == dataclasses.replace(f32.key, precision="float64")
         assert isinstance(f64.key, BatchKey)
 
-    def test_capability_intersection_ands_float32(self):
-        yes = EngineCapabilities(transport="a", training=True,
-                                 float32=True)
-        no = EngineCapabilities(transport="b", training=True,
-                                float32=False)
-        both = EngineCapabilities.intersection("cluster", [yes, yes])
-        mixed = EngineCapabilities.intersection("cluster", [yes, no])
-        assert both.float32 is True
-        assert mixed.float32 is False
-
-    def test_float32_capability_survives_the_wire_dict(self):
-        caps = EngineCapabilities(transport="tcp", training=False,
-                                  float32=True)
-        d = to_wire(caps)
-        assert from_wire(EngineCapabilities, d).float32 is True
-        # a pre-tier peer that never heard of the field reads as off
-        del d["float32"]
-        assert from_wire(EngineCapabilities, d).float32 is False
-
 
 class TestFloat64Unchanged:
     """Naming the default precision must not move a served bit."""
@@ -119,7 +96,6 @@ class TestFloat32Tier:
         trajectories = {}
         for kind in ENGINE_KINDS:
             with make_engine(kind, asset_paths) as engine:
-                assert engine.capabilities().float32 is True
                 trajectories[kind] = engine.rollout(req).states
         for kind in ENGINE_KINDS[1:]:
             assert_bitwise_equal(
@@ -169,38 +145,6 @@ class TestFloat32Tier:
         assert_bitwise_equal(results[3].states, solo32, dtype=np.float32)
 
 
-class TestCapabilityRejection:
-    def test_f32_to_non_capable_server_is_a_typed_error(
-        self, asset_paths, x0, monkeypatch
-    ):
-        """A server that does not announce float32 rejects the request
-        client-side during negotiation — typed, before any queueing."""
-        from repro.serve import transport
-
-        monkeypatch.setattr(
-            transport, "WIRE_CAPABILITIES",
-            dataclasses.replace(transport.WIRE_CAPABILITIES, float32=False),
-        )
-        with make_engine("tcp", asset_paths) as engine:
-            assert engine.capabilities().float32 is False
-            with pytest.raises(CapabilityError, match="float32"):
-                engine.rollout(request(precision="float32")(x0))
-            # the canonical tier is unaffected
-            assert len(engine.rollout(request()(x0)).states) == 4
-
-    def test_non_capable_local_engine_rejects_f32(self, asset_paths, x0,
-                                                  monkeypatch):
-        from repro.runtime import local
-
-        monkeypatch.setattr(
-            local, "_CAPABILITIES",
-            dataclasses.replace(local._CAPABILITIES, float32=False),
-        )
-        with make_engine("local", asset_paths) as engine:
-            with pytest.raises(CapabilityError, match="float32"):
-                engine.rollout(request(precision="float32")(x0))
-
-
 class TestClusterFailover:
     """Scripted shards: a float32 request survives a redrive intact."""
 
@@ -232,19 +176,5 @@ class TestClusterFailover:
             for f in frames:
                 np.testing.assert_array_equal(f.state, frame_value(f.step))
             assert cluster.cluster_stats().redrives == 1
-        finally:
-            cluster.close()
-
-    def test_cluster_of_mixed_shards_rejects_f32_up_front(self, x0):
-        from tests.cluster.conftest import ScriptedEngine
-
-        shards = {"shard-a": ScriptedEngine("shard-a"),
-                  "shard-b": ScriptedEngine("shard-b", float32=False)}
-        cluster = self._cluster(shards)
-        try:
-            assert cluster.capabilities().float32 is False
-            with pytest.raises(CapabilityError, match="float32"):
-                cluster.rollout(request(precision="float32")(x0))
-            assert all(not s.submitted for s in shards.values())
         finally:
             cluster.close()

@@ -11,11 +11,9 @@ behavior:
   :class:`TransportError` and a discarded connection, never the
   ``KeyError`` that means "unknown graph" (and that the cluster reads
   as "the shard answered, do not fail over");
-* **wrong-typed reply fields** — a ``summary`` frame or a
-  ``capabilities`` reply whose fields have the wrong JSON type is the
-  same violation: :class:`TransportError` mid-stream, the fallback
-  capability set at negotiation, never a bare ``TypeError``; every
-  other reply field (``names``, ``keys``, ``snapshot``, ``spans``, a
+* **wrong-typed reply fields** — a ``summary`` frame whose fields have
+  the wrong JSON type is the same violation: :class:`TransportError`
+  mid-stream, never a bare ``TypeError``; every other reply field (``names``, ``keys``, ``snapshot``, ``spans``, a
   ``done`` frame's ``stability``) likewise — a typed
   :class:`TransportError`, or ``get_trace``'s documented degrade;
 * **short stream** — a ``done`` that announces a different frame count
@@ -26,6 +24,9 @@ behavior:
 * **reconnect-after-redial** — an engine whose server went away (redial
   and all) recovers transparently once a server is listening again: no
   poisoned pool state survives the outage.
+
+And one non-failure: asking an engine what it can do sends nothing —
+the record is declared, not negotiated.
 """
 
 import socket
@@ -43,10 +44,9 @@ from repro.serve.protocol import (
     MAX_ARRAY_BYTES,
     encode_array,
     read_message,
-    to_wire,
     write_message,
 )
-from repro.serve.transport import WIRE_CAPABILITIES, TransportError
+from repro.serve.transport import TransportError
 
 from tests.runtime.conftest import make_engine
 
@@ -54,8 +54,8 @@ from tests.runtime.conftest import make_engine
 class RogueServer:
     """A protocol-speaking server that sabotages rollout streams.
 
-    Answers ``ping`` (so ``RemoteEngine.connect`` succeeds) and
-    ``capabilities`` with an error-free shrug; on ``rollout`` it writes
+    Answers ``ping`` (so ``RemoteEngine.connect`` succeeds) and records
+    every op it reads in ``ops``; on ``rollout`` it writes
     the first ``prefix_bytes`` of a legitimate frame message and then
     hard-closes the connection — the half-close-mid-frame shape a
     crashed shard presents. With ``error_reply`` set, every op but
@@ -71,6 +71,7 @@ class RogueServer:
         self.prefix_bytes = prefix_bytes
         self.error_reply = error_reply
         self.replies = replies or {}
+        self.ops: list = []
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(0.2)  # how often _serve sees close()
         self.endpoint = "127.0.0.1:%d" % self._listener.getsockname()[1]
@@ -91,6 +92,7 @@ class RogueServer:
                     if message is None:
                         break
                     header, _ = message
+                    self.ops.append(header.get("op"))
                     if header.get("op") == "ping":
                         write_message(stream, {"type": "pong"})
                     elif header.get("op") in self.replies:
@@ -205,11 +207,7 @@ class TestWrongTypedReplyFields:
     def test_wrong_typed_summary_frame_is_transport_error(self, bad):
         summary = {"type": "summary", "step": 0, "n_members": 2,
                    "divergence": 0.0, "summaries": [], "members": 0, **bad}
-        server = RogueServer(replies={
-            "capabilities": {"type": "capabilities",
-                             "capabilities": to_wire(WIRE_CAPABILITIES)},
-            "ensemble": summary,
-        })
+        server = RogueServer(replies={"ensemble": summary})
         try:
             engine = RemoteEngine.connect(server.endpoint,
                                           request_timeout_s=10.0)
@@ -223,23 +221,7 @@ class TestWrongTypedReplyFields:
         finally:
             server.close()
 
-    @pytest.mark.parametrize("payload", [["x"], "tcp", 5, None])
-    def test_wrong_typed_capabilities_reply_falls_back(self, payload):
-        server = RogueServer(replies={
-            "capabilities": {"type": "capabilities", "capabilities": payload},
-        })
-        try:
-            engine = RemoteEngine.connect(server.endpoint,
-                                          request_timeout_s=10.0)
-            caps = engine.capabilities()
-            assert caps.transport == "tcp"
-            assert not caps.graph_upload and not caps.ensemble
-            engine.close()
-        finally:
-            server.close()
 
-
-CAPABLE = {"type": "capabilities", "capabilities": to_wire(WIRE_CAPABILITIES)}
 ROLLOUT = RolloutRequest(model="m", graph="g", x0=np.zeros((4, 3)), n_steps=3)
 ENSEMBLE = EnsembleRequest("m", "g", np.zeros((4, 3)), n_steps=3, n_members=2)
 
@@ -299,7 +281,6 @@ class TestMalformedReplyFields:
     ])
     def test_malformed_stability_on_done_is_transport_error(self, stability):
         server = RogueServer(replies={
-            "capabilities": CAPABLE,
             "ensemble": {"type": "done", "n_frames": 0,
                          "stability": stability},
         })
@@ -335,7 +316,7 @@ class TestShortStream:
         (ENSEMBLE, "ensemble", [SUMMARY, {"type": "done", "n_frames": 4}]),
     ])
     def test_done_must_match_the_frames_delivered(self, request_, op, reply):
-        server = RogueServer(replies={"capabilities": CAPABLE, op: reply})
+        server = RogueServer(replies={op: reply})
         try:
             engine = RemoteEngine.connect(server.endpoint,
                                           request_timeout_s=10.0)
@@ -431,3 +412,38 @@ class TestReconnectAfterRedial:
             finally:
                 server2.stop()
                 engine.close()
+
+
+class TestCapabilitiesAreDeclared:
+    """``capabilities()`` reads the engine's own record: no op crosses
+    the wire for it, on a ``tcp://`` engine or a cluster of them."""
+
+    def test_remote_engine_sends_no_message(self):
+        server = RogueServer()
+        try:
+            engine = RemoteEngine.connect(server.endpoint,
+                                          request_timeout_s=10.0)
+            caps = engine.capabilities()
+            assert (caps.training, caps.in_memory_assets) == (False, False)
+            engine.close()
+            assert server.ops == ["ping"]  # connect's liveness check only
+        finally:
+            server.close()
+
+    def test_cluster_over_tcp_shards_sends_no_message(self):
+        from repro.cluster import ClusterEngine
+
+        servers = [RogueServer(), RogueServer()]
+        try:
+            cluster = ClusterEngine.connect(
+                [s.endpoint for s in servers], request_timeout_s=10.0,
+                health_interval_s=None,
+            )
+            caps = cluster.capabilities()
+            assert (caps.training, caps.in_memory_assets) == (False, False)
+            cluster.close()
+            for server in servers:
+                assert server.ops == ["ping"]
+        finally:
+            for server in servers:
+                server.close()

@@ -19,6 +19,7 @@ from repro.serve import (
     WaitHistogram,
     lane_label,
 )
+from repro.serve.scheduler import MAX_LANE_SKIPS
 
 X0 = np.zeros((5, 3))
 
@@ -171,11 +172,11 @@ def test_arrival_order_breaks_deadline_ties():
 
 
 def test_starvation_bound_forces_skipped_lane():
-    """A no-deadline lane loses to deadline lanes only max_lane_skips
+    """A no-deadline lane loses to deadline lanes only MAX_LANE_SKIPS
     times; then it must be served."""
-    q = ScheduledQueue(affinity=False, max_lane_skips=2)
+    q = ScheduledQueue(affinity=False)
     q.submit(make_request(model="patient"))
-    for _ in range(2):
+    for _ in range(MAX_LANE_SKIPS):
         q.submit(make_request(model="urgent", deadline_s=30.0))
         batch = q.next_batch(8, 0.0)
         assert [r.model for r, _ in batch] == ["urgent"]
