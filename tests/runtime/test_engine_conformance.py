@@ -35,6 +35,7 @@ from repro.runtime import (
     StepFrame,
     TrainRequest,
 )
+from repro.runtime.api import EngineCapabilities
 from repro.serve import (
     DeadlineExpired,
     QueueFull,
@@ -281,6 +282,62 @@ class TestDeclaredCapabilities:
         assert (caps.transport, caps.training, caps.in_memory_assets) == (
             self.EXPECTED[kind]
         )
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_in_memory_model_follows_the_record(self, kind, asset_paths,
+                                                engine_model):
+        """``register_model`` takes a live model exactly where the
+        record says so; elsewhere it is a typed rejection that names
+        the checkpoint path and registers nothing."""
+        with make_engine(kind, asset_paths) as engine:
+            if engine.capabilities().in_memory_assets:
+                engine.register_model("m2", engine_model)
+                assert "m2" in engine.model_names()
+            else:
+                with pytest.raises(CapabilityError, match="checkpoint"):
+                    engine.register_model("m2", engine_model)
+                assert "m2" not in engine.model_names()
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_every_engine_serves_what_has_no_flag(self, kind, asset_paths,
+                                                  x0, dist_graph):
+        """In-memory graph registration, the float32 tier and ensembles
+        are served by every engine — the reason they have no flag."""
+        with make_engine(kind, asset_paths) as engine:
+            engine.register_graph("g4-mem", list(dist_graph.locals))
+            f32 = [
+                engine.rollout(RolloutRequest(
+                    model="m", graph=graph, x0=x0, n_steps=2,
+                    precision="float32",
+                )).states
+                for graph in ("g4-mem", "g4")
+            ]
+            ensemble = engine.ensemble(EnsembleRequest(
+                "m", "g4-mem", x0, n_steps=2, n_members=2,
+                perturbation=PerturbationSpec(seed=3, noise_scale=1e-3),
+            ))
+        assert all(s.dtype == np.float32 for s in f32[0])
+        assert len(f32[0]) == len(f32[1]) == 3
+        for a, b in zip(*f32):
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+        assert [f.step for f in ensemble.frames] == [0, 1, 2]
+
+    @pytest.mark.parametrize("flag", ["training", "in_memory_assets"])
+    def test_intersection_ands_each_flag(self, flag):
+        """A group's record holds a flag only if every member does."""
+        on = EngineCapabilities(transport="a", training=True,
+                                in_memory_assets=True)
+        off = dataclasses.replace(on, transport="b", **{flag: False})
+        assert getattr(
+            EngineCapabilities.intersection("cluster", [on, on]), flag
+        ) is True
+        mixed = EngineCapabilities.intersection("cluster", [on, off])
+        assert getattr(mixed, flag) is False
+        assert mixed.transport == "cluster"
+
+    def test_intersection_needs_a_member(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            EngineCapabilities.intersection("cluster", [])
 
 
 class TestTraining:
