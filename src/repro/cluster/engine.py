@@ -58,8 +58,9 @@ typed request to a backend shard:
   with a ``shard=<id>`` label stamped on.
 
 Tuning that no caller ever varied is a module constant
-(:data:`RING_REPLICAS`, :data:`TRACE_CAPACITY`, :data:`EVENT_CAPACITY`,
-:data:`~repro.cluster.health.FAILURE_THRESHOLD`); the constructor keeps
+(:data:`RING_REPLICAS`, :data:`~repro.cluster.health.FAILURE_THRESHOLD`,
+and the ring sizes :data:`~repro.obs.trace.TRACE_CAPACITY` and
+:data:`~repro.obs.events.EVENT_CAPACITY`); the constructor keeps
 ``spill_threshold`` and ``health_interval_s``.
 
 Thread safety: fully shareable — live routing state is lock-guarded,
@@ -108,10 +109,6 @@ from repro.serve.transport import RemoteServeError, TransportError
 
 #: virtual points per shard on the placement ring
 RING_REPLICAS = 64
-#: router-side span ring size (``route`` / ``attempt`` spans)
-TRACE_CAPACITY = 2048
-#: structured event ring size (health transitions, spills, redrives)
-EVENT_CAPACITY = 1024
 
 #: Every router-side series — the one place they are named. The routing
 #: ledger lives in these counters and nowhere else; :class:`ClusterStats`
@@ -172,12 +169,11 @@ class _Shard:
             return self._state
 
     def probe(self) -> None:
-        """Liveness probe (delegates to the backend; raises when dead)."""
+        """Liveness probe: the backend's ``ping()`` (raises when dead);
+        an in-process backend has no transport to probe."""
         ping = getattr(self.engine, "ping", None)
         if ping is not None:
             ping()
-        else:
-            self.engine.capabilities()
 
     def note_probe_ok(self) -> None:
         with self._lock:
@@ -713,10 +709,10 @@ class ClusterEngine(Engine):
             raise ValueError("spill_threshold must be >= 1")
         #: router-side span ring (``route``/``attempt`` spans); shard
         #: spans are fetched on demand by :meth:`get_trace`
-        self.trace = TraceBuffer(TRACE_CAPACITY)
+        self.trace = TraceBuffer()
         #: structured operational record: health transitions, spills,
         #: redrives — queryable via :meth:`events`
-        self.event_log = EventLog(EVENT_CAPACITY)
+        self.event_log = EventLog()
         self._metrics = MetricsRegistry()
         #: the routing ledger: ``{field: counter}`` over :data:`_SERIES`
         self._ledger = {
@@ -938,12 +934,11 @@ class ClusterEngine(Engine):
         name: str,
         path: str | Path,
         expect_config: GNNConfig | None = None,
-        eager: bool = False,
     ) -> None:
         """Broadcast a checkpoint registration (shard-visible path)."""
         self._broadcast(
             "register_checkpoint",
-            lambda e: e.register_checkpoint(name, path, expect_config, eager),
+            lambda e: e.register_checkpoint(name, path, expect_config),
         )
 
     def register_graph(self, key: str, graphs: Sequence[LocalGraph]) -> None:

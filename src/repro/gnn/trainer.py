@@ -29,7 +29,6 @@ class TrainResult:
 
     losses: list = field(default_factory=list)
     state_dict: dict = field(default_factory=dict)
-    grad_norms: list = field(default_factory=list)
 
     @property
     def final_loss(self) -> float:
@@ -46,7 +45,6 @@ def train_model(
     iterations: int = 10,
     lr: float = 1e-3,
     grad_reduction: str = "all_reduce",
-    record_grad_norms: bool = False,
 ) -> TrainResult:
     """Fine-tune an *existing* model on one (input, target) pair.
 
@@ -77,9 +75,6 @@ def train_model(
         loss = consistent_mse_loss(pred, yt, graph, comm, grad_reduction=grad_reduction)
         loss.backward()
         ddp.sync_gradients()
-        if record_grad_norms:
-            gn = np.sqrt(sum(float(np.sum(p.grad**2)) for p in model.parameters()))
-            result.grad_norms.append(gn)
         opt.step()
         result.losses.append(loss.item())
     result.state_dict = model.state_dict()
@@ -93,7 +88,6 @@ def train_single(
     target: np.ndarray,
     iterations: int = 10,
     lr: float = 1e-3,
-    record_grad_norms: bool = False,
 ) -> TrainResult:
     """Train on the un-partitioned ``R = 1`` graph (the paper's target)."""
     model = MeshGNN(config)
@@ -107,7 +101,6 @@ def train_single(
         iterations,
         lr,
         grad_reduction="all_reduce",
-        record_grad_norms=record_grad_norms,
     )
 
 
@@ -121,7 +114,6 @@ def train_distributed(
     iterations: int = 10,
     lr: float = 1e-3,
     grad_reduction: str = "all_reduce",
-    record_grad_norms: bool = False,
 ) -> TrainResult:
     """One rank's share of a distributed training run.
 
@@ -132,5 +124,5 @@ def train_distributed(
     model = MeshGNN(config)
     return train_model(
         model, graph, x, target, comm, halo_mode, iterations, lr,
-        grad_reduction, record_grad_norms,
+        grad_reduction,
     )

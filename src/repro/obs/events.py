@@ -19,6 +19,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 
+#: Events an :class:`EventLog` keeps (beyond it, the oldest is dropped).
+EVENT_CAPACITY = 1024
+
+
 @dataclass(frozen=True)
 class Event:
     """One structured occurrence: kind, wall-clock time, attributes."""
@@ -29,13 +33,11 @@ class Event:
 
 
 class EventLog:
-    """Bounded, lock-guarded ring of :class:`Event` (oldest evicted)."""
+    """Lock-guarded ring of the last :data:`EVENT_CAPACITY` events
+    (oldest evicted)."""
 
-    def __init__(self, capacity: int = 1024):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._events: deque = deque(maxlen=self.capacity)
+    def __init__(self) -> None:
+        self._events: deque = deque(maxlen=EVENT_CAPACITY)
         self._lock = threading.Lock()
 
     def __len__(self) -> int:

@@ -34,6 +34,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+#: Spans a :class:`TraceBuffer` keeps (beyond it, the oldest is dropped).
+TRACE_CAPACITY = 2048
+
 #: perf_counter -> wall clock anchor for this process (epoch seconds)
 _WALL_ANCHOR = time.time() - time.perf_counter()
 
@@ -70,21 +73,16 @@ class Span:
 
 
 class TraceBuffer:
-    """Bounded, lock-guarded ring buffer of spans (oldest evicted first).
+    """Lock-guarded ring of the last :data:`TRACE_CAPACITY` spans
+    (oldest evicted first).
 
-    The only mutable tracing state a process holds. ``enabled=False``
-    turns every ``record`` into a no-op so a server can run with
-    tracing off entirely; the buffer itself is cheap either way.
-    Thread-safe: the serving worker threads, the transport handler
-    threads, and wire-op readers all share one buffer.
+    The only mutable tracing state a process holds. Thread-safe: the
+    serving worker threads, the transport handler threads, and wire-op
+    readers all share one buffer.
     """
 
-    def __init__(self, capacity: int = 2048, enabled: bool = True):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.enabled = bool(enabled)
-        self._spans: deque = deque(maxlen=self.capacity)
+    def __init__(self) -> None:
+        self._spans: deque = deque(maxlen=TRACE_CAPACITY)
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -92,9 +90,7 @@ class TraceBuffer:
             return len(self._spans)
 
     def record(self, span: Span) -> None:
-        """Append one span (dropped silently when disabled)."""
-        if not self.enabled:
-            return
+        """Append one span."""
         with self._lock:
             self._spans.append(span)
 
@@ -109,8 +105,6 @@ class TraceBuffer:
         **attrs,
     ) -> None:
         """Convenience: build and record a :class:`Span` in one call."""
-        if not self.enabled:
-            return
         self.record(Span(
             trace_id=trace_id,
             name=name,
@@ -130,9 +124,6 @@ class TraceBuffer:
         Yields the (mutable) attrs dict so the block can attach results
         discovered mid-flight. Exceptions propagate after recording.
         """
-        if not self.enabled:
-            yield attrs
-            return
         start = time.perf_counter()
         status = "ok"
         try:

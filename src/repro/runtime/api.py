@@ -174,7 +174,7 @@ class StreamRequest:
 
     ``x0`` is the *global* initial state ``(n_global_nodes, node_in)``;
     execution scatters it to ranks by global ID and assembles global
-    frames back. ``halo_mode=None`` means "use the engine's default"
+    frames back. ``halo_mode=None`` means the default ``n-a2a``
     (resolved at submission via :meth:`resolved`). ``deadline_s`` is an
     optional queue-wait budget: a request still pending that many
     seconds after submission is shed with
@@ -244,12 +244,9 @@ class StreamRequest:
         if self.x0.ndim != 2:
             raise ValueError(f"x0 must be 2-D (nodes, features), got {self.x0.shape}")
 
-    def resolved(
-        self,
-        default_halo_mode: str | HaloMode,
-        default_deadline_s: float | None = None,
-    ) -> StreamRequest:
-        """Fill engine defaults into unset fields (``self`` if complete).
+    def resolved(self, default_deadline_s: float | None = None) -> StreamRequest:
+        """Fill defaults into unset fields (``self`` if complete): the
+        halo mode ``n-a2a`` and the engine's ``default_deadline_s``.
 
         Pure function: returns a new request of the same kind (same
         ``request_id`` / ``submitted_at`` / ``trace_id``) when a default
@@ -257,7 +254,7 @@ class StreamRequest:
         """
         changes: dict = {}
         if self.halo_mode is None:
-            changes["halo_mode"] = HaloMode.parse(default_halo_mode).value
+            changes["halo_mode"] = HaloMode.NEIGHBOR_A2A.value
         if self.deadline_s is None and default_deadline_s is not None:
             changes["deadline_s"] = default_deadline_s
         return dataclasses.replace(self, **changes) if changes else self
@@ -406,13 +403,11 @@ class TrainRequest:
         """Batch size ``B`` of the job (samples tiled per forward)."""
         return self.x.shape[0]
 
-    def resolved(self, default_halo_mode: str | HaloMode) -> "TrainRequest":
-        """Fill the engine's halo-mode default (``self`` if set)."""
+    def resolved(self) -> "TrainRequest":
+        """Fill the halo-mode default ``n-a2a`` (``self`` if set)."""
         if self.halo_mode is not None:
             return self
-        return dataclasses.replace(
-            self, halo_mode=HaloMode.parse(default_halo_mode).value
-        )
+        return dataclasses.replace(self, halo_mode=HaloMode.NEIGHBOR_A2A.value)
 
 
 @dataclass
@@ -627,9 +622,9 @@ class Engine(ABC):
         name: str,
         path: "str | Path",
         expect_config: "GNNConfig | None" = None,
-        eager: bool = False,
     ) -> None:
-        """Register a checkpoint by path (engine-visible for remotes)."""
+        """Register a checkpoint by path (engine-visible for remotes);
+        it loads at first use."""
 
     @abstractmethod
     def register_graph(self, key: str, graphs: "Sequence[LocalGraph]") -> None:

@@ -58,8 +58,8 @@ def connect(
         ``tcp://`` / ``cluster://``: idle connections kept warm (per
         shard for clusters).
     request_timeout_s:
-        Per-reply/frame wait bound (``local://`` uses it as the rank
-        world timeout).
+        Per-reply/frame wait bound, > 0 (``pool://`` applies it to the
+        private service it creates without ``config``).
 
     Thread safety: pure construction; the returned engine documents its
     own sharing rules. Raises :class:`ValueError` on unknown schemes or
@@ -85,6 +85,10 @@ def connect(
     if scheme == "pool":
         from repro.runtime.pooled import PooledEngine
 
+        if config is None and service is None:
+            from repro.serve.service import ServeConfig
+
+            config = ServeConfig(request_timeout_s=request_timeout_s)
         return PooledEngine(config=config, service=service)
     if scheme == "tcp":
         from repro.runtime.remote import RemoteEngine

@@ -84,9 +84,8 @@ class _ServiceEngine(Engine):
         name: str,
         path: str | Path,
         expect_config: GNNConfig | None = None,
-        eager: bool = False,
     ) -> None:
-        self._service.register_checkpoint(name, path, expect_config, eager)
+        self._service.register_checkpoint(name, path, expect_config)
 
     def register_graph(self, key: str, graphs: Sequence[LocalGraph]) -> None:
         self._service.register_graph(key, graphs)

@@ -78,9 +78,8 @@ from repro.serve.transport import TransportError, parse_endpoint
 _CAPABILITIES = EngineCapabilities(
     transport="tcp", training=False, in_memory_assets=False
 )
-#: bound on one TCP dial, and the size of the client-side span ring
+#: bound on one TCP dial
 _CONNECT_TIMEOUT_S = 10.0
-_TRACE_CAPACITY = 2048
 
 
 def _error_fields(received: tuple | None) -> tuple[str, str] | None:
@@ -288,9 +287,6 @@ class _WireStream:
         self._finished = False
 
     def _frames(self, timeout: float | None) -> Iterator:
-        if not self._trace.enabled:
-            yield from self._stream(timeout)
-            return
         started = time.perf_counter()
         frames = 0
         status = "failed"
@@ -451,12 +447,14 @@ class RemoteEngine(Engine):
         pool_size: int = 4,
         request_timeout_s: float = 120.0,
     ):
+        if not request_timeout_s > 0:
+            raise ValueError("request_timeout_s must be > 0")
         self.host = host
         self.port = port
         self._pool = _ConnectionPool(host, port, pool_size, request_timeout_s)
         #: client-side span ring: one ``network`` span per streamed
         #: rollout, merged with the server's spans by :meth:`get_trace`
-        self.trace = TraceBuffer(_TRACE_CAPACITY)
+        self.trace = TraceBuffer()
 
     @classmethod
     def connect(
@@ -568,7 +566,6 @@ class RemoteEngine(Engine):
         name: str,
         path: str | Path,
         expect_config: GNNConfig | None = None,
-        eager: bool = False,
     ) -> None:
         """Register a checkpoint by *server-visible* path.
 
@@ -585,7 +582,6 @@ class RemoteEngine(Engine):
                     None if expect_config is None
                     else protocol.to_wire(expect_config)
                 ),
-                "eager": eager,
             },
             idempotent=False,
         )

@@ -3,10 +3,12 @@
 Partitioning a mesh and constructing halo plans is far more expensive
 than a single surrogate step, so the serving layer loads each
 partitioned graph once — through :mod:`repro.graph.io` when the asset
-lives on disk — and keeps it resident. The cache is bounded both by
-entry count and by resident bytes (byte-accurate ``nbytes`` sums over
-every array an asset holds, including compiled aggregation plans, the
-stitched whole-world graph and cached tiled replicas); eviction is
+lives on disk — and keeps it resident. The cache is bounded by entry
+count (:data:`MAX_ENTRIES`), and each asset by its tile sizes
+(:data:`MAX_TILE_VARIANTS`); the resident bytes (byte-accurate
+``nbytes`` sums over every array an asset holds, including compiled
+aggregation plans, the stitched whole-world graph and cached tiled
+replicas) are reported, not budgeted. Eviction is
 least-recently-used. Every eviction logs — and the stats snapshot
 accumulates — the evicted asset's *reload cost* (loader wall time plus
 aggregation-plan build time), so a churning cache explains what
@@ -32,6 +34,9 @@ from repro.obs.registry import MetricsRegistry
 from repro.serve.metrics import CacheStats, ServeStats, declare
 
 _log = logging.getLogger("repro.serve.cache")
+
+#: Resident assets kept (beyond it, the least recently used is evicted).
+MAX_ENTRIES = 8
 
 #: Distinct tiled batch sizes kept per asset (beyond it, stale batch
 #: sizes are dropped oldest-first). Sustained load settles on a few
@@ -202,13 +207,7 @@ class GraphAsset:
 
 
 class GraphCache:
-    """Size-bounded LRU of :class:`GraphAsset` keyed by string.
-
-    ``max_entries`` bounds the entry count; ``max_bytes`` (optional)
-    additionally bounds the estimated resident footprint. An asset
-    larger than ``max_bytes`` on its own is still admitted (evicting
-    everything else) — refusing it would make the cache useless for
-    exactly the graphs that are most expensive to reload.
+    """LRU of at most :data:`MAX_ENTRIES` graph assets keyed by string.
 
     Thread safety: all methods may be called from any thread; one lock
     guards the LRU table, and :meth:`get_or_load` serializes loader
@@ -221,16 +220,7 @@ class GraphCache:
     loaders re-read the same ``.npz`` payloads exactly).
     """
 
-    def __init__(
-        self,
-        max_entries: int = 8,
-        max_bytes: int | None = None,
-        metrics: MetricsRegistry | None = None,
-    ):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self._max_entries = max_entries
-        self._max_bytes = max_bytes
+    def __init__(self, metrics: MetricsRegistry | None = None):
         self._assets: OrderedDict[str, GraphAsset] = OrderedDict()
         self._lock = threading.Lock()
         self._load_lock = threading.Lock()
@@ -252,8 +242,8 @@ class GraphCache:
     def put(
         self, key: str, graphs: Sequence[LocalGraph], load_s: float = 0.0
     ) -> GraphAsset:
-        """Insert (or replace) an asset and apply the size bounds
-        (thread-safe; the returned asset is immutable).
+        """Insert (or replace) an asset and evict down to
+        :data:`MAX_ENTRIES` (thread-safe; the returned asset is immutable).
 
         Admission precompiles each rank graph's aggregation plans
         (a no-op when already compiled, or while plans are globally
@@ -275,7 +265,8 @@ class GraphCache:
             self._assets[key] = asset
             self._assets.move_to_end(key)
             self._m["cache.plan_build_s"].inc(build_s)
-            self._enforce_bounds(keep=key)
+            while len(self._assets) > MAX_ENTRIES:
+                self._drop(next(iter(self._assets)))  # LRU; `key` is MRU
         return asset
 
     def get_or_load(
@@ -309,22 +300,6 @@ class GraphCache:
         key = str(directory.resolve())
         return self.get_or_load(key, lambda: load_rank_graphs(directory))
 
-    def enforce_bounds(self) -> None:
-        """Re-apply the size bounds outside of :meth:`put`.
-
-        Resident assets grow after admission — their per-batch tiled
-        replicas (:meth:`GraphAsset.tiled`) count toward ``nbytes`` —
-        so a byte-bounded cache re-checks after work that may have
-        tiled. LRU entries are evicted until the budget holds again
-        (the MRU asset survives even if oversized alone, mirroring
-        admission). Thread-safe; cheap when unbounded or within budget.
-        """
-        with self._lock:
-            if self._max_bytes is None or not self._assets:
-                return
-            mru = next(reversed(self._assets))
-            self._enforce_bounds(keep=mru)
-
     def evict(self, key: str) -> bool:
         """Drop one asset; returns whether it was resident (thread-safe)."""
         with self._lock:
@@ -356,25 +331,6 @@ class GraphCache:
             asset.load_s * 1e3,
             asset.plan_build_s * 1e3,
         )
-
-    def _enforce_bounds(self, keep: str) -> None:
-        # caller holds the lock
-        while len(self._assets) > self._max_entries:
-            self._evict_lru(keep)
-        if self._max_bytes is not None:
-            while (
-                len(self._assets) > 1
-                and sum(a.nbytes for a in self._assets.values()) > self._max_bytes
-            ):
-                self._evict_lru(keep)
-
-    def _evict_lru(self, keep: str) -> None:
-        for key in self._assets:
-            if key != keep:
-                self._drop(key)
-                return
-        # only `keep` remains; nothing else to evict
-        raise AssertionError("LRU eviction found no evictable entry")
 
     # -- introspection -------------------------------------------------------
 

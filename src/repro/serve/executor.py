@@ -1,8 +1,9 @@
 """Batch execution engine: tiled rollouts and training jobs over the
 comm backends.
 
-One batch = requests sharing a ``(model, graph, halo_mode, residual)``
-key. The engine gathers each request's global initial state into the
+One batch = requests sharing a
+``(model, graph, halo_mode, residual, precision)`` key
+(:class:`~repro.runtime.api.BatchKey`). The engine gathers each request's global initial state into the
 rows of the asset's stitched graph (the ``R`` rank graphs as one
 block-diagonal graph whose halo exchange is an in-process row gather,
 :func:`repro.serve.tiling.stitch_rank_graphs`), fetches its ``B``-fold

@@ -93,13 +93,11 @@ class ModelRegistry:
         name: str,
         path: str | Path,
         expect_config: GNNConfig | None = None,
-        eager: bool = False,
     ) -> None:
         """Register a checkpoint file, loaded lazily on first :meth:`get`.
 
         ``expect_config`` pins the config the checkpoint must carry;
-        mismatch raises :class:`IncompatibleModel` (at registration when
-        ``eager``, else at first load).
+        mismatch raises :class:`IncompatibleModel` at first load.
         """
         path = Path(path)
         if not path.is_file():  # a directory would fail at load, untyped
@@ -109,14 +107,6 @@ class ModelRegistry:
             self._entries[name] = _Entry(
                 name=name, path=path, expect_config=expect_config
             )
-        if eager:
-            try:
-                self.get(name)
-            except BaseException:
-                # don't leave a known-broken entry squatting on the name
-                with self._lock:
-                    self._entries.pop(name, None)
-                raise
 
     def _check_name_free(self, name: str) -> None:
         if name in self._entries:

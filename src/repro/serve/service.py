@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.comm.modes import HaloMode
 from repro.gnn.architecture import MeshGNN
 from repro.gnn.config import GNNConfig
 from repro.graph.distributed import LocalGraph
@@ -58,17 +57,14 @@ class ServeConfig:
     partial batch. ``0`` disables coalescing-by-waiting (a batch still
     forms from requests that are already queued).
 
+    ``request_timeout_s`` (> 0) bounds how long a caller waits for a
+    request's result.
+
     ``max_queue_depth`` and ``default_deadline_s`` configure admission
     control (see :mod:`repro.serve.admission`): submissions beyond the
     depth cap are shed with :class:`~repro.serve.admission.QueueFull`,
     and queued requests older than their deadline are expired at
     dequeue. Both default to off (unbounded queue, no deadline).
-
-    ``tracing`` / ``trace_capacity`` configure the per-request span
-    buffer (:class:`repro.obs.trace.TraceBuffer`): on by default — the
-    spans are recorded outside the stepping hot loop, so the cost per
-    request is a few timestamps. ``tracing=False`` turns every record
-    into a no-op.
 
     Dispatch is the per-key-lane scheduler
     (:mod:`repro.serve.scheduler`): disjoint keys overlap across
@@ -84,14 +80,9 @@ class ServeConfig:
     max_batch_size: int = 8
     max_wait_s: float = 0.005
     n_workers: int = 1
-    cache_entries: int = 8
-    cache_bytes: int | None = None
-    default_halo_mode: str = HaloMode.NEIGHBOR_A2A.value
     request_timeout_s: float = 120.0
     max_queue_depth: int | None = None
     default_deadline_s: float | None = None
-    tracing: bool = True
-    trace_capacity: int = 2048
     affinity: bool = True
 
     def __post_init__(self) -> None:
@@ -101,8 +92,8 @@ class ServeConfig:
             raise ValueError("n_workers must be >= 1")
         if self.max_wait_s < 0:
             raise ValueError("max_wait_s must be >= 0")
-        if self.trace_capacity < 1:
-            raise ValueError("trace_capacity must be >= 1")
+        if not self.request_timeout_s > 0:
+            raise ValueError("request_timeout_s must be > 0")
         # delegate validation of the admission knobs
         AdmissionConfig(self.max_queue_depth, self.default_deadline_s)
 
@@ -128,17 +119,11 @@ class InferenceService:
         # recorder below updates its series in it, stats() is its view
         self._metrics, self._m = declare()
         self.registry = ModelRegistry(metrics=self._metrics)
-        self.cache = GraphCache(
-            max_entries=self.config.cache_entries,
-            max_bytes=self.config.cache_bytes,
-            metrics=self._metrics,
-        )
+        self.cache = GraphCache(metrics=self._metrics)
         self._admission = AdmissionController(
             self.config.admission, metrics=self._metrics
         )
-        self.trace = TraceBuffer(
-            self.config.trace_capacity, enabled=self.config.tracing
-        )
+        self.trace = TraceBuffer()
         self._queue = self._make_queue()
         self._graph_dirs: dict[str, Path] = {}
         self._pinned_graphs: dict[str, tuple[LocalGraph, ...]] = {}
@@ -202,9 +187,8 @@ class InferenceService:
         name: str,
         path: str | Path,
         expect_config: GNNConfig | None = None,
-        eager: bool = False,
     ) -> None:
-        self.registry.register_checkpoint(name, path, expect_config, eager)
+        self.registry.register_checkpoint(name, path, expect_config)
 
     def register_graph(self, key: str, graphs: Sequence[LocalGraph]) -> None:
         """Pin an in-memory partitioned graph (e.g. ``dg.locals``).
@@ -283,7 +267,7 @@ class InferenceService:
         :class:`~repro.ensemble.api.EnsembleRequest` the reducing
         :class:`~repro.ensemble.driver.EnsembleHandle`. Engine defaults
         are resolved here: a request with ``halo_mode=None`` gets
-        ``config.default_halo_mode``, one with ``deadline_s=None`` gets
+        ``n-a2a``, one with ``deadline_s=None`` gets
         ``config.default_deadline_s``. Raises
         :class:`~repro.serve.admission.QueueFull` when the queue is at
         its configured cap.
@@ -312,8 +296,7 @@ class InferenceService:
         self.registry.get(request.model)
         self._require_graph(request.graph)
         request = request.resolved(
-            self.config.default_halo_mode,
-            self._admission.effective_deadline_s(request.deadline_s),
+            self._admission.effective_deadline_s(request.deadline_s)
         )
         if isinstance(request, RolloutRequest):
             return self._admit(request, [request])[0]
@@ -419,41 +402,39 @@ class InferenceService:
                 model, asset, requests, dispatch, arenas=arenas
             )
         except BaseException as exc:  # noqa: BLE001 - failures go to clients
-            if self.trace.enabled:
-                failed_at = time.perf_counter()
-                for req in requests:
-                    self.trace.record_span(
-                        req.trace_id, "execute", "server",
-                        wall_from_perf(dequeued), failed_at - dequeued,
-                        status="failed", model=req.model, graph=req.graph,
-                        error=repr(exc),
-                    )
+            failed_at = time.perf_counter()
+            for req in requests:
+                self.trace.record_span(
+                    req.trace_id, "execute", "server",
+                    wall_from_perf(dequeued), failed_at - dequeued,
+                    status="failed", model=req.model, graph=req.graph,
+                    error=repr(exc),
+                )
             for h in handles:
                 h._finish(exc)
             return
         finished = time.perf_counter()
-        if self.trace.enabled:
+        self.trace.record_span(
+            requests[0].trace_id, "tile", "server",
+            wall_from_perf(dequeued), execution.tile_s,
+            hits=execution.tile_hits, misses=execution.tile_misses,
+            batch_size=execution.batch_size,
+        )
+        for req in requests:
             self.trace.record_span(
-                requests[0].trace_id, "tile", "server",
-                wall_from_perf(dequeued), execution.tile_s,
-                hits=execution.tile_hits, misses=execution.tile_misses,
-                batch_size=execution.batch_size,
+                req.trace_id, "queue", "server",
+                wall_from_perf(req.submitted_at),
+                dequeued - req.submitted_at,
+                model=req.model, graph=req.graph,
             )
-            for req in requests:
-                self.trace.record_span(
-                    req.trace_id, "queue", "server",
-                    wall_from_perf(req.submitted_at),
-                    dequeued - req.submitted_at,
-                    model=req.model, graph=req.graph,
-                )
-                self.trace.record_span(
-                    req.trace_id, "execute", "server",
-                    wall_from_perf(dequeued), finished - dequeued,
-                    model=req.model, graph=req.graph,
-                    batch_size=execution.batch_size,
-                    world_size=execution.world_size,
-                    n_steps=req.n_steps,
-                )
+            self.trace.record_span(
+                req.trace_id, "execute", "server",
+                wall_from_perf(dequeued), finished - dequeued,
+                model=req.model, graph=req.graph,
+                batch_size=execution.batch_size,
+                world_size=execution.world_size,
+                n_steps=req.n_steps,
+            )
         n = execution.batch_size
         waits = [dequeued - req.submitted_at for req in requests]
         latencies = [finished - req.submitted_at for req in requests]
@@ -488,10 +469,6 @@ class InferenceService:
                 latency_s=latency_s,
             )
             handle._finish()
-        # a tile miss grew the asset's resident bytes after admission;
-        # keep the configured cache byte budget honest
-        if execution.tile_misses:
-            self.cache.enforce_bounds()
 
     # -- training jobs -------------------------------------------------------
 
@@ -507,14 +484,13 @@ class InferenceService:
         """
         model = self.registry.get(request.model)
         asset = self.asset(request.graph)
-        request = request.resolved(self.config.default_halo_mode)
+        request = request.resolved()
         result = execute_train_job(
             model, asset, request, timeout=self.config.request_timeout_s
         )
         with self._metrics.atomic():
             self._m["train_jobs"].inc()
             self._m["train_s"].inc(result.train_s)
-        self.cache.enforce_bounds()  # the job may have tiled the asset
         return result
 
     # -- stats ---------------------------------------------------------------

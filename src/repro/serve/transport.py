@@ -185,7 +185,6 @@ class _Handler(socketserver.StreamRequestHandler):
                     expect_config=take(
                         header, "expect_config", GNNConfig | None, None
                     ),
-                    eager=take(header, "eager", bool, False),
                 )
                 self._reply({"type": "ok"})
             elif op == "register_graph_dir":
@@ -254,8 +253,6 @@ class _Handler(socketserver.StreamRequestHandler):
         failed: bool,
     ) -> None:
         """Record the frame-streaming span (``.npy`` encode + socket write)."""
-        if not service.trace.enabled:
-            return
         service.trace.record_span(
             request.trace_id,
             "serialize",

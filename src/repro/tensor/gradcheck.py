@@ -42,9 +42,11 @@ def gradcheck(
     eps: float = 1e-6,
     rtol: float = 1e-5,
     atol: float = 1e-7,
-    raise_on_fail: bool = True,
 ) -> bool:
     """Compare autodiff gradients of scalar ``fn`` against finite differences.
+
+    Returns ``True``; raises :class:`AssertionError` naming the first
+    input whose gradients disagree.
 
     Parameters
     ----------
@@ -59,18 +61,15 @@ def gradcheck(
     if out.data.size != 1:
         raise ValueError("gradcheck requires a scalar-valued function")
     out.backward()
-    ok = True
     for i, t in enumerate(inputs):
         if not t.requires_grad:
             continue
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
         numeric = numerical_gradient(fn, inputs, i, eps=eps)
         if not np.allclose(analytic, numeric, rtol=rtol, atol=atol):
-            ok = False
-            if raise_on_fail:
-                err = np.max(np.abs(analytic - numeric))
-                raise AssertionError(
-                    f"gradcheck failed for input {i}: max abs err {err:.3e}\n"
-                    f"analytic:\n{analytic}\nnumeric:\n{numeric}"
-                )
-    return ok
+            err = np.max(np.abs(analytic - numeric))
+            raise AssertionError(
+                f"gradcheck failed for input {i}: max abs err {err:.3e}\n"
+                f"analytic:\n{analytic}\nnumeric:\n{numeric}"
+            )
+    return True

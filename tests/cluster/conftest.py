@@ -178,8 +178,7 @@ class ScriptedEngine(Engine):
     def register_model(self, name, model) -> None:
         self.registered_models[name] = model
 
-    def register_checkpoint(self, name, path, expect_config=None,
-                            eager=False) -> None:
+    def register_checkpoint(self, name, path, expect_config=None) -> None:
         if self.dead:
             raise TransportError(f"{self.name}: unreachable")
         self.registered_models[name] = str(path)

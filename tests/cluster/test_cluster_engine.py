@@ -272,6 +272,28 @@ class TestHealth:
         finally:
             cluster.close()
 
+    def test_probe_of_in_process_shards_asks_them_nothing(self, monkeypatch):
+        """An in-process shard has no transport to probe: a probe pass
+        over ``pool://`` shards makes no ``capabilities()`` call, and
+        the shards stay UP."""
+        from repro.runtime import PooledEngine, connect
+
+        calls = []
+        declared = PooledEngine.capabilities
+        with connect("pool://") as a, connect("pool://") as b:
+            cluster = ClusterEngine({"a": a, "b": b}, health_interval_s=60.0)
+            try:
+                monkeypatch.setattr(
+                    PooledEngine, "capabilities",
+                    lambda self: calls.append(self) or declared(self),
+                )
+                cluster.probe_now()
+                cluster.probe_now()
+                assert calls == []
+                assert set(cluster.shard_states().values()) == {ShardState.UP}
+            finally:
+                cluster.close()
+
     def test_in_flight_returns_to_zero_after_completion(self, cluster):
         cluster.rollout(request())
         assert all(s.in_flight == 0 for s in cluster.cluster_stats().shards)

@@ -104,10 +104,10 @@ class TestMembersAndChunks:
 
     def test_resolved_fills_engine_defaults(self):
         r = request()
-        done = r.resolved("n-a2a", 30.0)
+        done = r.resolved(30.0)
         assert done.halo_mode == "n-a2a"
         assert done.deadline_s == 30.0
-        assert done.resolved("bulk_a2a", 1.0) is done  # already complete
+        assert done.resolved(1.0) is done  # already complete
 
 
 class TestWireRoundtrip:

@@ -75,11 +75,3 @@ class TestTrainingConsistency:
 
     def test_loss_decreases(self, r1_result):
         assert r1_result.losses[-1] < r1_result.losses[0]
-
-    def test_grad_norms_recorded(self):
-        g = build_full_graph(MESH)
-        x = taylor_green_velocity(g.pos)
-        res = train_single(
-            TINY_CONFIG, g, x, x, iterations=3, record_grad_norms=True
-        )
-        assert len(res.grad_norms) == 3 and all(gn > 0 for gn in res.grad_norms)

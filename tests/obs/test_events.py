@@ -1,8 +1,6 @@
 """Unit tests of repro.obs.events: bounded structured event log."""
 
-import pytest
-
-from repro.obs.events import EventLog, events_markdown
+from repro.obs.events import EVENT_CAPACITY, EventLog, events_markdown
 
 
 class TestEventLog:
@@ -15,11 +13,13 @@ class TestEventLog:
         assert log.events() == [event]
 
     def test_bounded_ring_evicts_oldest(self):
-        log = EventLog(capacity=3)
-        for i in range(5):
+        log = EventLog()
+        for i in range(EVENT_CAPACITY + 2):
             log.emit("tick", n=i)
-        assert len(log) == 3
-        assert [e.attrs["n"] for e in log.events()] == [2, 3, 4]
+        assert len(log) == EVENT_CAPACITY
+        assert [e.attrs["n"] for e in log.events()] == list(
+            range(2, EVENT_CAPACITY + 2)
+        )
 
     def test_filter_by_kind(self):
         log = EventLog()
@@ -28,10 +28,6 @@ class TestEventLog:
         log.emit("spill")
         assert [e.kind for e in log.events("spill")] == ["spill", "spill"]
         assert log.events("missing") == []
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            EventLog(capacity=0)
 
     def test_clear(self):
         log = EventLog()

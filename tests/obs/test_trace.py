@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs.trace import (
+    TRACE_CAPACITY,
     Span,
     TraceBuffer,
     mint_trace_id,
@@ -38,11 +39,12 @@ class TestWallAnchor:
 
 class TestTraceBuffer:
     def test_bounded_ring_evicts_oldest(self):
-        buf = TraceBuffer(capacity=3)
-        for i in range(5):
+        buf = TraceBuffer()
+        for i in range(TRACE_CAPACITY + 2):
             buf.record(span(name=f"s{i}", start=float(i)))
-        assert len(buf) == 3
-        assert [s.name for s in buf.spans()] == ["s2", "s3", "s4"]
+        assert len(buf) == TRACE_CAPACITY
+        names = [s.name for s in buf.spans()]
+        assert names[0] == "s2" and names[-1] == f"s{TRACE_CAPACITY + 1}"
 
     def test_trace_filters_and_sorts_by_start(self):
         buf = TraceBuffer()
@@ -51,14 +53,6 @@ class TestTraceBuffer:
         buf.record(span(trace_id="a", name="early", start=1.0))
         assert [s.name for s in buf.trace("a")] == ["early", "late"]
         assert buf.trace("missing") == []
-
-    def test_disabled_buffer_records_nothing(self):
-        buf = TraceBuffer(enabled=False)
-        buf.record(span())
-        buf.record_span("t", "n", "server", 0.0, 1.0)
-        with buf.span("t", "n", "server"):
-            pass
-        assert len(buf) == 0
 
     def test_span_context_manager_marks_failures(self):
         buf = TraceBuffer()
@@ -70,10 +64,6 @@ class TestTraceBuffer:
         assert recorded.status == "failed"
         assert recorded.attrs["detail"] == "x"
         assert recorded.duration_s >= 0.0
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            TraceBuffer(capacity=0)
 
     def test_clear(self):
         buf = TraceBuffer()

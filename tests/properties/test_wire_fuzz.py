@@ -412,8 +412,8 @@ def request_messages(root):
         (*stream_message("rollout", ROLLOUT), "done"),
         (*stream_message("ensemble", ENSEMBLE), "done"),
         ({"op": "register_checkpoint", "name": "fuzz/ckpt",
-          "path": str(root / "model.npz"), "expect_config": to_wire(TINY),
-          "eager": True}, [], "ok"),
+          "path": str(root / "model.npz"), "expect_config": to_wire(TINY)},
+         [], "ok"),
         ({"op": "register_graph_dir", "key": "fuzz/dir", "path": str(root)},
          [], "ok"),
         (upload, upload_arrays, "ok"),
@@ -516,6 +516,9 @@ def rogue():
 def test_a_mutated_reply_is_a_transport_error_or_the_documented_degrade(
     rogue, data
 ):
+    # a dead double turns every later example into a 10 s timeout that
+    # passes as a TransportError: fail instead
+    assert rogue._thread.is_alive(), "the rogue server thread died"
     kind = data.draw(st.sampled_from(sorted(REPLIES)))
     op, script, call = REPLIES[kind]
     script = list(script)

@@ -18,6 +18,7 @@ The redesign's contract, asserted over ``LocalEngine`` /
 
 import dataclasses
 import gc
+import inspect
 import os
 import threading
 import time
@@ -38,13 +39,14 @@ from repro.runtime import (
 from repro.runtime.api import EngineCapabilities
 from repro.serve import (
     DeadlineExpired,
+    IncompatibleModel,
     QueueFull,
     ServeConfig,
     ServeServer,
 )
 from repro.serve.registry import ModelNotFound
 from repro.tensor import naive_aggregation
-from tests.runtime.conftest import ENGINE_KINDS, make_engine
+from tests.runtime.conftest import ENGINE_CONFIG, ENGINE_KINDS, make_engine
 
 
 def assert_bitwise_equal(a, b):
@@ -255,6 +257,23 @@ class TestTypedErrors:
             assert engine.capabilities().in_memory_assets is False
             with pytest.raises(CapabilityError, match="checkpoint"):
                 engine.register_model("m2", engine_model)
+
+    def test_checkpoint_registration_is_lazy(self, any_engine, asset_paths,
+                                             x0):
+        """``register_checkpoint`` has no eager switch on any engine: a
+        checkpoint whose config does not match ``expect_config``
+        registers, and its first rollout raises the typed
+        ``IncompatibleModel`` (``incompatible`` over the wire)."""
+        params = inspect.signature(any_engine.register_checkpoint).parameters
+        assert list(params) == ["name", "path", "expect_config"]
+        wrong = ENGINE_CONFIG.with_seed(ENGINE_CONFIG.seed + 1)
+        any_engine.register_checkpoint("wrong", asset_paths[0],
+                                       expect_config=wrong)
+        assert "wrong" in any_engine.model_names()
+        with pytest.raises(IncompatibleModel, match="config"):
+            any_engine.rollout(
+                RolloutRequest(model="wrong", graph="g1", x0=x0, n_steps=1)
+            )
 
     def test_submit_rejects_non_requests(self, any_engine):
         with pytest.raises(TypeError, match="RolloutRequest, EnsembleRequest or TrainRequest"):

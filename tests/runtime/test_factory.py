@@ -10,8 +10,16 @@ from repro.runtime import (
     TrainRequest,
     connect,
 )
+from repro.serve import ServeServer
 
 X0 = np.zeros((5, 3))
+
+
+@pytest.fixture(scope="module")
+def endpoint():
+    """A live server for the ``tcp://`` / ``cluster://`` schemes."""
+    with connect("pool://") as backend, ServeServer(backend.service) as server:
+        yield server.endpoint
 
 
 class TestConnect:
@@ -38,6 +46,23 @@ class TestConnect:
         # double close of the owner is a no-op
         owner.close()
 
+    def test_pool_applies_request_timeout_to_its_private_service(self):
+        with connect("pool://", request_timeout_s=7.5) as engine:
+            assert engine.service.config.request_timeout_s == 7.5
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    @pytest.mark.parametrize("kind", ["local", "pool", "tcp", "cluster"])
+    def test_non_positive_request_timeout_rejected_at_construction(
+        self, kind, timeout, endpoint
+    ):
+        """A timeout that no wait could honour is refused by name when
+        the engine is built, not by ``queue.get`` after a request ran."""
+        url = {"local": "local://", "pool": "pool://",
+               "tcp": f"tcp://{endpoint}",
+               "cluster": f"cluster://{endpoint}"}[kind]
+        with pytest.raises(ValueError, match="request_timeout_s"):
+            connect(url, request_timeout_s=timeout)
+
     @pytest.mark.parametrize("url", [
         "local", "ftp://x", "pool://somehost", "local://h", "", "tcp://",
     ])
@@ -58,12 +83,12 @@ class TestRequestDataclasses:
 
     def test_resolved_fills_defaults_preserving_identity(self):
         req = RolloutRequest(model="m", graph="g", x0=X0, n_steps=1)
-        resolved = req.resolved("n-a2a", 0.5)
+        resolved = req.resolved(0.5)
         assert resolved.halo_mode == "n-a2a"
         assert resolved.deadline_s == 0.5
         assert resolved.request_id == req.request_id
         # explicit fields are never overridden
-        assert resolved.resolved("a2a", 9.9) is resolved
+        assert resolved.resolved(9.9) is resolved
 
     def test_train_request_batches_and_validates(self):
         one = TrainRequest(model="m", graph="g", x=X0, target=X0)

@@ -120,6 +120,10 @@ class RogueServer:
             finally:
                 try:
                     stream.close()
+                except OSError:
+                    # the client hung up on a reply: close() re-flushes
+                    # the unsent bytes, and an escape would end the thread
+                    pass
                 finally:
                     conn.close()
 

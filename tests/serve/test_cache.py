@@ -1,9 +1,10 @@
-"""GraphCache: LRU eviction, byte bounds, hit/miss accounting, disk path."""
+"""GraphCache: LRU eviction, hit/miss accounting, disk path."""
 
 import pytest
 
 from repro.graph.io import save_distributed_graph
 from repro.serve import GraphCache
+from repro.serve.cache import MAX_ENTRIES
 
 
 @pytest.fixture()
@@ -12,7 +13,7 @@ def rank_graphs(dist_graph):
 
 
 def test_miss_then_hit(full_graph):
-    cache = GraphCache(max_entries=2)
+    cache = GraphCache()
     assert cache.get("g") is None
     cache.put("g", [full_graph])
     asset = cache.get("g")
@@ -23,27 +24,15 @@ def test_miss_then_hit(full_graph):
 
 
 def test_lru_eviction_order(full_graph):
-    cache = GraphCache(max_entries=2)
-    cache.put("a", [full_graph])
-    cache.put("b", [full_graph])
-    assert cache.get("a") is not None  # refresh: b is now LRU
-    cache.put("c", [full_graph])
-    assert "b" not in cache
-    assert "a" in cache and "c" in cache
+    cache = GraphCache()
+    for i in range(MAX_ENTRIES):
+        cache.put(f"k{i}", [full_graph])
+    assert cache.get("k0") is not None  # refresh: k1 is now LRU
+    cache.put("new", [full_graph])
+    assert len(cache) == MAX_ENTRIES
+    assert "k1" not in cache
+    assert "k0" in cache and "new" in cache
     assert cache.stats().evictions == 1
-
-
-def test_byte_bound_evicts_down(rank_graphs):
-    one = GraphCache(max_entries=8).put("x", rank_graphs)
-    cache = GraphCache(max_entries=8, max_bytes=one.nbytes + 1)
-    cache.put("a", rank_graphs)
-    cache.put("b", rank_graphs)  # together exceed the byte bound
-    assert len(cache) == 1
-    assert "b" in cache  # newest kept
-    # a single oversized asset is still admitted
-    big = GraphCache(max_entries=8, max_bytes=1)
-    big.put("huge", rank_graphs)
-    assert "huge" in big
 
 
 def test_get_or_load_runs_loader_once(full_graph):
@@ -160,7 +149,7 @@ class TestByteAccurateSizingAndReloadCost:
     def test_loader_time_recorded_and_charged_on_eviction(self, full_graph):
         import time as time_mod
 
-        cache = GraphCache(max_entries=1)
+        cache = GraphCache()
 
         def slow_loader():
             time_mod.sleep(0.01)
@@ -169,7 +158,8 @@ class TestByteAccurateSizingAndReloadCost:
         asset = cache.get_or_load("a", slow_loader)
         assert asset.load_s >= 0.01
         assert asset.reload_cost_s >= asset.load_s
-        cache.put("b", [full_graph])  # evicts "a" (entry bound)
+        for i in range(MAX_ENTRIES):
+            cache.put(f"b{i}", [full_graph])  # the last evicts "a"
         stats = cache.stats()
         assert stats.evictions == 1
         assert stats.evicted_reload_s >= asset.load_s

@@ -61,24 +61,26 @@ def test_checkpoint_path_that_is_a_directory_rejected(tmp_path):
     — and must not squat on the name."""
     reg = ModelRegistry()
     with pytest.raises(FileNotFoundError, match="checkpoint file"):
-        reg.register_checkpoint("m", tmp_path, eager=True)
+        reg.register_checkpoint("m", tmp_path)
     assert reg.names() == []
 
 
-def test_expect_config_mismatch_raises(tmp_path):
+def test_expect_config_mismatch_raises_at_first_load(tmp_path):
     path = tmp_path / "m.npz"
     save_checkpoint(MeshGNN(CFG), path)
     reg = ModelRegistry()
     other = GNNConfig(hidden=8, n_message_passing=1, n_mlp_hidden=0)
+    reg.register_checkpoint("m", path, expect_config=other)  # lazy: no load
     with pytest.raises(IncompatibleModel):
-        reg.register_checkpoint("m", path, expect_config=other, eager=True)
+        reg.get("m")
 
 
 def test_evict_checkpoint_entry_reloads(tmp_path):
     path = tmp_path / "m.npz"
     save_checkpoint(MeshGNN(CFG), path)
     reg = ModelRegistry()
-    reg.register_checkpoint("m", path, eager=True)
+    reg.register_checkpoint("m", path)
+    reg.get("m")
     assert reg.stats().resident == 1
     reg.evict("m")
     assert reg.stats().resident == 0

@@ -124,19 +124,6 @@ def test_reregistering_graph_key_invalidates_cache(serve_model, full_graph,
         assert svc.stats().cache.evictions == 1
 
 
-def test_failed_eager_registration_frees_the_name(serve_model, tmp_path):
-    path = tmp_path / "m.npz"
-    save_checkpoint(serve_model, path)
-    svc = InferenceService()
-    wrong = serve_model.config.with_seed(serve_model.config.seed + 1)
-    with pytest.raises(IncompatibleModel):
-        svc.register_checkpoint("m", path, expect_config=wrong, eager=True)
-    # the name is reusable after the failure
-    svc.register_checkpoint("m", path, expect_config=serve_model.config,
-                            eager=True)
-    assert "m" in svc.registry
-
-
 def test_service_restarts_after_stop(serve_model, full_graph, x0):
     svc = InferenceService()
     svc.register_model("m", serve_model)

@@ -53,29 +53,6 @@ def test_tiles_count_toward_asset_bytes(asset):
     assert asset.nbytes > base
 
 
-def test_enforce_bounds_evicts_after_tile_growth(dist_graph, full_graph):
-    """Tile growth happens outside put(); enforce_bounds() re-applies
-    the byte budget so a configured cap stays honest under serving."""
-    from repro.serve.cache import GraphCache
-
-    budget = GraphAsset(key="a", graphs=tuple(dist_graph.locals)).nbytes * 2
-    cache = GraphCache(max_entries=8, max_bytes=budget)
-    cache.put("old", list(dist_graph.locals))
-    cache.put("hot", [full_graph])
-    assert set(cache.keys()) == {"old", "hot"}
-    cache.enforce_bounds()  # nothing grew yet: both fit
-    assert len(cache) == 2
-    grown = cache.get("old")  # serving tiles this asset well past budget
-    for batch in range(2, 8):
-        for rank in range(len(dist_graph.locals)):
-            grown.tiled(batch, rank)
-    cache.get("hot")  # MRU survivor
-    cache.enforce_bounds()
-    assert cache.keys() == ["hot"], (
-        "tile growth beyond max_bytes must evict at the next re-check"
-    )
-
-
 def test_execute_batch_reports_hits_after_first_batch(
     serve_model, asset, x0
 ):

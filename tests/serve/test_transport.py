@@ -204,12 +204,11 @@ class TestErrorPropagation:
     def test_checkpoint_path_that_is_a_directory_is_bad_request(
         self, server, tmp_path
     ):
-        """``IsADirectoryError`` at an eager load used to answer
-        ``internal``; a path that is not a regular file is the peer's
-        bad request, like a missing one."""
+        """A path that is not a regular file is the peer's bad request,
+        like a missing one (never ``internal``)."""
         reply = raw_exchange(server, {
             "op": "register_checkpoint", "name": "m9",
-            "path": str(tmp_path), "eager": True,
+            "path": str(tmp_path),
         })
         assert (reply["type"], reply["code"]) == ("error", "bad_request")
         assert "checkpoint file" in reply["message"]
@@ -290,8 +289,6 @@ class TestStrictHeaderTyping:
             assert reply["type"] in ("frame", "summary")
 
     @pytest.mark.parametrize("header, names", [
-        ({"op": "register_checkpoint", "name": "m9", "path": "/x.npz",
-          "eager": "yes"}, "eager"),
         ({"op": "register_checkpoint", "name": "m9", "path": 5}, "path"),
         ({"op": "register_checkpoint", "name": "m9", "path": "/x.npz",
           "expect_config": {"hidden": "8"}}, "expect_config.hidden"),
