@@ -3,9 +3,10 @@ comm backends.
 
 One batch = requests sharing a
 ``(model, graph, halo_mode, residual, precision)`` key
-(:class:`~repro.runtime.api.BatchKey`). The engine gathers each request's global initial state into the
-rows of the asset's stitched graph (the ``R`` rank graphs as one
-block-diagonal graph whose halo exchange is an in-process row gather,
+(:class:`~repro.runtime.api.BatchKey`). The engine gathers each
+request's global initial state into the rows of the asset's stitched
+graph (the ``R`` rank graphs as one block-diagonal graph whose halo
+exchange is an in-process row gather,
 :func:`repro.serve.tiling.stitch_rank_graphs`), fetches its ``B``-fold
 replica from the asset's tile cache
 (:meth:`repro.serve.cache.GraphAsset.tiled` — stitched once per asset,

@@ -148,8 +148,6 @@ class TestBitwiseTrajectories:
         """A rollout that failed stays failed: result() re-raises the
         stream's terminal error instead of returning a short
         trajectory as if it had succeeded."""
-        from repro.serve.registry import IncompatibleModel
-
         with make_engine(kind, asset_paths) as engine:
             # bad shape passes submission and fails in the worker/stream
             future = engine.submit(RolloutRequest(
